@@ -128,6 +128,48 @@ fn micro_queue_hold(mode: &Mode) -> Entry {
     }
 }
 
+/// Micro: one distributed-scheduler launch's placement burst — 8192
+/// warps pushed at one timestamp in the order DS admission visits them
+/// (SMs module-interleaved, each module drawing CTAs from its own
+/// contiguous chunk, so consecutive keys jump between chunks), then
+/// drained. The hold micro above keeps buckets sparse, so its pushes
+/// stay on the O(1) list paths; this one drives the queue's
+/// out-of-order path at launch scale.
+fn micro_queue_same_cycle_burst(mode: &Mode) -> Entry {
+    const BURST: u64 = 8192;
+    const MODULES: u64 = 4;
+    const WARPS_PER_CTA: u64 = 8;
+    let chunk = BURST / WARPS_PER_CTA / MODULES;
+    let keys: Vec<u64> = (0..chunk)
+        .flat_map(|round| (0..MODULES).map(move |m| m * chunk + round))
+        .flat_map(|cta| (0..WARPS_PER_CTA).map(move |w| cta * WARPS_PER_CTA + w))
+        .collect();
+    let mut q: EventQueue<u64> = EventQueue::with_capacity(BURST as usize);
+    let mut burst = || {
+        let at = q.now() + Cycle::new(1);
+        for &key in &keys {
+            q.push(at, key, key);
+        }
+        let mut acc = 0u64;
+        while let Some((_, v)) = q.pop() {
+            acc = acc.wrapping_add(v);
+        }
+        std::hint::black_box(acc)
+    };
+    burst(); // warm
+    let (median, min) = time_reps(mode.reps, || {
+        burst();
+    });
+    Entry {
+        name: "micro.queue_same_cycle_burst",
+        wall_ns_median: median,
+        wall_ns_min: min,
+        reps: mode.reps,
+        ops: Some(BURST),
+        cycles: None,
+    }
+}
+
 /// Micro: persistent-store hit latency — a warm index lookup plus a
 /// bit-exact report clone, the per-pair cost a warm-started sweep pays
 /// instead of a simulation. Uses a throwaway temp-dir store seeded
@@ -378,6 +420,7 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
     let before = mcm_telemetry::global().snapshot();
     let mut entries = vec![
         micro_queue_hold(mode),
+        micro_queue_same_cycle_burst(mode),
         micro_store_hit(mode),
         micro_analytic_point(mode),
         macro_run("macro.fig09_pair_base", &SystemConfig::baseline_mcm(), mode),
@@ -431,11 +474,18 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
             "macro.ds_over_base_cycles",
             cyc("macro.fig09_pair_ds") / cyc("macro.fig09_pair_base"),
         ),
+        (
+            // Host cost of the distributed-scheduler pair per unit of
+            // the baseline's; next to the cycle ratio it shows whether
+            // the DS pair pays for more than its extra simulated work.
+            "macro.ds_over_base_wall",
+            wall("macro.fig09_pair_ds") / wall("macro.fig09_pair_base"),
+        ),
     ];
 
     for e in &entries {
         println!(
-            "  {:<24} median {:>12} ns  min {:>12} ns{}",
+            "  {:<28} median {:>12} ns  min {:>12} ns{}",
             e.name,
             e.wall_ns_median,
             e.wall_ns_min,
@@ -443,7 +493,7 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
         );
     }
     for (name, v) in &ratios {
-        println!("  {name:<24} {v:.3}");
+        println!("  {name:<28} {v:.3}");
     }
 
     let doc = render_json(label, mode, &entries, &ratios, &telemetry);
@@ -500,7 +550,7 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
 
     let mut failures = 0u32;
     println!(
-        "{:<24} {:>14} {:>14} {:>8}  verdict (threshold {:.0}%)",
+        "{:<28} {:>14} {:>14} {:>8}  verdict (threshold {:.0}%)",
         "entry",
         "old median ns",
         "new median ns",
@@ -510,7 +560,7 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
     for (name, old_e) in old_entries {
         let Some(new_e) = new_entries.get(name) else {
             println!(
-                "{name:<24} {:>14} {:>14} {:>8}  MISSING in new snapshot",
+                "{name:<28} {:>14} {:>14} {:>8}  MISSING in new snapshot",
                 "-", "-", "-"
             );
             failures += 1;
@@ -520,7 +570,7 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
             old_e.get("wall_ns_median").and_then(Json::as_u64),
             new_e.get("wall_ns_median").and_then(Json::as_u64),
         ) else {
-            println!("{name:<24} malformed wall_ns_median");
+            println!("{name:<28} malformed wall_ns_median");
             failures += 1;
             continue;
         };
@@ -533,7 +583,7 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
         } else {
             "ok"
         };
-        println!("{name:<24} {a:>14} {b:>14} {ratio:>8.3}  {verdict}");
+        println!("{name:<28} {a:>14} {b:>14} {ratio:>8.3}  {verdict}");
         // Simulated work must be *identical*, not merely close.
         let (oc, nc) = (
             old_e.get("cycles").and_then(Json::as_u64),
@@ -541,7 +591,7 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
         );
         if let (Some(oc), Some(nc)) = (oc, nc) {
             if oc != nc {
-                println!("{name:<24} cycle count changed: {oc} -> {nc}  DETERMINISM MISMATCH");
+                println!("{name:<28} cycle count changed: {oc} -> {nc}  DETERMINISM MISMATCH");
                 failures += 1;
             }
         }

@@ -12,6 +12,7 @@
 use mcm_engine::Cycle;
 use mcm_gpu::{Simulator, SystemConfig};
 use mcm_probe::Probe;
+use mcm_sm::SchedulerPolicy;
 use mcm_testkit::alloc::CountingAllocator;
 use mcm_workloads::WorkloadSpec;
 
@@ -62,15 +63,18 @@ fn small_machine() -> SystemConfig {
 /// mappings (and the hash-map capacity behind them) keep warming for a
 /// few launches; the machine pools themselves are warm after kernel 0.
 /// Steady state must then be exactly allocation-free.
-fn assert_steady_state_alloc_free(probe: &KernelWindows) {
-    assert_eq!(probe.seen, KERNELS, "every kernel must report its window");
+fn assert_steady_state_alloc_free(probe: &KernelWindows, case: &str) {
+    assert_eq!(
+        probe.seen, KERNELS,
+        "{case}: every kernel must report its window"
+    );
     const WARMUP_KERNELS: usize = 3;
     for k in WARMUP_KERNELS..KERNELS {
         assert_eq!(
             probe.end[k] - probe.begin[k],
             0,
-            "kernel {k} allocated in steady state (per-kernel allocator \
-             calls: {:?})",
+            "{case}: kernel {k} allocated in steady state (per-kernel \
+             allocator calls: {:?})",
             (0..KERNELS)
                 .map(|k| probe.end[k] - probe.begin[k])
                 .collect::<Vec<_>>()
@@ -78,18 +82,19 @@ fn assert_steady_state_alloc_free(probe: &KernelWindows) {
     }
 }
 
-#[test]
-fn steady_state_kernels_do_not_allocate() {
-    let spec = alloc_probe_spec();
-    let cfg = small_machine();
-    let mut probe = KernelWindows {
+fn empty_windows() -> KernelWindows {
+    KernelWindows {
         begin: [0; KERNELS],
         end: [0; KERNELS],
         seen: 0,
-    };
-    let report = Simulator::run_probed(&cfg, &spec, &mut probe);
+    }
+}
+
+fn serial_steady_state_does_not_allocate(cfg: &SystemConfig) {
+    let mut probe = empty_windows();
+    let report = Simulator::run_probed(cfg, &alloc_probe_spec(), &mut probe);
     assert!(report.cycles > Cycle::ZERO);
-    assert_steady_state_alloc_free(&probe);
+    assert_steady_state_alloc_free(&probe, &format!("serial {:?}", cfg.scheduler));
 }
 
 /// The same contract holds per shard under sharded execution: after
@@ -99,8 +104,7 @@ fn steady_state_kernels_do_not_allocate() {
 /// recycled thereafter. (The window probe is `ACTIVE = false`, so it
 /// rides the sharded engine instead of forcing the serial fallback;
 /// its kernel-boundary callbacks are forwarded by the epoch leader.)
-#[test]
-fn sharded_steady_state_kernels_do_not_allocate() {
+fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
     struct PassiveWindows(KernelWindows);
     impl Probe for PassiveWindows {
         const ACTIVE: bool = false;
@@ -112,16 +116,34 @@ fn sharded_steady_state_kernels_do_not_allocate() {
         }
     }
 
-    let spec = alloc_probe_spec();
-    let cfg = small_machine();
-    let mut probe = PassiveWindows(KernelWindows {
-        begin: [0; KERNELS],
-        end: [0; KERNELS],
-        seen: 0,
-    });
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut mcm_fault::NullFaultPlan, 2);
+    let mut probe = PassiveWindows(empty_windows());
+    let (report, stats) = Simulator::run_faulted_sharded(
+        cfg,
+        &alloc_probe_spec(),
+        &mut probe,
+        &mut mcm_fault::NullFaultPlan,
+        2,
+    );
     assert!(report.cycles > Cycle::ZERO);
     assert_eq!(stats.shards, 2, "the run must actually shard");
-    assert_steady_state_alloc_free(&probe.0);
+    assert_steady_state_alloc_free(&probe.0, &format!("sharded {:?}", cfg.scheduler));
+}
+
+/// Every case runs inside this one test, one after another: the
+/// counting allocator is process-wide and the test harness runs
+/// separate tests on parallel threads, so a concurrent case's
+/// allocations would land in another's steady-state window.
+///
+/// The distributed scheduler admits each launch's warps at one
+/// timestamp in module-interleaved key order, so its cases hold the
+/// event queue's out-of-order path to the same contract.
+#[test]
+fn steady_state_kernels_do_not_allocate() {
+    let centralized = small_machine();
+    let mut distributed = small_machine();
+    distributed.scheduler = SchedulerPolicy::Distributed;
+    for cfg in [&centralized, &distributed] {
+        serial_steady_state_does_not_allocate(cfg);
+        sharded_steady_state_does_not_allocate(cfg);
+    }
 }

@@ -6,6 +6,14 @@
 //! state), while far-future events wait in a small sorted overflow heap
 //! and migrate into the ring as the window advances.
 //!
+//! A bucket's list only ever grows at its ends, so a push that sorts at
+//! or above its tail, or below its head, is O(1). A push that sorts
+//! between them — a same-cycle burst in non-monotone key order, such as
+//! a distributed-scheduler launch placing thousands of warps at one
+//! timestamp in module-interleaved order — goes to one min-heap of pool
+//! indices instead, O(log n), and each pop takes the smaller of the
+//! bucket head and the heap top.
+//!
 //! Equal-time events are ordered by a caller-supplied **content key**
 //! rather than insertion order: the pop order is `(time, wave, key)`,
 //! where `wave` counts same-cycle re-push generations (see the
@@ -15,15 +23,16 @@
 //! order to its own events, something no insertion-sequence tie-break
 //! can offer once events arrive through per-shard mailboxes.
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
 use crate::Cycle;
 
 /// Width of the near-future window, in cycles. Power of two so the
 /// bucket index is a mask. One bucket per cycle: every bucket holds
-/// events of exactly one timestamp, so bucket order *is* time order and
-/// the per-bucket `(wave, key)`-sorted list totals the order.
+/// events of exactly one timestamp, so bucket order *is* time order,
+/// and a bucket's `(wave, key)`-sorted list merged with the
+/// out-of-order heap totals the order.
 const WINDOW: usize = 1024;
 /// Bucket-index mask (`at & MASK` is `at % WINDOW`).
 const MASK: u64 = WINDOW as u64 - 1;
@@ -63,7 +72,8 @@ impl<E> Ord for Overflow<E> {
     }
 }
 
-/// One pooled node of a bucket's sorted list. Freed nodes keep their
+/// One pooled in-window entry: a link of its bucket's sorted list, or
+/// the target of an out-of-order heap entry. Freed nodes keep their
 /// slot (`event` becomes `None`) and are recycled through a freelist,
 /// so steady-state push/pop cycles never touch the allocator.
 struct Node<E> {
@@ -83,8 +93,7 @@ struct Node<E> {
 /// * `key` is a caller-supplied content identity (e.g. a warp or
 ///   request id). Among the events pending at any instant keys must be
 ///   unique per timestamp, or the relative order of equal keys is
-///   unspecified (stable insertion order, which is *not* a
-///   reproducibility contract).
+///   unspecified.
 /// * `wave` is assigned internally: a push at exactly the timestamp of
 ///   the most recently popped event lands one wave *after* that event
 ///   (`last_wave + 1`), so same-cycle continuations — a retiring warp
@@ -99,6 +108,10 @@ struct Node<E> {
 /// coordinate as the single-queue run, making the global pop order
 /// reproducible by construction. That is the foundation of the sharded
 /// execution mode's bit-exactness (see `mcm-gpu`'s sharded runner).
+///
+/// A push that becomes its timestamp's first or last pending entry
+/// costs O(1); any other costs O(log n). Neither allocates once the
+/// node pool has reached the peak number of pending in-window events.
 ///
 /// # Example
 ///
@@ -121,18 +134,22 @@ pub struct EventQueue<E> {
     /// Tail node index per bucket, for O(1) append of the common
     /// already-largest case.
     tails: Box<[u32; WINDOW]>,
-    /// One bit per bucket: set iff the bucket is nonempty. Popping
-    /// scans this, 64 buckets per word.
+    /// One bit per bucket: set iff the bucket's list is nonempty.
+    /// Popping scans this, 64 buckets per word.
     occupied: [u64; BITMAP_WORDS],
-    /// Node pool backing every bucket list.
+    /// Node pool backing every bucket list and out-of-order entry.
     nodes: Vec<Node<E>>,
     /// Freelist head into `nodes`.
     free: u32,
+    /// In-window entries that sorted between their bucket's head and
+    /// tail when pushed, as `(time, wave, key, node)`, earliest first.
+    /// The tail they undercut stays listed until they pop, so the
+    /// bitmap still finds their timestamp. Capacity tracks the node
+    /// pool's, so a push here never allocates.
+    out_of_order: BinaryHeap<Reverse<(Cycle, u32, u64, u32)>>,
     /// Far-future events (at ≥ window end), ordered by (time, key).
     overflow: BinaryHeap<Overflow<E>>,
-    /// Events currently in buckets (as opposed to the overflow heap).
-    in_buckets: usize,
-    /// Total pending events.
+    /// Total pending events (window and overflow).
     len: usize,
     last_popped: Cycle,
     /// Wave of the most recently popped entry (reset by [`EventQueue::sync_to`]).
@@ -146,7 +163,8 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("len", &self.len)
-            .field("in_buckets", &self.in_buckets)
+            .field("out_of_order", &self.out_of_order.len())
+            .field("overflow", &self.overflow.len())
             .field("last_popped", &self.last_popped)
             .field("last_wave", &self.last_wave)
             .finish_non_exhaustive()
@@ -162,8 +180,8 @@ impl<E> EventQueue<E> {
             occupied: [0; BITMAP_WORDS],
             nodes: Vec::new(),
             free: NIL,
+            out_of_order: BinaryHeap::new(),
             overflow: BinaryHeap::new(),
-            in_buckets: 0,
             len: 0,
             last_popped: Cycle::ZERO,
             last_wave: 0,
@@ -175,6 +193,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = EventQueue::new();
         q.nodes.reserve(capacity);
+        q.out_of_order.reserve_exact(q.nodes.capacity());
         q
     }
 
@@ -183,6 +202,13 @@ impl<E> EventQueue<E> {
     #[inline]
     fn window_end(&self) -> u64 {
         self.last_popped.as_u64().saturating_add(WINDOW as u64)
+    }
+
+    /// Whether any pending event lies inside the window (listed or out
+    /// of order); all of them precede every overflow event.
+    #[inline]
+    fn window_occupied(&self) -> bool {
+        self.len > self.overflow.len()
     }
 
     /// Takes a node from the freelist (or grows the pool) and fills it.
@@ -204,65 +230,63 @@ impl<E> EventQueue<E> {
                 key,
                 event: Some(event),
             });
+            // The heap never holds more entries than the pool has
+            // nodes: growing it only here, with the pool, means a push
+            // onto it never allocates.
+            let cap = self.nodes.capacity();
+            if self.out_of_order.capacity() < cap {
+                self.out_of_order
+                    .reserve_exact(cap - self.out_of_order.len());
+            }
             (self.nodes.len() - 1) as u32
         }
     }
 
-    /// Inserts `event` into the sorted list of the bucket for time `at`
-    /// (which must lie inside the near-future window), keeping the list
-    /// ordered by `(wave, key)`.
+    /// Files `event` under time `at` (which must lie inside the
+    /// near-future window): appended to the bucket's list when it sorts
+    /// at or above the tail, prepended when it sorts below the head,
+    /// otherwise pushed onto the out-of-order heap.
     #[inline]
     fn bucket_insert(&mut self, at: Cycle, wave: u32, key: u64, event: E) {
         debug_assert!(at >= self.last_popped && at.as_u64() < self.window_end());
         let b = (at.as_u64() & MASK) as usize;
         let idx = self.take_node(wave, key, event);
-        if self.tails[b] == NIL {
-            // Empty bucket.
+        let tail = self.tails[b];
+        if tail == NIL {
             self.heads[b] = idx;
             self.tails[b] = idx;
             self.occupied[b / 64] |= 1 << (b % 64);
         } else {
-            let tail = self.tails[b] as usize;
-            if (self.nodes[tail].wave, self.nodes[tail].key) <= (wave, key) {
-                // Common case: new entry is the largest — append.
-                self.nodes[tail].next = idx;
+            let last = &mut self.nodes[tail as usize];
+            if (last.wave, last.key) <= (wave, key) {
+                last.next = idx;
                 self.tails[b] = idx;
             } else {
-                let head = self.heads[b] as usize;
-                if (wave, key) < (self.nodes[head].wave, self.nodes[head].key) {
-                    self.nodes[idx as usize].next = self.heads[b];
+                let head = self.heads[b];
+                let first = &self.nodes[head as usize];
+                if (wave, key) < (first.wave, first.key) {
+                    self.nodes[idx as usize].next = head;
                     self.heads[b] = idx;
                 } else {
-                    // Walk to the last node that sorts at or before the
-                    // new entry and splice after it.
-                    let mut prev = self.heads[b] as usize;
-                    loop {
-                        let next = self.nodes[prev].next;
-                        debug_assert_ne!(next, NIL, "tail case handled above");
-                        let n = next as usize;
-                        if (wave, key) < (self.nodes[n].wave, self.nodes[n].key) {
-                            self.nodes[idx as usize].next = next;
-                            self.nodes[prev].next = idx;
-                            break;
-                        }
-                        prev = n;
-                    }
+                    self.out_of_order.push(Reverse((at, wave, key, idx)));
                 }
             }
         }
-        self.in_buckets += 1;
         if at < self.scan {
             self.scan = at;
         }
     }
 
-    /// The earliest bucketed timestamp. Requires `in_buckets > 0`.
+    /// The earliest in-window timestamp. Requires a pending in-window
+    /// event.
     ///
     /// Scans the occupancy bitmap forward from `scan`; because every
     /// bucketed timestamp lies in `[scan, scan + WINDOW)`, the ring
-    /// offset from `scan`'s bucket recovers the absolute time.
+    /// offset from `scan`'s bucket recovers the absolute time. An
+    /// out-of-order entry never precedes the result: the tail it
+    /// undercut is still listed at its own timestamp.
     fn earliest_bucket_time(&self) -> Cycle {
-        debug_assert!(self.in_buckets > 0);
+        debug_assert!(self.window_occupied());
         let start = self.scan.as_u64();
         let i0 = (start & MASK) as usize;
         let mut word = i0 / 64;
@@ -277,7 +301,7 @@ impl<E> EventQueue<E> {
             word = (word + 1) % BITMAP_WORDS;
             mask = !0;
         }
-        unreachable!("in_buckets > 0 but no occupied bucket found");
+        unreachable!("in-window events pending but no occupied bucket found");
     }
 
     /// Schedules `event` to fire at absolute time `at` under content
@@ -322,9 +346,9 @@ impl<E> EventQueue<E> {
         if self.len == 0 {
             return None;
         }
-        // Bucketed events always precede overflow ones: buckets hold
-        // times below the window end, the overflow at or above it.
-        let at = if self.in_buckets > 0 {
+        // In-window events always precede overflow ones: the window
+        // holds times below its end, the overflow at or above it.
+        let at = if self.window_occupied() {
             self.earliest_bucket_time()
         } else {
             self.overflow.peek().expect("len > 0 with empty buckets").at
@@ -343,21 +367,31 @@ impl<E> EventQueue<E> {
         }
         // `at`'s bucket is nonempty now: either it supplied `at`, or the
         // first migrated entry (the overflow minimum) carried time `at`.
-        // Its head is the minimal (wave, key) entry at this timestamp.
+        // Its head is the minimal (wave, key) entry *listed* at this
+        // timestamp; an out-of-order entry sorting below it pops first.
         let b = (at.as_u64() & MASK) as usize;
-        let idx = self.heads[b];
-        debug_assert_ne!(idx, NIL);
+        let head = self.heads[b];
+        debug_assert_ne!(head, NIL);
+        let node = &self.nodes[head as usize];
+        let (idx, wave, key) = match self.out_of_order.peek() {
+            Some(&Reverse((t, wave, key, idx))) if (t, wave, key) < (at, node.wave, node.key) => {
+                self.out_of_order.pop();
+                (idx, wave, key)
+            }
+            _ => {
+                let (wave, key) = (node.wave, node.key);
+                self.heads[b] = node.next;
+                if self.heads[b] == NIL {
+                    self.tails[b] = NIL;
+                    self.occupied[b / 64] &= !(1 << (b % 64));
+                }
+                (head, wave, key)
+            }
+        };
         let node = &mut self.nodes[idx as usize];
-        let event = node.event.take().expect("bucketed node holds an event");
-        let (wave, key) = (node.wave, node.key);
-        self.heads[b] = node.next;
+        let event = node.event.take().expect("pending node holds an event");
         node.next = self.free;
         self.free = idx;
-        if self.heads[b] == NIL {
-            self.tails[b] = NIL;
-            self.occupied[b / 64] &= !(1 << (b % 64));
-        }
-        self.in_buckets -= 1;
         self.len -= 1;
         self.last_wave = wave;
         Some((at, wave, key, event))
@@ -370,7 +404,7 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        if self.in_buckets > 0 {
+        if self.window_occupied() {
             Some(self.earliest_bucket_time())
         } else {
             self.overflow.peek().map(|e| e.at)
@@ -420,8 +454,8 @@ impl<E> EventQueue<E> {
         self.occupied = [0; BITMAP_WORDS];
         self.nodes.clear();
         self.free = NIL;
+        self.out_of_order.clear();
         self.overflow.clear();
-        self.in_buckets = 0;
         self.len = 0;
         self.scan = self.last_popped;
     }
@@ -588,19 +622,80 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::new(10 + 2 * w), 3)));
     }
 
+    /// The `(time, wave, key)` contract in its plainest form: the
+    /// pending coordinates in an ordered set, waves assigned by the
+    /// documented rule.
+    #[derive(Default)]
+    struct Reference {
+        pending: std::collections::BTreeSet<(u64, u32, u64)>,
+        now: u64,
+        last_wave: u32,
+    }
+
+    impl Reference {
+        fn push(&mut self, at: u64, key: u64) {
+            let wave = if at == self.now {
+                self.last_wave + 1
+            } else {
+                0
+            };
+            assert!(self.pending.insert((at, wave, key)), "duplicate coordinate");
+        }
+
+        fn pop(&mut self) -> Option<(u64, u32, u64)> {
+            let first = self.pending.pop_first()?;
+            (self.now, self.last_wave) = (first.0, first.1);
+            Some(first)
+        }
+
+        fn peek_time(&self) -> Option<u64> {
+            self.pending.first().map(|c| c.0)
+        }
+    }
+
+    /// Pushes `(at, key)` into both queues; the payload is the key.
+    fn push_both(cal: &mut EventQueue<u64>, reference: &mut Reference, at: u64, key: u64) {
+        cal.push(Cycle::new(at), key, key);
+        reference.push(at, key);
+    }
+
+    /// Pops one entry from both queues, demanding the same coordinate,
+    /// the key's payload, and the same `peek_time` beforehand.
+    fn pop_both(cal: &mut EventQueue<u64>, reference: &mut Reference) -> Option<(u64, u32, u64)> {
+        assert_eq!(
+            cal.peek_time().map(Cycle::as_u64),
+            reference.peek_time(),
+            "peek mismatch"
+        );
+        let got = cal.pop_entry();
+        let want = reference.pop();
+        assert_eq!(
+            got.as_ref().map(|&(t, w, k, _)| (t.as_u64(), w, k)),
+            want,
+            "pop mismatch"
+        );
+        if let Some((_, _, key, ev)) = got {
+            assert_eq!(ev, key, "event payload follows its key");
+        }
+        assert_eq!(cal.len(), reference.pending.len());
+        want
+    }
+
+    fn drain_both(cal: &mut EventQueue<u64>, reference: &mut Reference) {
+        while pop_both(cal, reference).is_some() {}
+        assert!(cal.is_empty());
+    }
+
     #[test]
     fn matches_a_reference_sorted_queue() {
         // Drive calendar and reference implementations with the same
         // deterministic push/pop script and demand identical outputs.
-        // The reference models the full (time, wave, key) contract.
         use crate::rng::Xoshiro256;
         let mut rng = Xoshiro256::new(0xCAFE);
         let mut cal = EventQueue::new();
-        let mut reference: Vec<(u64, u32, u64)> = Vec::new(); // (at, wave, key)
-        let mut now = 0u64;
-        let mut last_wave = 0u32;
+        let mut reference = Reference::default();
         for step in 0..20_000u64 {
-            if !rng.next_u64().is_multiple_of(3) || reference.is_empty() {
+            if !rng.next_u64().is_multiple_of(3) || reference.pending.is_empty() {
                 // Mix of same-cycle, near, boundary, and far-future
                 // offsets. Keys are unique (derived from the step).
                 let off = match rng.next_u64() % 10 {
@@ -610,35 +705,142 @@ mod tests {
                     _ => rng.next_u64() % (4 * WINDOW as u64),
                 };
                 let key = step.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                cal.push(Cycle::new(now + off), key, key);
-                let wave = if off == 0 { last_wave + 1 } else { 0 };
-                reference.push((now + off, wave, key));
+                let at = reference.now + off;
+                push_both(&mut cal, &mut reference, at, key);
             } else {
-                let (at, wave, key, ev) = cal.pop_entry().expect("reference nonempty");
-                let min = reference
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|&(_, &coord)| coord)
-                    .map(|(i, _)| i)
-                    .expect("nonempty");
-                let want = reference.remove(min);
-                assert_eq!((at.as_u64(), wave, key), want, "pop mismatch");
-                assert_eq!(ev, key, "event payload follows its key");
-                now = want.0;
-                last_wave = want.1;
+                pop_both(&mut cal, &mut reference);
             }
         }
-        while let Some((at, wave, key, _)) = cal.pop_entry() {
-            let min = reference
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &coord)| coord)
-                .map(|(i, _)| i)
-                .expect("nonempty");
-            let want = reference.remove(min);
-            assert_eq!((at.as_u64(), wave, key), want, "drain mismatch");
+        drain_both(&mut cal, &mut reference);
+    }
+
+    /// Keys in the order a distributed-scheduler launch admits warps:
+    /// SMs visited module-interleaved, each module drawing CTAs from its
+    /// own contiguous chunk, so consecutive keys jump between chunks.
+    fn module_interleaved_keys(modules: u64, ctas: u64, warps: u64) -> Vec<u64> {
+        let chunk = ctas / modules;
+        let mut keys = Vec::with_capacity((ctas * warps) as usize);
+        for round in 0..chunk {
+            for m in 0..modules {
+                let cta = m * chunk + round;
+                keys.extend((0..warps).map(|w| cta * warps + w));
+            }
         }
-        assert!(reference.is_empty());
+        keys
+    }
+
+    #[test]
+    fn same_cycle_burst_in_module_interleaved_order() {
+        // 8192 warps placed at one timestamp, as a launch does, then a
+        // second burst at a later cycle while the first drains.
+        let keys = module_interleaved_keys(4, 1024, 8);
+        assert_eq!(keys.len(), 8192);
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::default();
+        for &key in &keys {
+            push_both(&mut cal, &mut reference, 7, key);
+        }
+        assert!(!cal.out_of_order.is_empty(), "burst must exercise the heap");
+        for _ in 0..keys.len() / 2 {
+            pop_both(&mut cal, &mut reference);
+        }
+        for &key in keys.iter().rev() {
+            push_both(&mut cal, &mut reference, 9, key);
+        }
+        drain_both(&mut cal, &mut reference);
+        assert!(cal.out_of_order.capacity() >= cal.nodes.capacity());
+    }
+
+    #[test]
+    fn same_cycle_repushes_sort_below_pending_entries() {
+        // Every pop re-pushes at the current cycle (wave + 1) with keys
+        // that undercut entries already pending in that wave, plus the
+        // odd push one cycle ahead.
+        use crate::rng::Xoshiro256;
+        let mut rng = Xoshiro256::new(0x5A3E);
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::default();
+        for key in 0..64 {
+            push_both(&mut cal, &mut reference, 5, 1000 - key);
+        }
+        let mut next_key = 10_000u64;
+        for _ in 0..4000 {
+            let Some((now, _, _)) = pop_both(&mut cal, &mut reference) else {
+                break;
+            };
+            for _ in 0..rng.next_range(3) {
+                next_key += 1;
+                let key = next_key ^ (rng.next_u64() & 0xFF_F000);
+                let at = if rng.chance(0.1) { now + 1 } else { now };
+                push_both(&mut cal, &mut reference, at, key);
+            }
+        }
+        drain_both(&mut cal, &mut reference);
+    }
+
+    #[test]
+    fn migrated_overflow_merges_with_out_of_order_entries() {
+        // Overflow entries migrate into an empty bucket in key order;
+        // direct pushes at that time then land among them (heap
+        // entries) while more overflow at the next epoch's same bucket
+        // waits.
+        let w = WINDOW as u64;
+        let t = 3 * w + 11;
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::default();
+        for key in [40, 10, 30, 20] {
+            push_both(&mut cal, &mut reference, t, key);
+            push_both(&mut cal, &mut reference, t + w, key);
+        }
+        push_both(&mut cal, &mut reference, 2 * w + 100, 0);
+        pop_both(&mut cal, &mut reference); // t enters the window
+        for key in [35, 5, 25, 15, 45] {
+            push_both(&mut cal, &mut reference, t, key);
+        }
+        assert!(!cal.out_of_order.is_empty());
+        pop_both(&mut cal, &mut reference); // now == t: waves begin
+        for key in [1, 2] {
+            push_both(&mut cal, &mut reference, t, key);
+        }
+        drain_both(&mut cal, &mut reference);
+    }
+
+    #[test]
+    fn peek_time_sees_out_of_order_entries_ahead_of_the_list() {
+        // Keys between the listed head and tail go to the heap; once the
+        // head pops, every entry ahead of the listed tail is in the
+        // heap. Peeks (checked by `pop_both`) must still report their
+        // time, before and after a later bucket fills.
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::default();
+        for key in [0, 1000].into_iter().chain((1..100).rev()) {
+            push_both(&mut cal, &mut reference, 20, key);
+        }
+        assert_eq!(cal.out_of_order.len(), 99);
+        pop_both(&mut cal, &mut reference); // the listed head
+        assert_eq!(cal.peek_time(), Some(Cycle::new(20)));
+        push_both(&mut cal, &mut reference, 30, 0);
+        drain_both(&mut cal, &mut reference);
+    }
+
+    #[test]
+    fn clear_drops_out_of_order_entries() {
+        let mut cal = EventQueue::new();
+        let mut reference = Reference::default();
+        for key in [0, 100].into_iter().chain(1..50) {
+            push_both(&mut cal, &mut reference, 4, key);
+        }
+        assert_eq!(cal.out_of_order.len(), 49);
+        cal.clear();
+        reference.pending.clear();
+        assert!(cal.is_empty());
+        assert_eq!(cal.peek_time(), None);
+        assert_eq!(cal.pop(), None);
+        // Nothing stale resurfaces once the pool is reused.
+        for key in [7, 3, 9, 1] {
+            push_both(&mut cal, &mut reference, 4, key);
+        }
+        drain_both(&mut cal, &mut reference);
     }
 
     #[test]

@@ -37,7 +37,8 @@
 //! Errors answer with `{"error":"...","id":N}` (the `id` is present
 //! when the error belongs to a sweep). A rejected request (admission
 //! control) produces *only* an error line: no ack, no pairs, nothing
-//! scheduled.
+//! scheduled. A request line longer than [`MAX_REQUEST_LINE`] bytes is
+//! answered with one error line, and the server closes the connection.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -45,6 +46,11 @@ use std::fmt::Write as _;
 use mcm_gpu::RunReport;
 use mcm_interconnect::energy::Tier;
 use mcm_telemetry::json::{push_escaped, Json};
+
+/// The longest request line the server reads, in bytes, not counting
+/// the newline. A full-suite sweep over every preset is a few KiB; the
+/// cap bounds what one client can make the server buffer.
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]

@@ -30,7 +30,7 @@
 //! cannot starve a one-pair query from another connection.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write as _};
+use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -44,6 +44,7 @@ use mcm_telemetry::{global, Class, Counter, Gauge};
 
 use crate::protocol::{
     ack_line, bye_line, done_line, error_line, pair_line, pong_line, Request, Source,
+    MAX_REQUEST_LINE,
 };
 use crate::{Backend, PairKey};
 
@@ -486,8 +487,18 @@ fn connection_loop(
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the cap. `line` keeps what earlier
+        // timed-out reads accumulated, so the cap spans them.
+        let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
+        match (&mut reader).take(budget).read_line(&mut line) {
             Ok(0) => break,
+            Ok(_) if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                let _ = tx.send(error_line(
+                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
+                    None,
+                ));
+                break;
+            }
             Ok(_) => {
                 let request = line.trim().to_string();
                 line.clear();

@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use mcm_serve::protocol::report_slice;
+use mcm_serve::protocol::{report_slice, MAX_REQUEST_LINE};
 use mcm_serve::service::{ServeOptions, SweepService};
 use mcm_serve::{Backend, PairKey};
 
@@ -380,6 +380,51 @@ fn oversized_requests_are_rejected_whole() {
     assert_eq!(backend.runs.load(Ordering::SeqCst), 1, "b and c never ran");
     let stats = service.stats();
     assert_eq!(stats.rejections, 1, "{stats:?}");
+}
+
+#[test]
+fn over_long_request_lines_are_refused_and_the_connection_closed() {
+    let backend = Arc::new(ScriptedBackend::new(&["a"], &["w"], None));
+    let service = start(backend, 1, 16);
+    let ping = "{\"op\":\"ping\"}";
+    let mut client = Client::connect(&service);
+    // A line of exactly the cap is served.
+    client.send(&format!(
+        "{ping}{}",
+        " ".repeat(MAX_REQUEST_LINE - ping.len())
+    ));
+    assert_eq!(client.recv(), "{\"pong\":true}");
+
+    // One byte more is not, even trickled in across several of the
+    // reader's 100 ms timeouts: the cap counts the accumulated bytes.
+    let quarter = " ".repeat(MAX_REQUEST_LINE / 4);
+    for _ in 0..4 {
+        client.stream.write_all(quarter.as_bytes()).unwrap();
+        client.stream.flush().unwrap();
+        std::thread::sleep(Duration::from_millis(150));
+    }
+    client.stream.write_all(b" \n").unwrap();
+    let line = client.recv();
+    assert!(
+        line.contains("\"error\"") && line.contains("exceeds"),
+        "got: {line}"
+    );
+    // The server closed this connection: EOF, or a reset when it
+    // dropped the unread newline.
+    let mut rest = String::new();
+    let after = client.reader.read_line(&mut rest);
+    assert!(
+        matches!(after, Ok(0) | Err(_)),
+        "connection still open: {after:?} {rest:?}"
+    );
+
+    // The daemon itself keeps serving.
+    let mut other = Client::connect(&service);
+    other.send(ping);
+    assert_eq!(other.recv(), "{\"pong\":true}");
+    other.send("{\"op\":\"shutdown\"}");
+    assert_eq!(other.recv(), "{\"bye\":true}");
+    service.wait();
 }
 
 #[test]
