@@ -31,10 +31,11 @@ use std::time::Instant;
 use mcm_bench::harness;
 use mcm_engine::rng::Xoshiro256;
 use mcm_engine::{Cycle, EventQueue};
-use mcm_gpu::{Simulator, SystemConfig};
+use mcm_gpu::{McmSystem, Simulator, SystemConfig};
+use mcm_mem::addr::Locality;
 use mcm_store::Store;
 use mcm_telemetry::json::{push_escaped, push_f64, Json};
-use mcm_workloads::suite;
+use mcm_workloads::{suite, WarpOp, WarpStream, WorkloadSpec};
 
 /// Schema tag stamped into every snapshot this binary writes.
 const SCHEMA: &str = "mcm-bench-v1";
@@ -244,6 +245,77 @@ fn micro_analytic_point(mode: &Mode) -> Entry {
     }
 }
 
+/// Micro: building and dropping one whole machine — the fixed cost
+/// every simulation pays before its first event, dominated by cache tag
+/// state.
+fn micro_machine_build(name: &'static str, cfg: &SystemConfig, mode: &Mode) -> Entry {
+    const BUILDS: u64 = 20;
+    let build = || {
+        for _ in 0..BUILDS {
+            drop(std::hint::black_box(McmSystem::new(cfg)));
+        }
+    };
+    build(); // warm
+    let (median, min) = time_reps(mode.reps, build);
+    Entry {
+        name,
+        wall_ns_median: median,
+        wall_ns_min: min,
+        reps: mode.reps,
+        ops: Some(BUILDS),
+        cycles: None,
+    }
+}
+
+/// Fills `sys`'s L1s and remote-only L1.5s with the lines kernel 0 of
+/// `spec` touches, as a run leaves them at its first kernel boundary
+/// (CTAs dealt round-robin over the SMs).
+fn warm_private_caches(sys: &mut McmSystem, spec: &WorkloadSpec) {
+    for cta in 0..spec.ctas {
+        let sm = cta as usize % sys.total_sms();
+        let module = sys.module_of(sm);
+        for warp in 0..spec.warps_per_cta {
+            for op in WarpStream::new(spec, 0, cta, warp) {
+                if let WarpOp::Access { addr, .. } = op {
+                    sys.l1_fill(sm, addr.line(), Cycle::ZERO);
+                    if sys.home_of(addr.line(), module).1 == Locality::Remote {
+                        sys.l15_fill(module, addr.line(), Cycle::ZERO);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Micro: one kernel-boundary flush (`flush_private_caches`) of the
+/// `l15-ds` machine — 256 L1s, four 4 MB L1.5s and the MSHRs — each
+/// rep on a machine re-warmed, untimed, with one kernel of the pinned
+/// workload.
+fn micro_kernel_flush(mode: &Mode) -> Entry {
+    let spec = suite::by_name("Stream")
+        .expect("Stream workload in suite")
+        .scaled(mode.scale);
+    let mut sys = McmSystem::new(&SystemConfig::mcm_l15_ds());
+    let mut ns: Vec<u64> = (0..=mode.reps)
+        .map(|_| {
+            warm_private_caches(&mut sys, &spec);
+            let t = Instant::now();
+            sys.flush_private_caches();
+            (t.elapsed().as_nanos() as u64).max(1)
+        })
+        .skip(1) // the first flush warms the flush path itself
+        .collect();
+    ns.sort_unstable();
+    Entry {
+        name: "micro.kernel_flush",
+        wall_ns_median: ns[ns.len() / 2],
+        wall_ns_min: ns[0],
+        reps: mode.reps,
+        ops: None,
+        cycles: None,
+    }
+}
+
 /// Macro: one full serial simulation of `cfg` on the pinned workload.
 fn macro_run(name: &'static str, cfg: &SystemConfig, mode: &Mode) -> Entry {
     let spec = suite::by_name("Stream")
@@ -423,6 +495,17 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
         micro_queue_same_cycle_burst(mode),
         micro_store_hit(mode),
         micro_analytic_point(mode),
+        micro_machine_build(
+            "micro.machine_build.baseline",
+            &SystemConfig::baseline_mcm(),
+            mode,
+        ),
+        micro_machine_build(
+            "micro.machine_build.l15-ds",
+            &SystemConfig::mcm_l15_ds(),
+            mode,
+        ),
+        micro_kernel_flush(mode),
         macro_run("macro.fig09_pair_base", &SystemConfig::baseline_mcm(), mode),
         macro_run("macro.fig09_pair_ds", &SystemConfig::mcm_l15_ds(), mode),
     ];
@@ -594,6 +677,19 @@ fn compare(old_path: &str, new_path: &str, threshold: f64) -> i32 {
                 println!("{name:<28} cycle count changed: {oc} -> {nc}  DETERMINISM MISMATCH");
                 failures += 1;
             }
+        }
+    }
+    // Entries the old snapshot predates have no baseline: show them,
+    // but they cannot regress.
+    for (name, new_e) in new_entries {
+        if !old_entries.contains_key(name) {
+            let b = new_e.get("wall_ns_median").and_then(Json::as_u64);
+            println!(
+                "{name:<28} {:>14} {:>14} {:>8}  NEW",
+                "-",
+                b.map_or("-".to_string(), |b| b.to_string()),
+                "-"
+            );
         }
     }
     if failures > 0 {

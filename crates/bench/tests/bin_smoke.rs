@@ -198,6 +198,17 @@ fn inflate_first_median(text: &str) -> String {
     format!("{}{}{}", &text[..start], old * 10, &text[start + len..])
 }
 
+/// Adds an entry `text`'s snapshot lacks, as a later `perf` would.
+fn add_entry(text: &str, name: &str) -> String {
+    let key = "\"entries\":{";
+    let at = text.find(key).expect("snapshot has an entries object") + key.len();
+    format!(
+        "{}\"{name}\":{{\"wall_ns_median\":7,\"wall_ns_min\":7,\"reps\":1}},{}",
+        &text[..at],
+        &text[at..]
+    )
+}
+
 /// The `perf` bin's `BENCH_*.json` snapshot is machine-readable: it
 /// parses with the in-repo JSON reader, carries the schema tag, and
 /// every duration is a positive integer (never NaN, never negative —
@@ -278,6 +289,26 @@ fn perf_snapshot_is_well_formed_and_comparator_catches_regressions() {
     assert!(
         report.contains("REGRESSION"),
         "comparator output names the regression:\n{report}"
+    );
+
+    // An entry only the new snapshot has is listed, and cannot fail.
+    let grown_path = dir.join("BENCH_grown.json");
+    std::fs::write(&grown_path, add_entry(&text, "micro.added_later")).expect("write fixture");
+    let grown = Command::new(exe)
+        .arg("--compare")
+        .args([&out_path, &grown_path])
+        .output()
+        .expect("spawn perf --compare");
+    let report = String::from_utf8_lossy(&grown.stdout);
+    assert!(
+        grown.status.success(),
+        "a new entry must not fail the comparison:\n{report}"
+    );
+    assert!(
+        report
+            .lines()
+            .any(|l| l.starts_with("micro.added_later") && l.ends_with("NEW")),
+        "comparator output lists the new entry:\n{report}"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }

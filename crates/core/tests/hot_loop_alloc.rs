@@ -94,7 +94,7 @@ fn serial_steady_state_does_not_allocate(cfg: &SystemConfig) {
     let mut probe = empty_windows();
     let report = Simulator::run_probed(cfg, &alloc_probe_spec(), &mut probe);
     assert!(report.cycles > Cycle::ZERO);
-    assert_steady_state_alloc_free(&probe, &format!("serial {:?}", cfg.scheduler));
+    assert_steady_state_alloc_free(&probe, &format!("serial {}, {:?}", cfg.name, cfg.scheduler));
 }
 
 /// The same contract holds per shard under sharded execution: after
@@ -126,7 +126,10 @@ fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
     );
     assert!(report.cycles > Cycle::ZERO);
     assert_eq!(stats.shards, 2, "the run must actually shard");
-    assert_steady_state_alloc_free(&probe.0, &format!("sharded {:?}", cfg.scheduler));
+    assert_steady_state_alloc_free(
+        &probe.0,
+        &format!("sharded {}, {:?}", cfg.name, cfg.scheduler),
+    );
 }
 
 /// Every case runs inside this one test, one after another: the
@@ -136,13 +139,17 @@ fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
 ///
 /// The distributed scheduler admits each launch's warps at one
 /// timestamp in module-interleaved key order, so its cases hold the
-/// event queue's out-of-order path to the same contract.
+/// event queue's out-of-order path to the same contract. The `l15-ds`
+/// shape adds a remote-only L1.5, so first fills materialising cache
+/// sets are held to it too.
 #[test]
 fn steady_state_kernels_do_not_allocate() {
     let centralized = small_machine();
     let mut distributed = small_machine();
     distributed.scheduler = SchedulerPolicy::Distributed;
-    for cfg in [&centralized, &distributed] {
+    let mut l15_ds = SystemConfig::mcm_l15_ds();
+    l15_ds.topology.sms_per_module = small_machine().topology.sms_per_module;
+    for cfg in [&centralized, &distributed, &l15_ds] {
         serial_steady_state_does_not_allocate(cfg);
         sharded_steady_state_does_not_allocate(cfg);
     }

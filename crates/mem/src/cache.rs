@@ -183,7 +183,10 @@ pub struct CacheStats {
 #[derive(Debug, Clone, Copy)]
 struct Line {
     tag: u64,
-    valid: bool,
+    /// The cache epoch of the fill that installed this line: the line
+    /// is valid only while this equals [`SetAssocCache`]'s epoch, so a
+    /// flush invalidates every line by advancing the epoch.
+    epoch: u32,
     dirty: bool,
     /// When the in-flight fill for this line lands (MSHR coalescing:
     /// hits on a pending line wait until it is ready).
@@ -191,9 +194,10 @@ struct Line {
     last_use: u64,
 }
 
-const INVALID: Line = Line {
+/// A way no fill has used yet. Epoch 0 is never current.
+const EMPTY: Line = Line {
     tag: 0,
-    valid: false,
+    epoch: 0,
     dirty: false,
     ready: Cycle::ZERO,
     last_use: 0,
@@ -205,6 +209,12 @@ const INVALID: Line = Line {
 /// The cache is a *timing* model over real tag state: `access` both
 /// mutates the tag arrays and returns when the data is available, using
 /// a bank-bandwidth [`Resource`] plus the configured latency.
+///
+/// Tag state costs what a run touches. A set's ways are materialised at
+/// its first fill, appended to a line store whose full `sets × ways`
+/// capacity is reserved at construction, so building a cache writes no
+/// lines and filling one never allocates. A flush advances an epoch
+/// instead of rewriting every line.
 ///
 /// # Example
 ///
@@ -228,10 +238,19 @@ const INVALID: Line = Line {
 ///     l2.access(Cycle::new(200), line, AccessKind::Read, Locality::Local)
 /// else { panic!("expected a hit") };
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct SetAssocCache {
     config: CacheConfig,
-    sets: Vec<Line>,
+    /// Per set: 0 until its first fill, then 1 + the index of its ways
+    /// in `lines`, counted in sets.
+    slots: Vec<u32>,
+    /// The materialised sets' ways, `ways` lines per set in first-fill
+    /// order.
+    lines: Vec<Line>,
+    /// The stamp a line needs to be valid; never 0.
+    epoch: u32,
+    /// Valid lines marked dirty: what the next flush returns.
+    dirty_lines: u64,
     n_sets: u64,
     ways: usize,
     ports: Resource,
@@ -246,7 +265,21 @@ impl SetAssocCache {
     /// Builds a cache from its configuration. A zero-sized configuration
     /// yields a disabled cache on which every access is a non-allocating
     /// miss.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the cache, if `ways` or `line_bytes` is zero.
     pub fn new(config: CacheConfig) -> Self {
+        assert!(
+            config.ways > 0,
+            "cache {}: ways must be non-zero",
+            config.name
+        );
+        assert!(
+            config.line_bytes > 0,
+            "cache {}: line_bytes must be non-zero",
+            config.name
+        );
         let n_sets = config.sets();
         let ways = if config.size_bytes == 0 {
             0
@@ -259,7 +292,10 @@ impl SetAssocCache {
         };
         let ports = Resource::new(config.name, config.bandwidth);
         SetAssocCache {
-            sets: vec![INVALID; (n_sets as usize) * ways],
+            slots: vec![0; n_sets as usize],
+            lines: Vec::with_capacity(n_sets as usize * ways),
+            epoch: 1,
+            dirty_lines: 0,
             n_sets,
             ways,
             ports,
@@ -302,10 +338,12 @@ impl SetAssocCache {
         z % self.n_sets
     }
 
+    /// Where the ways of `line`'s set start in `lines`, or `None` while
+    /// the set has never been filled.
     #[inline]
-    fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
-        let start = self.set_of(line) as usize * self.ways;
-        start..start + self.ways
+    fn base_of(&self, line: LineAddr) -> Option<usize> {
+        let slot = self.slots[self.set_of(line) as usize] as usize;
+        slot.checked_sub(1).map(|s| s * self.ways)
     }
 
     /// The admission policy in force for `line` under the adaptive
@@ -374,17 +412,19 @@ impl SetAssocCache {
         let clock = self.use_clock;
         let tag = line.index();
         let write_back = self.config.write_policy == WritePolicy::WriteBack;
-        let range = self.set_range(line);
-        for way in &mut self.sets[range] {
-            if way.valid && way.tag == tag {
-                way.last_use = clock;
-                if kind.is_write() && write_back {
-                    way.dirty = true;
+        if let Some(base) = self.base_of(line) {
+            for way in &mut self.lines[base..base + self.ways] {
+                if way.epoch == self.epoch && way.tag == tag {
+                    way.last_use = clock;
+                    if kind.is_write() && write_back && !way.dirty {
+                        way.dirty = true;
+                        self.dirty_lines += 1;
+                    }
+                    self.stats.accesses.record(true);
+                    return CacheOutcome::Hit {
+                        ready_at: hit_ready.max(way.ready),
+                    };
                 }
-                self.stats.accesses.record(true);
-                return CacheOutcome::Hit {
-                    ready_at: hit_ready.max(way.ready),
-                };
             }
         }
         self.stats.accesses.record(false);
@@ -442,33 +482,44 @@ impl SetAssocCache {
         self.use_clock += 1;
         let clock = self.use_clock;
         let tag = line.index();
-        let base = self.set_of(line) as usize * self.ways;
+        let epoch = self.epoch;
+        let set = self.set_of(line) as usize;
+        if self.slots[set] == 0 {
+            // First fill of this set: append its ways. The store's
+            // capacity was reserved for every set, so this never
+            // reallocates.
+            let slot = self.lines.len() / self.ways + 1;
+            self.slots[set] = u32::try_from(slot).expect("set count fits the slot table");
+            self.lines.resize(slot * self.ways, EMPTY);
+        }
+        let base = (self.slots[set] as usize - 1) * self.ways;
+        let set = &mut self.lines[base..base + self.ways];
         // Already present (e.g. racing fills): refresh. The line's data
         // is usable as soon as the *first* fill lands — a second
         // in-flight fill must not push availability back out, so keep
         // the earlier ready time.
-        if let Some(way) = self.sets[base..base + self.ways]
-            .iter_mut()
-            .find(|w| w.valid && w.tag == tag)
-        {
+        if let Some(way) = set.iter_mut().find(|w| w.epoch == epoch && w.tag == tag) {
             way.ready = way.ready.min(ready);
-            way.dirty |= dirty;
+            if dirty && !way.dirty {
+                way.dirty = true;
+                self.dirty_lines += 1;
+            }
             way.last_use = clock;
             return None;
         }
         self.stats.fills.inc();
-        let set = &mut self.sets[base..base + self.ways];
-        let victim = match set.iter_mut().find(|w| !w.valid) {
-            Some(w) => w,
+        let victim = match set.iter().position(|w| w.epoch != epoch) {
+            Some(free) => &mut set[free],
             None => set
                 .iter_mut()
                 .min_by_key(|w| w.last_use)
                 .expect("cache sets are never zero-way"),
         };
-        let evicted = if victim.valid {
+        let evicted = if victim.epoch == epoch {
             self.stats.evictions.inc();
             if victim.dirty {
                 self.stats.writebacks.inc();
+                self.dirty_lines -= 1;
             }
             Some(Eviction {
                 line: LineAddr::new(victim.tag),
@@ -477,9 +528,10 @@ impl SetAssocCache {
         } else {
             None
         };
+        self.dirty_lines += u64::from(dirty);
         *victim = Line {
             tag,
-            valid: true,
+            epoch,
             dirty,
             ready,
             last_use: clock,
@@ -494,33 +546,38 @@ impl SetAssocCache {
             return false;
         }
         let tag = line.index();
-        self.sets[self.set_range(line)]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.base_of(line).is_some_and(|base| {
+            self.lines[base..base + self.ways]
+                .iter()
+                .any(|w| w.epoch == self.epoch && w.tag == tag)
+        })
     }
 
     /// Number of currently valid lines.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().filter(|w| w.valid).count()
+        self.lines.iter().filter(|w| w.epoch == self.epoch).count()
     }
 
     /// Invalidates the entire cache (the software-coherence kernel
     /// boundary flush of §5.1.1), returning the number of dirty lines
     /// discarded — which the caller turns into write-back traffic for
     /// write-back caches.
+    ///
+    /// O(1): advancing the epoch invalidates every line at once. Only
+    /// when the epoch wraps, once per 2³² − 1 flushes, are the sets
+    /// forgotten outright, so no stale stamp can come current again.
     pub fn flush(&mut self) -> u64 {
         if self.is_disabled() {
             return 0;
         }
         self.stats.flushes.inc();
-        let mut dirty = 0;
-        for way in &mut self.sets {
-            if way.valid && way.dirty {
-                dirty += 1;
-            }
-            *way = INVALID;
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.slots.fill(0);
+            self.lines.clear();
+            self.epoch = 1;
         }
-        dirty
+        std::mem::take(&mut self.dirty_lines)
     }
 
     /// Bytes of traffic one line transfer represents at this level.
@@ -883,6 +940,76 @@ mod tests {
     #[should_panic(expected = "adaptive admission is per-set")]
     fn adaptive_admits_must_go_through_the_cache() {
         let _ = AllocFilter::Adaptive.admits(Locality::Local);
+    }
+
+    #[test]
+    fn epoch_wrap_invalidates_every_line_and_counts_dirty() {
+        let mut c = small(4, 8);
+        // A line filled in epoch 1, flushed, then left stale while the
+        // epoch runs up to its last value: after the wrap its old stamp
+        // equals the current epoch again, and it must stay invalid.
+        let stale = LineAddr::new(100);
+        c.fill(stale, Cycle::ZERO, true);
+        assert_eq!(c.flush(), 1);
+        c.epoch = u32::MAX;
+        let fresh: Vec<u64> = (0..40)
+            .filter(|&i| c.set_of(LineAddr::new(i)) != c.set_of(stale))
+            .take(20)
+            .collect();
+        for &i in &fresh {
+            c.fill(LineAddr::new(i), Cycle::ZERO, i % 3 == 0);
+        }
+        let dirty = fresh
+            .iter()
+            .filter(|&&i| i % 3 == 0 && c.contains(LineAddr::new(i)))
+            .count() as u64;
+        assert!(dirty > 0 && c.resident_lines() > 0);
+        assert_eq!(c.flush(), dirty);
+        assert_eq!(c.epoch, 1);
+        assert_eq!(c.resident_lines(), 0);
+        assert!(!c.contains(stale), "a pre-wrap stamp came current again");
+        for &i in &fresh {
+            assert!(!c.contains(LineAddr::new(i)), "line {i} survived the wrap");
+        }
+        // The cache keeps working after the wrap.
+        c.fill(LineAddr::new(7), Cycle::ZERO, true);
+        assert!(c.contains(LineAddr::new(7)));
+        assert_eq!(c.flush(), 1);
+        assert_eq!(c.stats().flushes.get(), 3);
+    }
+
+    #[test]
+    fn filling_every_set_never_grows_the_line_store() {
+        let mut c = small(4, 64);
+        let capacity = c.lines.capacity();
+        assert!(capacity >= 64 * 4);
+        assert!(c.lines.is_empty(), "building a cache writes no lines");
+        let mut line = 0;
+        for _ in 0..3 {
+            while c.slots.contains(&0) {
+                c.fill(LineAddr::new(line), Cycle::ZERO, line % 2 == 0);
+                line += 1;
+            }
+            assert_eq!(c.lines.len(), 64 * 4);
+            assert_eq!(c.lines.capacity(), capacity);
+            c.flush();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cache no-ways: ways must be non-zero")]
+    fn zero_ways_is_rejected_by_name() {
+        let mut cfg = CacheConfig::new("no-ways", 4096);
+        cfg.ways = 0;
+        SetAssocCache::new(cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "cache no-lines: line_bytes must be non-zero")]
+    fn zero_line_bytes_is_rejected_by_name() {
+        let mut cfg = CacheConfig::new("no-lines", 4096);
+        cfg.line_bytes = 0;
+        SetAssocCache::new(cfg);
     }
 
     #[test]
