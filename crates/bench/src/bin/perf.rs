@@ -32,7 +32,8 @@ use mcm_bench::harness;
 use mcm_engine::rng::Xoshiro256;
 use mcm_engine::{Cycle, EventQueue};
 use mcm_gpu::{McmSystem, Simulator, SystemConfig};
-use mcm_mem::addr::Locality;
+use mcm_mem::addr::{LineAddr, Locality};
+use mcm_mem::mshr::{Mshr, MshrLookup};
 use mcm_store::Store;
 use mcm_telemetry::json::{push_escaped, push_f64, Json};
 use mcm_workloads::{suite, WarpOp, WarpStream, WorkloadSpec};
@@ -167,6 +168,57 @@ fn micro_queue_same_cycle_burst(mode: &Mode) -> Entry {
         wall_ns_min: min,
         reps: mode.reps,
         ops: Some(BURST),
+        cycles: None,
+    }
+}
+
+/// Micro: one SM's 64-entry MSHR table through full cycles of its
+/// lifecycle. Each round fills it with misses on 64 distinct lines
+/// (`lookup` then `reserve`), coalesces one more miss onto every entry,
+/// stalls one miss on the full table, and releases the entries in a
+/// scrambled order. `ops` counts entries, so ns/op is one entry's whole
+/// life: two lookups, a reserve and a release. A full table is the
+/// linear scan's worst case; the run loop's tables hold far fewer live
+/// entries on most workloads (EXPERIMENTS.md, "Where the time goes:
+/// per-event cost").
+fn micro_mshr_churn(mode: &Mode) -> Entry {
+    const ENTRIES: u64 = 64;
+    let mut mshr = Mshr::new(ENTRIES as usize);
+    let mut rng = Xoshiro256::new(0x3542);
+    let rounds = mode.queue_ops / ENTRIES;
+    let mut churn = |rounds: u64| {
+        let mut acc = 0u64;
+        for _ in 0..rounds {
+            let base = rng.next_range(1 << 30);
+            let line = |i: u64| LineAddr::new(base + 7 * i);
+            for i in 0..ENTRIES {
+                assert_eq!(mshr.lookup(line(i)), MshrLookup::CanIssue);
+                mshr.reserve(line(i), i);
+            }
+            for i in 0..ENTRIES {
+                if let MshrLookup::InFlight(id) = mshr.lookup(line(i)) {
+                    acc = acc.wrapping_add(id);
+                }
+            }
+            assert_eq!(mshr.lookup(line(ENTRIES)), MshrLookup::Full);
+            // 37 is odd, so `37 i mod 64` visits every entry once.
+            for i in 0..ENTRIES {
+                let id = mshr.release(line(i * 37 % ENTRIES));
+                acc = acc.wrapping_add(id.expect("reserved this round"));
+            }
+        }
+        std::hint::black_box(acc)
+    };
+    churn(rounds / 10); // warm
+    let (median, min) = time_reps(mode.reps, || {
+        churn(rounds);
+    });
+    Entry {
+        name: "micro.mshr_churn",
+        wall_ns_median: median,
+        wall_ns_min: min,
+        reps: mode.reps,
+        ops: Some(rounds * ENTRIES),
         cycles: None,
     }
 }
@@ -493,6 +545,7 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
     let mut entries = vec![
         micro_queue_hold(mode),
         micro_queue_same_cycle_burst(mode),
+        micro_mshr_churn(mode),
         micro_store_hit(mode),
         micro_analytic_point(mode),
         micro_machine_build(

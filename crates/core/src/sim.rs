@@ -697,9 +697,23 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// warp synchronizes with it — modelling the consume of the oldest
     /// load without an extra event.
     pub(crate) fn advance_warp(&mut self, pool: &mut PoolRef<'_>, widx: u32, t: Cycle) {
-        let mut warp = self.warps[widx as usize]
-            .take()
-            .expect("event for dead warp");
+        // Step the warp in its slot. Detaching the arena (an empty `Vec`
+        // does not allocate) lets the warp and `self` be borrowed at
+        // once; it is back in place before retirement admits new warps.
+        let mut warps = std::mem::take(&mut self.warps);
+        let warp = warps[widx as usize].as_mut().expect("event for dead warp");
+        let retired = self.step_warp(warp, widx, t);
+        let (sm, cta_slot) = (warp.sm, warp.cta_slot);
+        self.warps = warps;
+        if let Some(end) = retired {
+            self.warps[widx as usize] = None;
+            self.retire_warp(pool, sm, cta_slot, widx, end);
+        }
+    }
+
+    /// The body of [`RunState::advance_warp`]: runs `warp` from `t`
+    /// until it parks, returning its retirement time if it finished.
+    fn step_warp(&mut self, warp: &mut WarpRt, widx: u32, t: Cycle) -> Option<Cycle> {
         let mlp = self.sys.sm(warp.sm as usize).config().mlp_per_warp.max(1);
         let sm = warp.sm;
         let mut t = t;
@@ -715,7 +729,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
 
         // A load stalled on a full MSHR replays first.
         if let Some(line) = warp.pending_load.take() {
-            let keep_going = self.issue_load(&mut warp, widx, t, line);
+            let keep_going = self.issue_load(warp, widx, t, line);
             if !keep_going || warp.outstanding >= mlp {
                 warp.blocked = warp.outstanding >= mlp && warp.pending_load.is_none();
                 if P::ACTIVE {
@@ -726,8 +740,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     };
                     self.probe.warp_phase(widx, sm, t, phase);
                 }
-                self.warps[widx as usize] = Some(warp);
-                return;
+                return None;
             }
         }
 
@@ -747,16 +760,15 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         cur = WarpPhase::Issue;
                     }
                     if kind.is_write() {
-                        t = self.issue_store(&warp, t, addr.line());
+                        t = self.issue_store(warp, t, addr.line());
                     } else {
-                        let keep_going = self.issue_load(&mut warp, widx, t, addr.line());
+                        let keep_going = self.issue_load(warp, widx, t, addr.line());
                         if !keep_going {
                             // MSHR full: warp parked on the stall list.
                             if P::ACTIVE {
                                 self.probe.warp_phase(widx, sm, t, WarpPhase::MshrFull);
                             }
-                            self.warps[widx as usize] = Some(warp);
-                            return;
+                            return None;
                         }
                         if warp.outstanding >= mlp {
                             warp.blocked = true;
@@ -764,8 +776,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                                 let phase = WarpPhase::mem(warp.wait_loc.is_remote());
                                 self.probe.warp_phase(widx, sm, t, phase);
                             }
-                            self.warps[widx as usize] = Some(warp);
-                            return;
+                            return None;
                         }
                         reads_since_sync += 1;
                         if reads_since_sync >= mlp {
@@ -788,8 +799,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         if P::ACTIVE {
                             self.probe.warp_phase(widx, sm, t, WarpPhase::Drain);
                         }
-                        self.warps[widx as usize] = Some(warp);
-                        return;
+                        return None;
                     }
                     let end = t.max(warp.resume_at);
                     if P::ACTIVE {
@@ -801,17 +811,15 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         self.probe.warp_retire(widx, sm, end);
                     }
                     self.horizon = self.horizon.max(end);
-                    self.retire_warp(pool, warp, widx, end);
-                    return;
+                    return Some(end);
                 }
             }
         }
     }
 
-    /// Retires a finished warp, releasing its CTA when it is the last.
-    fn retire_warp(&mut self, pool: &mut PoolRef<'_>, warp: WarpRt, widx: u32, t: Cycle) {
-        let sm = warp.sm;
-        let cta_slot = warp.cta_slot;
+    /// Retires a finished warp of CTA slot `cta_slot` on `sm`, releasing
+    /// the CTA when it is the last.
+    fn retire_warp(&mut self, pool: &mut PoolRef<'_>, sm: u32, cta_slot: u32, widx: u32, t: Cycle) {
         self.free_warps.push(widx);
         let cta = self.ctas[cta_slot as usize]
             .as_mut()

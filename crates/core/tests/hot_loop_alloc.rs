@@ -1,15 +1,15 @@
 //! The run loop's zero-allocation steady-state contract.
 //!
 //! The first few kernels warm every pool: slot arenas grow to their
-//! peak, the calendar queue builds its node pool, first-touch page
-//! mappings and MSHR maps reach capacity. Every later kernel of the
+//! peak, the calendar queue builds its node pool and ready batch, and
+//! first-touch page mappings reach capacity. Every later kernel of the
 //! same grid must then execute **without a single allocator call** —
 //! the event loop reuses pooled waiter buffers, recycled queue nodes
 //! and the rewound CTA pool. The simulator is deterministic, so the counter delta is
 //! exact: a regression that reintroduces per-event allocation fails
 //! this test reproducibly, not statistically.
 
-use mcm_engine::Cycle;
+use mcm_engine::{Cycle, EventQueue};
 use mcm_gpu::{Simulator, SystemConfig};
 use mcm_probe::Probe;
 use mcm_sm::SchedulerPolicy;
@@ -90,32 +90,45 @@ fn empty_windows() -> KernelWindows {
     }
 }
 
+/// The same windows behind `ACTIVE = false`: the run compiles exactly
+/// as [`Simulator::run`] does (probe hooks gone, request stages chained
+/// inline), and only the kernel-boundary callbacks, which the engines
+/// make regardless, still fire.
+struct PassiveWindows(KernelWindows);
+
+impl Probe for PassiveWindows {
+    const ACTIVE: bool = false;
+    fn kernel_begin(&mut self, kernel: u32, now: Cycle) {
+        self.0.kernel_begin(kernel, now);
+    }
+    fn kernel_end(&mut self, kernel: u32, now: Cycle) {
+        self.0.kernel_end(kernel, now);
+    }
+}
+
+/// Serial runs under both probe builds: the active one walks every
+/// probe branch and queues every request stage; the passive one is the
+/// path [`Simulator::run`] takes.
 fn serial_steady_state_does_not_allocate(cfg: &SystemConfig) {
+    let case = format!("serial {}, {:?}", cfg.name, cfg.scheduler);
     let mut probe = empty_windows();
     let report = Simulator::run_probed(cfg, &alloc_probe_spec(), &mut probe);
     assert!(report.cycles > Cycle::ZERO);
-    assert_steady_state_alloc_free(&probe, &format!("serial {}, {:?}", cfg.name, cfg.scheduler));
+    assert_steady_state_alloc_free(&probe, &format!("{case}, active probe"));
+
+    let mut passive = PassiveWindows(empty_windows());
+    Simulator::run_probed(cfg, &alloc_probe_spec(), &mut passive);
+    assert_steady_state_alloc_free(&passive.0, &format!("{case}, passive probe"));
 }
 
 /// The same contract holds per shard under sharded execution: after
 /// warm-up, a steady-state kernel spends zero allocator calls across
 /// ALL shard threads — the epoch mailboxes, sequencer slots, and
 /// per-shard arenas reach capacity during the warm-up kernels and are
-/// recycled thereafter. (The window probe is `ACTIVE = false`, so it
-/// rides the sharded engine instead of forcing the serial fallback;
-/// its kernel-boundary callbacks are forwarded by the epoch leader.)
+/// recycled thereafter. (The window probe is passive, so it rides the
+/// sharded engine instead of forcing the serial fallback; its
+/// kernel-boundary callbacks are forwarded by the epoch leader.)
 fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
-    struct PassiveWindows(KernelWindows);
-    impl Probe for PassiveWindows {
-        const ACTIVE: bool = false;
-        fn kernel_begin(&mut self, kernel: u32, now: Cycle) {
-            self.0.kernel_begin(kernel, now);
-        }
-        fn kernel_end(&mut self, kernel: u32, now: Cycle) {
-            self.0.kernel_end(kernel, now);
-        }
-    }
-
     let mut probe = PassiveWindows(empty_windows());
     let (report, stats) = Simulator::run_faulted_sharded(
         cfg,
@@ -132,6 +145,39 @@ fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
     );
 }
 
+/// The queue's share of the contract, in isolation: once its node pool
+/// has reached a peak of pending events, loading a timestamp's batch
+/// never allocates, even when the pool's peak was reached with every
+/// event at its own timestamp and a later burst puts them all at one.
+/// The run loop meets that shape whenever a kernel's largest same-cycle
+/// batch exceeds every batch before it; the launch cases above cannot
+/// show it, because their largest batch recurs identically in each
+/// kernel and so is reached during warm-up.
+fn queue_batches_do_not_allocate() {
+    const PENDING: u64 = 1000;
+    let mut q = EventQueue::new();
+    // Warm-up: the pool reaches its peak one timestamp per event.
+    for i in 0..PENDING {
+        q.push(Cycle::new(1 + i), i, i);
+    }
+    while q.pop().is_some() {}
+    let before = ALLOC.alloc_events();
+    let at = q.now() + Cycle::new(1);
+    for i in 0..PENDING {
+        q.push(at, (i * 7919) % PENDING, i);
+    }
+    let mut drained = 0;
+    while q.pop().is_some() {
+        drained += 1;
+    }
+    let allocs = ALLOC.alloc_events() - before;
+    assert_eq!(drained, PENDING);
+    assert_eq!(
+        allocs, 0,
+        "queue: a same-cycle burst allocated {allocs} times"
+    );
+}
+
 /// Every case runs inside this one test, one after another: the
 /// counting allocator is process-wide and the test harness runs
 /// separate tests on parallel threads, so a concurrent case's
@@ -139,9 +185,9 @@ fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
 ///
 /// The distributed scheduler admits each launch's warps at one
 /// timestamp in module-interleaved key order, so its cases hold the
-/// event queue's out-of-order path to the same contract. The `l15-ds`
-/// shape adds a remote-only L1.5, so first fills materialising cache
-/// sets are held to it too.
+/// event queue's large unsorted batches to the same contract. The
+/// `l15-ds` shape adds a remote-only L1.5, so first fills materialising
+/// cache sets are held to it too.
 #[test]
 fn steady_state_kernels_do_not_allocate() {
     let centralized = small_machine();
@@ -153,4 +199,5 @@ fn steady_state_kernels_do_not_allocate() {
         serial_steady_state_does_not_allocate(cfg);
         sharded_steady_state_does_not_allocate(cfg);
     }
+    queue_batches_do_not_allocate();
 }

@@ -1,18 +1,18 @@
 //! A deterministic event calendar.
 //!
 //! The queue is a *bucketed calendar*: events scheduled within the near
-//! future land in a ring of per-cycle buckets (popping is a bitmap scan
-//! plus a linked-list head removal, both allocation-free in steady
-//! state), while far-future events wait in a small sorted overflow heap
-//! and migrate into the ring as the window advances.
+//! future land in a ring of per-cycle buckets (finding the earliest one
+//! is a bitmap scan), while far-future events wait in a small sorted
+//! overflow heap and migrate into the ring as the window advances.
 //!
-//! A bucket's list only ever grows at its ends, so a push that sorts at
-//! or above its tail, or below its head, is O(1). A push that sorts
-//! between them — a same-cycle burst in non-monotone key order, such as
-//! a distributed-scheduler launch placing thousands of warps at one
-//! timestamp in module-interleaved order — goes to one min-heap of pool
-//! indices instead, O(log n), and each pop takes the smaller of the
-//! bucket head and the heap top.
+//! A bucket is an unsorted list, so a push is an O(1) prepend with no
+//! comparison. When a timestamp becomes current, the pop moves that
+//! bucket's list into a `ready` batch, sorts the batch once by key, and
+//! serves the following pops from it. A push at the current timestamp
+//! always lands one wave after the batch being served (see below), so
+//! it waits in the bucket for the *next* batch at that timestamp: a
+//! batch holds exactly one wave and is never re-sorted. Nothing
+//! allocates once the node pool has reached its peak.
 //!
 //! Equal-time events are ordered by a caller-supplied **content key**
 //! rather than insertion order: the pop order is `(time, wave, key)`,
@@ -30,9 +30,7 @@ use crate::Cycle;
 
 /// Width of the near-future window, in cycles. Power of two so the
 /// bucket index is a mask. One bucket per cycle: every bucket holds
-/// events of exactly one timestamp, so bucket order *is* time order,
-/// and a bucket's `(wave, key)`-sorted list merged with the
-/// out-of-order heap totals the order.
+/// events of exactly one timestamp, so bucket order *is* time order.
 const WINDOW: usize = 1024;
 /// Bucket-index mask (`at & MASK` is `at % WINDOW`).
 const MASK: u64 = WINDOW as u64 - 1;
@@ -72,10 +70,11 @@ impl<E> Ord for Overflow<E> {
     }
 }
 
-/// One pooled in-window entry: a link of its bucket's sorted list, or
-/// the target of an out-of-order heap entry. Freed nodes keep their
-/// slot (`event` becomes `None`) and are recycled through a freelist,
-/// so steady-state push/pop cycles never touch the allocator.
+/// One pooled in-window entry: a link of its bucket's list until its
+/// timestamp becomes current, then a member of the `ready` batch. Freed
+/// nodes keep their slot (`event` becomes `None`) and are recycled
+/// through a freelist, so steady-state push/pop cycles never touch the
+/// allocator.
 struct Node<E> {
     next: u32,
     wave: u32,
@@ -109,9 +108,11 @@ struct Node<E> {
 /// reproducible by construction. That is the foundation of the sharded
 /// execution mode's bit-exactness (see `mcm-gpu`'s sharded runner).
 ///
-/// A push that becomes its timestamp's first or last pending entry
-/// costs O(1); any other costs O(log n). Neither allocates once the
-/// node pool has reached the peak number of pending in-window events.
+/// A push costs O(1). The pop that makes a timestamp current sorts that
+/// timestamp's pending wave once, O(n log n) in its size (linear when
+/// it arrived in key order); every other pop is O(1). Neither allocates
+/// once the node pool has reached the peak number of pending in-window
+/// events.
 ///
 /// # Example
 ///
@@ -129,41 +130,37 @@ struct Node<E> {
 /// assert_eq!(q.pop(), None);
 /// ```
 pub struct EventQueue<E> {
-    /// Head node index per bucket (`NIL` when empty).
+    /// Head node index per bucket (`NIL` when empty). A bucket's list
+    /// is in no particular order.
     heads: Box<[u32; WINDOW]>,
-    /// Tail node index per bucket, for O(1) append of the common
-    /// already-largest case.
-    tails: Box<[u32; WINDOW]>,
     /// One bit per bucket: set iff the bucket's list is nonempty.
     /// Popping scans this, 64 buckets per word.
     occupied: [u64; BITMAP_WORDS],
-    /// Node pool backing every bucket list and out-of-order entry.
+    /// Node pool backing every bucket list and the ready batch.
     nodes: Vec<Node<E>>,
     /// Freelist head into `nodes`.
     free: u32,
-    /// In-window entries that sorted between their bucket's head and
-    /// tail when pushed, as `(time, wave, key, node)`, earliest first.
-    /// The tail they undercut stays listed until they pop, so the
-    /// bitmap still finds their timestamp. Capacity tracks the node
-    /// pool's, so a push here never allocates.
-    out_of_order: BinaryHeap<Reverse<(Cycle, u32, u64, u32)>>,
+    /// The batch being served: the rest of the wave popped last, at
+    /// `last_popped`, as `(key, node)` sorted by descending key, so the
+    /// next pop is the last element. Capacity tracks the node pool's,
+    /// so loading a batch never allocates.
+    ready: Vec<(u64, u32)>,
     /// Far-future events (at ≥ window end), ordered by (time, key).
     overflow: BinaryHeap<Overflow<E>>,
-    /// Total pending events (window and overflow).
+    /// Total pending events (buckets, ready batch and overflow).
     len: usize,
+    /// The current time. Every bucketed timestamp lies in
+    /// `[last_popped, last_popped + WINDOW)`.
     last_popped: Cycle,
     /// Wave of the most recently popped entry (reset by [`EventQueue::sync_to`]).
     last_wave: u32,
-    /// Lower bound on the earliest bucketed timestamp (always at least
-    /// `last_popped`); the bitmap scan starts here.
-    scan: Cycle,
 }
 
 impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("len", &self.len)
-            .field("out_of_order", &self.out_of_order.len())
+            .field("ready", &self.ready.len())
             .field("overflow", &self.overflow.len())
             .field("last_popped", &self.last_popped)
             .field("last_wave", &self.last_wave)
@@ -176,16 +173,14 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heads: Box::new([NIL; WINDOW]),
-            tails: Box::new([NIL; WINDOW]),
             occupied: [0; BITMAP_WORDS],
             nodes: Vec::new(),
             free: NIL,
-            out_of_order: BinaryHeap::new(),
+            ready: Vec::new(),
             overflow: BinaryHeap::new(),
             len: 0,
             last_popped: Cycle::ZERO,
             last_wave: 0,
-            scan: Cycle::ZERO,
         }
     }
 
@@ -193,7 +188,7 @@ impl<E> EventQueue<E> {
     pub fn with_capacity(capacity: usize) -> Self {
         let mut q = EventQueue::new();
         q.nodes.reserve(capacity);
-        q.out_of_order.reserve_exact(q.nodes.capacity());
+        q.ready.reserve_exact(q.nodes.capacity());
         q
     }
 
@@ -204,90 +199,60 @@ impl<E> EventQueue<E> {
         self.last_popped.as_u64().saturating_add(WINDOW as u64)
     }
 
-    /// Whether any pending event lies inside the window (listed or out
-    /// of order); all of them precede every overflow event.
+    /// Whether any pending event sits in a bucket list; all of them
+    /// follow the ready batch and precede every overflow event.
     #[inline]
-    fn window_occupied(&self) -> bool {
-        self.len > self.overflow.len()
-    }
-
-    /// Takes a node from the freelist (or grows the pool) and fills it.
-    #[inline]
-    fn take_node(&mut self, wave: u32, key: u64, event: E) -> u32 {
-        if self.free != NIL {
-            let idx = self.free;
-            let node = &mut self.nodes[idx as usize];
-            self.free = node.next;
-            node.next = NIL;
-            node.wave = wave;
-            node.key = key;
-            node.event = Some(event);
-            idx
-        } else {
-            self.nodes.push(Node {
-                next: NIL,
-                wave,
-                key,
-                event: Some(event),
-            });
-            // The heap never holds more entries than the pool has
-            // nodes: growing it only here, with the pool, means a push
-            // onto it never allocates.
-            let cap = self.nodes.capacity();
-            if self.out_of_order.capacity() < cap {
-                self.out_of_order
-                    .reserve_exact(cap - self.out_of_order.len());
-            }
-            (self.nodes.len() - 1) as u32
-        }
+    fn bucketed(&self) -> bool {
+        self.len > self.ready.len() + self.overflow.len()
     }
 
     /// Files `event` under time `at` (which must lie inside the
-    /// near-future window): appended to the bucket's list when it sorts
-    /// at or above the tail, prepended when it sorts below the head,
-    /// otherwise pushed onto the out-of-order heap.
+    /// near-future window) by prepending it to the bucket's list.
     #[inline]
     fn bucket_insert(&mut self, at: Cycle, wave: u32, key: u64, event: E) {
         debug_assert!(at >= self.last_popped && at.as_u64() < self.window_end());
         let b = (at.as_u64() & MASK) as usize;
-        let idx = self.take_node(wave, key, event);
-        let tail = self.tails[b];
-        if tail == NIL {
-            self.heads[b] = idx;
-            self.tails[b] = idx;
-            self.occupied[b / 64] |= 1 << (b % 64);
+        let next = self.heads[b];
+        let idx = if self.free != NIL {
+            let idx = self.free;
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            *node = Node {
+                next,
+                wave,
+                key,
+                event: Some(event),
+            };
+            idx
         } else {
-            let last = &mut self.nodes[tail as usize];
-            if (last.wave, last.key) <= (wave, key) {
-                last.next = idx;
-                self.tails[b] = idx;
-            } else {
-                let head = self.heads[b];
-                let first = &self.nodes[head as usize];
-                if (wave, key) < (first.wave, first.key) {
-                    self.nodes[idx as usize].next = head;
-                    self.heads[b] = idx;
-                } else {
-                    self.out_of_order.push(Reverse((at, wave, key, idx)));
-                }
+            self.nodes.push(Node {
+                next,
+                wave,
+                key,
+                event: Some(event),
+            });
+            // The batch never holds more entries than the pool has
+            // nodes: growing it only here, with the pool, means loading
+            // a batch never allocates.
+            let cap = self.nodes.capacity();
+            if self.ready.capacity() < cap {
+                self.ready.reserve_exact(cap - self.ready.len());
             }
-        }
-        if at < self.scan {
-            self.scan = at;
-        }
+            (self.nodes.len() - 1) as u32
+        };
+        self.heads[b] = idx;
+        self.occupied[b / 64] |= 1 << (b % 64);
     }
 
-    /// The earliest in-window timestamp. Requires a pending in-window
-    /// event.
+    /// The earliest bucketed timestamp. Requires a bucketed event.
     ///
-    /// Scans the occupancy bitmap forward from `scan`; because every
-    /// bucketed timestamp lies in `[scan, scan + WINDOW)`, the ring
-    /// offset from `scan`'s bucket recovers the absolute time. An
-    /// out-of-order entry never precedes the result: the tail it
-    /// undercut is still listed at its own timestamp.
+    /// Scans the occupancy bitmap forward from `last_popped`'s bucket;
+    /// because every bucketed timestamp lies in `[last_popped,
+    /// last_popped + WINDOW)`, the ring offset recovers the absolute
+    /// time.
     fn earliest_bucket_time(&self) -> Cycle {
-        debug_assert!(self.window_occupied());
-        let start = self.scan.as_u64();
+        debug_assert!(self.bucketed());
+        let start = self.last_popped.as_u64();
         let i0 = (start & MASK) as usize;
         let mut word = i0 / 64;
         let mut mask = !0u64 << (i0 % 64);
@@ -301,7 +266,7 @@ impl<E> EventQueue<E> {
             word = (word + 1) % BITMAP_WORDS;
             mask = !0;
         }
-        unreachable!("in-window events pending but no occupied bucket found");
+        unreachable!("bucketed events pending but no occupied bucket found");
     }
 
     /// Schedules `event` to fire at absolute time `at` under content
@@ -337,26 +302,21 @@ impl<E> EventQueue<E> {
         self.len += 1;
     }
 
-    /// Removes and returns the earliest event together with its full
-    /// `(time, wave, key)` coordinate, or `None` when empty.
-    ///
-    /// The coordinate is the event's global position in the canonical
-    /// order — the sharded runner publishes it as the shard's frontier.
-    pub fn pop_entry(&mut self) -> Option<(Cycle, u32, u64, E)> {
-        if self.len == 0 {
-            return None;
-        }
-        // In-window events always precede overflow ones: the window
+    /// Makes the earliest pending timestamp current and moves its
+    /// bucket into `ready`, sorted. Requires an empty batch and a
+    /// pending event.
+    fn load_batch(&mut self) {
+        debug_assert!(self.ready.is_empty() && self.len > 0);
+        // Bucketed events always precede overflow ones: the window
         // holds times below its end, the overflow at or above it.
-        let at = if self.window_occupied() {
+        let at = if self.bucketed() {
             self.earliest_bucket_time()
         } else {
             self.overflow.peek().expect("len > 0 with empty buckets").at
         };
         self.last_popped = at;
-        self.scan = at;
         // The window just advanced: migrate every overflow entry it now
-        // covers into the sorted buckets (all carry wave 0).
+        // covers into the buckets (all carry wave 0).
         let wend = self.window_end();
         while let Some(head) = self.overflow.peek() {
             if head.at.as_u64() >= wend {
@@ -367,34 +327,49 @@ impl<E> EventQueue<E> {
         }
         // `at`'s bucket is nonempty now: either it supplied `at`, or the
         // first migrated entry (the overflow minimum) carried time `at`.
-        // Its head is the minimal (wave, key) entry *listed* at this
-        // timestamp; an out-of-order entry sorting below it pops first.
+        // Its entries share one wave. Those pushed before `at` became
+        // current carry 0 and all load in its first batch; those pushed
+        // while it is current carry `last_wave + 1`, the wave after the
+        // batch just served.
         let b = (at.as_u64() & MASK) as usize;
-        let head = self.heads[b];
-        debug_assert_ne!(head, NIL);
-        let node = &self.nodes[head as usize];
-        let (idx, wave, key) = match self.out_of_order.peek() {
-            Some(&Reverse((t, wave, key, idx))) if (t, wave, key) < (at, node.wave, node.key) => {
-                self.out_of_order.pop();
-                (idx, wave, key)
+        let mut idx = self.heads[b];
+        debug_assert_ne!(idx, NIL);
+        self.heads[b] = NIL;
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        let wave = self.nodes[idx as usize].wave;
+        while idx != NIL {
+            let node = &self.nodes[idx as usize];
+            debug_assert_eq!(node.wave, wave, "a batch holds one wave");
+            self.ready.push((node.key, idx));
+            idx = node.next;
+        }
+        // One wave, so the key alone orders the batch. Descending, so
+        // pops take from the end; prepending reversed the push order,
+        // so a burst pushed in key order arrives already sorted.
+        self.ready.sort_unstable_by_key(|&(key, _)| Reverse(key));
+    }
+
+    /// Removes and returns the earliest event together with its full
+    /// `(time, wave, key)` coordinate, or `None` when empty.
+    ///
+    /// The coordinate is the event's global position in the canonical
+    /// order — the sharded runner publishes it as the shard's frontier.
+    pub fn pop_entry(&mut self) -> Option<(Cycle, u32, u64, E)> {
+        if self.ready.is_empty() {
+            if self.len == 0 {
+                return None;
             }
-            _ => {
-                let (wave, key) = (node.wave, node.key);
-                self.heads[b] = node.next;
-                if self.heads[b] == NIL {
-                    self.tails[b] = NIL;
-                    self.occupied[b / 64] &= !(1 << (b % 64));
-                }
-                (head, wave, key)
-            }
-        };
+            self.load_batch();
+        }
+        let (key, idx) = self.ready.pop().expect("a loaded batch is nonempty");
         let node = &mut self.nodes[idx as usize];
         let event = node.event.take().expect("pending node holds an event");
+        let wave = node.wave;
         node.next = self.free;
         self.free = idx;
         self.len -= 1;
         self.last_wave = wave;
-        Some((at, wave, key, event))
+        Some((self.last_popped, wave, key, event))
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
@@ -404,7 +379,9 @@ impl<E> EventQueue<E> {
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        if self.window_occupied() {
+        if !self.ready.is_empty() {
+            Some(self.last_popped)
+        } else if self.bucketed() {
             Some(self.earliest_bucket_time())
         } else {
             self.overflow.peek().map(|e| e.at)
@@ -444,20 +421,17 @@ impl<E> EventQueue<E> {
         debug_assert!(now >= self.last_popped, "sync_to would rewind the clock");
         self.last_popped = now.max(self.last_popped);
         self.last_wave = 0;
-        self.scan = self.last_popped;
     }
 
     /// Drops all pending events, keeping the current time.
     pub fn clear(&mut self) {
         self.heads.fill(NIL);
-        self.tails.fill(NIL);
         self.occupied = [0; BITMAP_WORDS];
         self.nodes.clear();
         self.free = NIL;
-        self.out_of_order.clear();
+        self.ready.clear();
         self.overflow.clear();
         self.len = 0;
-        self.scan = self.last_popped;
     }
 }
 
@@ -651,6 +625,31 @@ mod tests {
         fn peek_time(&self) -> Option<u64> {
             self.pending.first().map(|c| c.0)
         }
+
+        fn sync_to(&mut self, now: u64) {
+            assert!(self.pending.is_empty());
+            (self.now, self.last_wave) = (now, 0);
+        }
+    }
+
+    /// The ready batch's invariants: one wave (the one popped last),
+    /// strictly descending keys naming their own nodes, and room for
+    /// every pooled node.
+    fn assert_batch_invariants<E>(q: &EventQueue<E>) {
+        assert!(
+            q.ready.capacity() >= q.nodes.capacity(),
+            "ready capacity {} below the pool's {}",
+            q.ready.capacity(),
+            q.nodes.capacity()
+        );
+        for pair in q.ready.windows(2) {
+            assert!(pair[0].0 > pair[1].0, "batch not in descending key order");
+        }
+        for &(key, idx) in &q.ready {
+            let node = &q.nodes[idx as usize];
+            assert_eq!(node.key, key, "batch entry names another node");
+            assert_eq!(node.wave, q.last_wave, "a batch holds one wave");
+        }
     }
 
     /// Pushes `(at, key)` into both queues; the payload is the key.
@@ -660,7 +659,8 @@ mod tests {
     }
 
     /// Pops one entry from both queues, demanding the same coordinate,
-    /// the key's payload, and the same `peek_time` beforehand.
+    /// the key's payload, the same `peek_time` beforehand, and the
+    /// batch invariants afterwards.
     fn pop_both(cal: &mut EventQueue<u64>, reference: &mut Reference) -> Option<(u64, u32, u64)> {
         assert_eq!(
             cal.peek_time().map(Cycle::as_u64),
@@ -678,12 +678,78 @@ mod tests {
             assert_eq!(ev, key, "event payload follows its key");
         }
         assert_eq!(cal.len(), reference.pending.len());
+        assert_batch_invariants(cal);
         want
     }
 
     fn drain_both(cal: &mut EventQueue<u64>, reference: &mut Reference) {
         while pop_both(cal, reference).is_some() {}
         assert!(cal.is_empty());
+    }
+
+    /// Generated, shrinking scripts against the reference: single
+    /// pushes at the current cycle (same-cycle re-pushes), near, at the
+    /// window edge and far enough to migrate through the overflow;
+    /// same-cycle bursts in random key order; pops; drains followed by
+    /// `sync_to`; and `clear`.
+    #[test]
+    fn matches_the_reference_over_generated_scripts() {
+        use mcm_testkit::prelude::*;
+        let w = WINDOW as u64;
+        check(
+            "event_queue_matches_reference",
+            &vecs((u8s(0..8), u64s(0..4 * w), any_u64(), u64s(1..64)), 1..300),
+            |script| {
+                let mut cal = EventQueue::new();
+                let mut reference = Reference::default();
+                for (step, &(op, off, salt, n)) in script.iter().enumerate() {
+                    // Unique per (step, i) in the low bits; the salted
+                    // high bits scramble a burst's key order.
+                    let key = |i: u64| {
+                        let scramble = salt.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                        ((scramble >> 40) << 24) | ((step as u64) << 6) | i
+                    };
+                    let now = reference.now;
+                    match op {
+                        0 | 1 => {
+                            let at = now
+                                + match off % 4 {
+                                    0 => 0,
+                                    1 => off % 64,
+                                    2 => w - 2 + off % 4,
+                                    _ => off,
+                                };
+                            push_both(&mut cal, &mut reference, at, key(0));
+                        }
+                        2 => {
+                            for i in 0..n {
+                                push_both(&mut cal, &mut reference, now + off % 3, key(i));
+                            }
+                        }
+                        3 | 4 => {
+                            pop_both(&mut cal, &mut reference);
+                        }
+                        5 => {
+                            for _ in 0..n {
+                                pop_both(&mut cal, &mut reference);
+                            }
+                        }
+                        6 => {
+                            drain_both(&mut cal, &mut reference);
+                            let to = reference.now + off % 3;
+                            cal.sync_to(Cycle::new(to));
+                            reference.sync_to(to);
+                        }
+                        _ => {
+                            cal.clear();
+                            reference.pending.clear();
+                            assert_eq!(cal.peek_time(), None);
+                        }
+                    }
+                }
+                drain_both(&mut cal, &mut reference);
+            },
+        );
     }
 
     #[test]
@@ -740,15 +806,16 @@ mod tests {
         for &key in &keys {
             push_both(&mut cal, &mut reference, 7, key);
         }
-        assert!(!cal.out_of_order.is_empty(), "burst must exercise the heap");
-        for _ in 0..keys.len() / 2 {
+        pop_both(&mut cal, &mut reference);
+        assert_eq!(cal.ready.len(), keys.len() - 1, "one batch per wave");
+        for _ in 1..keys.len() / 2 {
             pop_both(&mut cal, &mut reference);
         }
         for &key in keys.iter().rev() {
             push_both(&mut cal, &mut reference, 9, key);
         }
         drain_both(&mut cal, &mut reference);
-        assert!(cal.out_of_order.capacity() >= cal.nodes.capacity());
+        assert!(cal.ready.capacity() >= cal.nodes.capacity());
     }
 
     #[test]
@@ -779,11 +846,11 @@ mod tests {
     }
 
     #[test]
-    fn migrated_overflow_merges_with_out_of_order_entries() {
-        // Overflow entries migrate into an empty bucket in key order;
-        // direct pushes at that time then land among them (heap
-        // entries) while more overflow at the next epoch's same bucket
-        // waits.
+    fn migrated_overflow_joins_the_batch_of_direct_pushes() {
+        // Overflow entries migrate into an empty bucket; direct pushes
+        // at that time then join the same wave-0 batch while more
+        // overflow at the next epoch's same bucket waits. Same-cycle
+        // pushes during the batch wait for the next one.
         let w = WINDOW as u64;
         let t = 3 * w + 11;
         let mut cal = EventQueue::new();
@@ -797,40 +864,56 @@ mod tests {
         for key in [35, 5, 25, 15, 45] {
             push_both(&mut cal, &mut reference, t, key);
         }
-        assert!(!cal.out_of_order.is_empty());
         pop_both(&mut cal, &mut reference); // now == t: waves begin
+        assert_eq!(
+            cal.ready.len(),
+            8,
+            "migrated and direct entries share a batch"
+        );
         for key in [1, 2] {
             push_both(&mut cal, &mut reference, t, key);
         }
+        assert_eq!(cal.ready.len(), 8, "wave-1 pushes wait in the bucket");
         drain_both(&mut cal, &mut reference);
     }
 
     #[test]
-    fn peek_time_sees_out_of_order_entries_ahead_of_the_list() {
-        // Keys between the listed head and tail go to the heap; once the
-        // head pops, every entry ahead of the listed tail is in the
-        // heap. Peeks (checked by `pop_both`) must still report their
-        // time, before and after a later bucket fills.
+    fn peek_time_reports_the_batch_being_served() {
+        // Once a timestamp's batch loads, its bucket is empty and the
+        // bitmap no longer sees it. Peeks (also checked by `pop_both`)
+        // must still report the batch's time, before and after a later
+        // bucket fills, and the next wave's time once it drains.
         let mut cal = EventQueue::new();
         let mut reference = Reference::default();
         for key in [0, 1000].into_iter().chain((1..100).rev()) {
             push_both(&mut cal, &mut reference, 20, key);
         }
-        assert_eq!(cal.out_of_order.len(), 99);
-        pop_both(&mut cal, &mut reference); // the listed head
+        pop_both(&mut cal, &mut reference);
+        assert_eq!(cal.ready.len(), 100);
+        assert_eq!(cal.occupied, [0; BITMAP_WORDS]);
         assert_eq!(cal.peek_time(), Some(Cycle::new(20)));
         push_both(&mut cal, &mut reference, 30, 0);
+        assert_eq!(cal.peek_time(), Some(Cycle::new(20)));
+        push_both(&mut cal, &mut reference, 20, 5000); // wave 1
+        while !cal.ready.is_empty() {
+            pop_both(&mut cal, &mut reference);
+        }
+        assert_eq!(cal.peek_time(), Some(Cycle::new(20)));
         drain_both(&mut cal, &mut reference);
     }
 
     #[test]
-    fn clear_drops_out_of_order_entries() {
+    fn clear_drops_the_batch_the_buckets_and_the_overflow() {
         let mut cal = EventQueue::new();
         let mut reference = Reference::default();
         for key in [0, 100].into_iter().chain(1..50) {
             push_both(&mut cal, &mut reference, 4, key);
         }
-        assert_eq!(cal.out_of_order.len(), 49);
+        pop_both(&mut cal, &mut reference);
+        assert_eq!(cal.ready.len(), 50);
+        push_both(&mut cal, &mut reference, 4, 1); // wave 1, bucketed
+        push_both(&mut cal, &mut reference, 9, 1);
+        push_both(&mut cal, &mut reference, 4 * WINDOW as u64, 1);
         cal.clear();
         reference.pending.clear();
         assert!(cal.is_empty());

@@ -10,9 +10,9 @@
 //!
 //! The table maps lines to caller-chosen request identifiers, so the
 //! simulation loop that owns the in-flight request objects can attach
-//! coalesced waiters to them.
-
-use std::collections::HashMap;
+//! coalesced waiters to them. It is two flat arrays searched linearly:
+//! at a few dozen entries a scan of adjacent words beats hashing, and
+//! both arrays are sized once, at construction.
 
 use mcm_engine::stats::Counter;
 
@@ -51,7 +51,11 @@ pub enum MshrLookup {
 #[derive(Debug, Clone)]
 pub struct Mshr {
     capacity: usize,
-    pending: HashMap<LineAddr, u64>,
+    /// Lines with a fill in flight, in no particular order (a release
+    /// moves the last entry into the freed one).
+    lines: Vec<LineAddr>,
+    /// The request id bound to each entry of `lines`.
+    ids: Vec<u64>,
     coalesced: Counter,
     issued: Counter,
     stalls: Counter,
@@ -67,21 +71,28 @@ impl Mshr {
         assert!(capacity > 0, "MSHR capacity must be nonzero");
         Mshr {
             capacity,
-            pending: HashMap::with_capacity(capacity),
+            lines: Vec::with_capacity(capacity),
+            ids: Vec::with_capacity(capacity),
             coalesced: Counter::new(),
             issued: Counter::new(),
             stalls: Counter::new(),
         }
     }
 
+    /// The entry index of `line`, if it has one.
+    #[inline]
+    fn entry(&self, line: LineAddr) -> Option<usize> {
+        self.lines.iter().position(|&l| l == line)
+    }
+
     /// Classifies a miss on `line` and updates statistics.
     #[inline]
     pub fn lookup(&mut self, line: LineAddr) -> MshrLookup {
-        if let Some(&req) = self.pending.get(&line) {
+        if let Some(i) = self.entry(line) {
             self.coalesced.inc();
-            return MshrLookup::InFlight(req);
+            return MshrLookup::InFlight(self.ids[i]);
         }
-        if self.pending.len() >= self.capacity {
+        if self.lines.len() >= self.capacity {
             self.stalls.inc();
             return MshrLookup::Full;
         }
@@ -98,16 +109,19 @@ impl Mshr {
     /// both indicate the caller skipped `lookup`.
     #[inline]
     pub fn reserve(&mut self, line: LineAddr, request: u64) {
-        assert!(self.pending.len() < self.capacity, "MSHR overfilled");
-        let prev = self.pending.insert(line, request);
-        assert!(prev.is_none(), "line {line} already in flight");
+        assert!(self.lines.len() < self.capacity, "MSHR overfilled");
+        assert!(self.entry(line).is_none(), "line {line} already in flight");
+        self.lines.push(line);
+        self.ids.push(request);
     }
 
     /// Releases the entry for `line` when its fill completes; returns
     /// the request id it was bound to, if any.
     #[inline]
     pub fn release(&mut self, line: LineAddr) -> Option<u64> {
-        self.pending.remove(&line)
+        let i = self.entry(line)?;
+        self.lines.swap_remove(i);
+        Some(self.ids.swap_remove(i))
     }
 
     /// Like [`Mshr::reserve`], additionally reporting the table's new
@@ -126,7 +140,7 @@ impl Mshr {
     ) {
         self.reserve(line, request);
         if P::ACTIVE {
-            probe.mshr_occupancy(sm, now, self.pending.len() as u32, self.capacity as u32);
+            probe.mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
         }
     }
 
@@ -141,19 +155,19 @@ impl Mshr {
     ) -> Option<u64> {
         let released = self.release(line);
         if P::ACTIVE && released.is_some() {
-            probe.mshr_occupancy(sm, now, self.pending.len() as u32, self.capacity as u32);
+            probe.mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
         }
         released
     }
 
     /// Whether at least one entry is free.
     pub fn has_free_entry(&self) -> bool {
-        self.pending.len() < self.capacity
+        self.lines.len() < self.capacity
     }
 
     /// Fills currently outstanding.
     pub fn outstanding(&self) -> usize {
-        self.pending.len()
+        self.lines.len()
     }
 
     /// Misses merged into an in-flight fill.
@@ -173,7 +187,8 @@ impl Mshr {
 
     /// Clears all entries (end-of-kernel quiesce).
     pub fn clear(&mut self) {
-        self.pending.clear();
+        self.lines.clear();
+        self.ids.clear();
     }
 }
 
@@ -231,6 +246,14 @@ mod tests {
         let mut m = Mshr::new(2);
         m.reserve(LineAddr::new(1), 0);
         m.reserve(LineAddr::new(1), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "MSHR overfilled")]
+    fn reserve_past_capacity_panics() {
+        let mut m = Mshr::new(1);
+        m.reserve(LineAddr::new(1), 0);
+        m.reserve(LineAddr::new(2), 1);
     }
 
     #[test]

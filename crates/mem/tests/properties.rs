@@ -7,6 +7,7 @@ use mcm_mem::cache::{
     AllocFilter, CacheConfig, CacheOutcome, CacheStats, Eviction, SetAssocCache, WritePolicy,
 };
 use mcm_mem::dram::{DramConfig, DramPartition};
+use mcm_mem::mshr::{Mshr, MshrLookup};
 use mcm_mem::page::{PageMap, PlacementPolicy};
 use mcm_testkit::prelude::*;
 
@@ -471,6 +472,81 @@ fn interleaved_is_balanced() {
                 counts[mp.as_usize()] += 1;
             }
             assert!(counts.iter().all(|&c| c == n));
+        },
+    );
+}
+
+/// The flat MSHR table is observationally a bounded `HashMap` from line
+/// to request id: same lookup decisions (in flight, can issue, full),
+/// same released ids (`None` for a line with no entry), same occupancy
+/// and the same three counters after every step of a random script of
+/// lookups, reserves, releases and clears, over capacities from one
+/// entry to the simulator's 64, lines that collide often, and
+/// lookup-to-release mixes that range from a mostly empty table to a
+/// mostly full one.
+#[test]
+fn mshr_matches_hashmap_model() {
+    check(
+        "mshr_matches_hashmap_model",
+        &(
+            (u8s(0..2), usizes(1..17), u8s(20..100)),
+            vecs((u8s(0..100), u64s(0..160), any_u64()), 1..400),
+        ),
+        |&((full_size, small, lookup_pct), ref script)| {
+            let capacity = if full_size == 1 { 64 } else { small };
+            let mut got = Mshr::new(capacity);
+            let mut want: std::collections::HashMap<u64, u64> = Default::default();
+            let (mut coalesced, mut issued, mut stalls) = (0u64, 0u64, 0u64);
+            // Twice the capacity plus a few: coalescing and Full both
+            // happen.
+            let span = 2 * capacity as u64 + 4;
+            for (at, &(op, raw_line, request)) in script.iter().enumerate() {
+                let raw = raw_line % span;
+                let line = LineAddr::new(raw);
+                match op {
+                    0 => {
+                        got.clear();
+                        want.clear();
+                    }
+                    op if op <= lookup_pct => {
+                        let expect = match want.get(&raw) {
+                            Some(&id) => {
+                                coalesced += 1;
+                                MshrLookup::InFlight(id)
+                            }
+                            None if want.len() >= capacity => {
+                                stalls += 1;
+                                MshrLookup::Full
+                            }
+                            None => {
+                                issued += 1;
+                                MshrLookup::CanIssue
+                            }
+                        };
+                        let decision = got.lookup(line);
+                        assert_eq!(decision, expect, "op {at}: lookup {raw}");
+                        if decision == MshrLookup::CanIssue {
+                            got.reserve(line, request);
+                            want.insert(raw, request);
+                        }
+                    }
+                    _ => assert_eq!(
+                        got.release(line),
+                        want.remove(&raw),
+                        "op {at}: release {raw}"
+                    ),
+                }
+                assert_eq!(got.outstanding(), want.len(), "op {at}: outstanding");
+                assert_eq!(got.has_free_entry(), want.len() < capacity, "op {at}");
+                assert_eq!(got.coalesced(), coalesced, "op {at}: coalesced");
+                assert_eq!(got.issued(), issued, "op {at}: issued");
+                assert_eq!(got.stalls(), stalls, "op {at}: stalls");
+            }
+            // Every line still bound answers with its own id.
+            for (&raw, &id) in &want {
+                assert_eq!(got.release(LineAddr::new(raw)), Some(id), "end: {raw}");
+            }
+            assert_eq!(got.outstanding(), 0);
         },
     );
 }
