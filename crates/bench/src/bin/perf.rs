@@ -36,7 +36,7 @@ use mcm_mem::addr::{LineAddr, Locality};
 use mcm_mem::mshr::{Mshr, MshrLookup};
 use mcm_store::Store;
 use mcm_telemetry::json::{push_escaped, push_f64, Json};
-use mcm_workloads::{suite, WarpOp, WarpStream, WorkloadSpec};
+use mcm_workloads::{suite, StreamPlan, WarpOp, WarpStream, WorkloadSpec};
 
 /// Schema tag stamped into every snapshot this binary writes.
 const SCHEMA: &str = "mcm-bench-v1";
@@ -168,6 +168,55 @@ fn micro_queue_same_cycle_burst(mode: &Mode) -> Entry {
         wall_ns_min: min,
         reps: mode.reps,
         ops: Some(BURST),
+        cycles: None,
+    }
+}
+
+/// Micro: the stream side of one distributed-scheduler launch — 8192
+/// warps (1024 CTAs of 8) in the order DS admission visits them, each
+/// building its cursor from the launch's plan and drawing its first
+/// op, as the run loop does when it admits a warp and first steps it.
+/// At the scales perfbench runs, an M/C warp executes only one or two
+/// instructions, so this setup is a large share of a launch.
+fn micro_warp_launch(mode: &Mode) -> Entry {
+    const LAUNCHES: u64 = 10;
+    const MODULES: u32 = 4;
+    let mut spec = WorkloadSpec::template("warp-launch");
+    spec.ctas = 1024;
+    spec.warps_per_cta = 8;
+    spec.insts_per_warp = 2;
+    let chunk = spec.ctas / MODULES;
+    let order: Vec<u32> = (0..chunk)
+        .flat_map(|round| (0..MODULES).map(move |m| m * chunk + round))
+        .collect();
+    let launches = || {
+        let mut acc = 0u64;
+        for kernel in 0..LAUNCHES as u32 {
+            let plan = StreamPlan::new(&spec, kernel);
+            for &cta in &order {
+                for warp in 0..spec.warps_per_cta {
+                    let mut cursor = plan.cursor(cta, warp);
+                    acc = acc.wrapping_add(match cursor.next_op(&plan) {
+                        Some(WarpOp::Compute(n)) => u64::from(n),
+                        Some(WarpOp::Access { addr, .. }) => addr.line().index(),
+                        None => 0,
+                    });
+                    std::hint::black_box(&cursor);
+                }
+            }
+        }
+        std::hint::black_box(acc)
+    };
+    launches(); // warm
+    let (median, min) = time_reps(mode.reps, || {
+        launches();
+    });
+    Entry {
+        name: "micro.warp_launch",
+        wall_ns_median: median,
+        wall_ns_min: min,
+        reps: mode.reps,
+        ops: Some(LAUNCHES * u64::from(spec.ctas * spec.warps_per_cta)),
         cycles: None,
     }
 }
@@ -545,6 +594,7 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
     let mut entries = vec![
         micro_queue_hold(mode),
         micro_queue_same_cycle_burst(mode),
+        micro_warp_launch(mode),
         micro_mshr_churn(mode),
         micro_store_hit(mode),
         micro_analytic_point(mode),

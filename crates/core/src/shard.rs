@@ -488,9 +488,7 @@ fn run_sharded_inner<P: Probe + Send, F: FaultPlan + Clone + Send>(
         let mut any_dead = false;
         for state in &states {
             let mut st = lock(state);
-            st.kernel = kernel;
-            st.horizon = now;
-            st.queue.sync_to(now);
+            st.start_kernel(kernel, now);
             if F::ACTIVE {
                 // Plans are deterministic forks: every shard computes
                 // the same mask.

@@ -39,7 +39,7 @@ use mcm_mem::cache::CacheOutcome;
 use mcm_mem::mshr::MshrLookup;
 use mcm_probe::{FaultEvent, NullProbe, Probe, ReqStage, RequestMeta, WarpPhase};
 use mcm_sm::CtaPool;
-use mcm_workloads::stream::{WarpOp, WarpStream};
+use mcm_workloads::stream::{StreamPlan, WarpCursor, WarpOp};
 use mcm_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
@@ -99,7 +99,9 @@ pub(crate) enum Ev {
 }
 
 pub(crate) struct WarpRt {
-    stream: WarpStream,
+    /// The warp's position in its stream; the launch's
+    /// [`RunState::stream`] plan draws its ops.
+    cursor: WarpCursor,
     sm: u32,
     cta_slot: u32,
     /// Content key for this warp's events: `TAG_WARP | (cta *
@@ -243,7 +245,11 @@ pub(crate) struct RunState<'a, P: Probe, F: FaultPlan> {
     /// Per-module hard-degradation mask, refreshed at each kernel
     /// launch from the fault plan; only consulted when `F::ACTIVE`.
     pub(crate) disabled: Vec<bool>,
-    pub(crate) kernel: u32,
+    /// The current launch's stream plan, shared by every warp it
+    /// admits (see [`RunState::start_kernel`]).
+    stream: StreamPlan,
+    /// `mlp_per_warp` (at least 1), uniform across SMs.
+    mlp: u32,
     /// Latest timestamp any event reached.
     pub(crate) horizon: Cycle,
     /// Per-SM issue counters feeding [`Req::id`].
@@ -342,8 +348,7 @@ fn run_serial<P: Probe, F: FaultPlan>(
     let mut pool = CtaPool::new(cfg.scheduler, spec.ctas, state.sys.modules() as u32);
     let mut now = Cycle::ZERO;
     for kernel in 0..spec.kernel_iters {
-        state.kernel = kernel;
-        state.horizon = now;
+        state.start_kernel(kernel, now);
         state.probe.kernel_begin(kernel, now);
         if kernel > 0 {
             pool.reset();
@@ -353,11 +358,6 @@ fn run_serial<P: Probe, F: FaultPlan>(
             gpm_resteal_counter().inc();
             pool.resteal_disabled(&state.disabled);
         }
-
-        // A fresh launch restarts same-cycle wave numbering, so the
-        // initial placement's event coordinates do not depend on how
-        // the previous kernel's tail happened to drain.
-        state.queue.sync_to(now);
 
         // Initial placement: one CTA per SM per round until no SM
         // can take more (or the pool runs dry).
@@ -498,12 +498,23 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             waiters,
             stalled: vec![Vec::new(); total_sms],
             disabled: vec![false; module_count],
-            kernel: 0,
+            stream: StreamPlan::new(spec, 0),
+            mlp: cfg.sm.mlp_per_warp.max(1),
             horizon: Cycle::ZERO,
             req_seq: vec![0; total_sms],
             waiter_reserve,
             shard,
         }
+    }
+
+    /// Begins kernel launch `kernel` at `now`: the launch's stream plan
+    /// replaces the last one, and the queue restarts same-cycle wave
+    /// numbering, so the initial placement's event coordinates do not
+    /// depend on how the previous kernel's tail happened to drain.
+    pub(crate) fn start_kernel(&mut self, kernel: u32, now: Cycle) {
+        self.stream = StreamPlan::new(self.spec, kernel);
+        self.horizon = now;
+        self.queue.sync_to(now);
     }
 
     /// Stores `req` in a free slot (the slot's previous waiter buffer
@@ -658,7 +669,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         for w in 0..warps {
             let key = TAG_WARP | (u64::from(cta) * u64::from(warps) + u64::from(w));
             let rt = WarpRt {
-                stream: WarpStream::new(self.spec, self.kernel, cta, w),
+                cursor: self.stream.cursor(cta, w),
                 sm: sm as u32,
                 cta_slot,
                 key,
@@ -714,7 +725,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// The body of [`RunState::advance_warp`]: runs `warp` from `t`
     /// until it parks, returning its retirement time if it finished.
     fn step_warp(&mut self, warp: &mut WarpRt, widx: u32, t: Cycle) -> Option<Cycle> {
-        let mlp = self.sys.sm(warp.sm as usize).config().mlp_per_warp.max(1);
+        let mlp = self.mlp;
         let sm = warp.sm;
         let mut t = t;
 
@@ -746,7 +757,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
 
         let mut reads_since_sync = 0u32;
         loop {
-            match warp.stream.next() {
+            match warp.cursor.next_op(&self.stream) {
                 Some(WarpOp::Compute(n)) => {
                     if P::ACTIVE && cur != WarpPhase::Compute {
                         self.probe.warp_phase(widx, sm, t, WarpPhase::Compute);
@@ -1345,6 +1356,15 @@ mod tests {
         let mut cfg = SystemConfig::baseline_mcm();
         cfg.topology.sms_per_module = 4; // 16 SMs
         cfg
+    }
+
+    #[test]
+    fn warp_slots_stay_small() {
+        // The per-launch stream plan lives in `RunState`; a warp slot
+        // holds only its cursor and issue state.
+        let size = std::mem::size_of::<WarpRt>();
+        assert!(size <= 104, "WarpRt grew to {size} bytes");
+        assert_eq!(std::mem::size_of::<Option<WarpRt>>(), size);
     }
 
     #[test]

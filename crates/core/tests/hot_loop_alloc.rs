@@ -11,6 +11,7 @@
 
 use mcm_engine::{Cycle, EventQueue};
 use mcm_gpu::{Simulator, SystemConfig};
+use mcm_mem::page::PlacementPolicy;
 use mcm_probe::Probe;
 use mcm_sm::SchedulerPolicy;
 use mcm_testkit::alloc::CountingAllocator;
@@ -50,6 +51,17 @@ fn alloc_probe_spec() -> WorkloadSpec {
     // touches (and maps) every first-touch page and later kernels hit a
     // fully-built page table.
     spec.footprint_bytes = 1 << 20;
+    spec
+}
+
+/// The probe spec with per-CTA imbalance and divergent gathers: CTAs
+/// of different lengths retire (and admit successors) at scattered
+/// times, and gathers put several same-warp misses in flight at once.
+fn imbalanced_divergent_spec() -> WorkloadSpec {
+    let mut spec = alloc_probe_spec();
+    spec.name = "alloc-probe-skewed";
+    spec.imbalance = 0.6;
+    spec.locality = spec.locality.with_divergence(0.3, 4);
     spec
 }
 
@@ -109,15 +121,15 @@ impl Probe for PassiveWindows {
 /// Serial runs under both probe builds: the active one walks every
 /// probe branch and queues every request stage; the passive one is the
 /// path [`Simulator::run`] takes.
-fn serial_steady_state_does_not_allocate(cfg: &SystemConfig) {
-    let case = format!("serial {}, {:?}", cfg.name, cfg.scheduler);
+fn serial_steady_state_does_not_allocate(cfg: &SystemConfig, spec: &WorkloadSpec) {
+    let case = format!("serial {}, {:?}, {}", cfg.name, cfg.scheduler, spec.name);
     let mut probe = empty_windows();
-    let report = Simulator::run_probed(cfg, &alloc_probe_spec(), &mut probe);
+    let report = Simulator::run_probed(cfg, spec, &mut probe);
     assert!(report.cycles > Cycle::ZERO);
     assert_steady_state_alloc_free(&probe, &format!("{case}, active probe"));
 
     let mut passive = PassiveWindows(empty_windows());
-    Simulator::run_probed(cfg, &alloc_probe_spec(), &mut passive);
+    Simulator::run_probed(cfg, spec, &mut passive);
     assert_steady_state_alloc_free(&passive.0, &format!("{case}, passive probe"));
 }
 
@@ -128,33 +140,41 @@ fn serial_steady_state_does_not_allocate(cfg: &SystemConfig) {
 /// recycled thereafter. (The window probe is passive, so it rides the
 /// sharded engine instead of forcing the serial fallback; its
 /// kernel-boundary callbacks are forwarded by the epoch leader.)
-fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig) {
+fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig, spec: &WorkloadSpec) {
     let mut probe = PassiveWindows(empty_windows());
-    let (report, stats) = Simulator::run_faulted_sharded(
-        cfg,
-        &alloc_probe_spec(),
-        &mut probe,
-        &mut mcm_fault::NullFaultPlan,
-        2,
-    );
+    let (report, stats) =
+        Simulator::run_faulted_sharded(cfg, spec, &mut probe, &mut mcm_fault::NullFaultPlan, 2);
     assert!(report.cycles > Cycle::ZERO);
     assert_eq!(stats.shards, 2, "the run must actually shard");
     assert_steady_state_alloc_free(
         &probe.0,
-        &format!("sharded {}, {:?}", cfg.name, cfg.scheduler),
+        &format!("sharded {}, {:?}, {}", cfg.name, cfg.scheduler, spec.name),
     );
 }
 
-/// The queue's share of the contract, in isolation: once its node pool
-/// has reached a peak of pending events, loading a timestamp's batch
-/// never allocates, even when the pool's peak was reached with every
-/// event at its own timestamp and a later burst puts them all at one.
+/// The queue's share of the contract, in isolation: a pool pre-sized
+/// for a pending count never grows while that many are pending, and
+/// once a pool has reached a peak of pending events, loading a
+/// timestamp's batch never allocates, even when the pool's peak was
+/// reached with every event at its own timestamp and a later burst
+/// puts them all at one.
 /// The run loop meets that shape whenever a kernel's largest same-cycle
 /// batch exceeds every batch before it; the launch cases above cannot
 /// show it, because their largest batch recurs identically in each
 /// kernel and so is reached during warm-up.
 fn queue_batches_do_not_allocate() {
     const PENDING: u64 = 1000;
+    // A queue pre-sized for the pending count holds it however it
+    // spreads: here one event per timestamp, one block per bucket.
+    let mut q = EventQueue::with_capacity(PENDING as usize);
+    let before = ALLOC.alloc_events();
+    for i in 0..PENDING {
+        q.push(Cycle::new(1 + i), i, i);
+    }
+    while q.pop().is_some() {}
+    let allocs = ALLOC.alloc_events() - before;
+    assert_eq!(allocs, 0, "queue: a pre-sized pool grew {allocs} times");
+
     let mut q = EventQueue::new();
     // Warm-up: the pool reaches its peak one timestamp per event.
     for i in 0..PENDING {
@@ -187,7 +207,9 @@ fn queue_batches_do_not_allocate() {
 /// timestamp in module-interleaved key order, so its cases hold the
 /// event queue's large unsorted batches to the same contract. The
 /// `l15-ds` shape adds a remote-only L1.5, so first fills materialising
-/// cache sets are held to it too.
+/// cache sets are held to it too. The first-touch case runs the
+/// imbalanced, divergent spec, whose event times scatter over many
+/// more queue buckets than the uniform spec's.
 #[test]
 fn steady_state_kernels_do_not_allocate() {
     let centralized = small_machine();
@@ -195,9 +217,16 @@ fn steady_state_kernels_do_not_allocate() {
     distributed.scheduler = SchedulerPolicy::Distributed;
     let mut l15_ds = SystemConfig::mcm_l15_ds();
     l15_ds.topology.sms_per_module = small_machine().topology.sms_per_module;
+    let uniform = alloc_probe_spec();
     for cfg in [&centralized, &distributed, &l15_ds] {
-        serial_steady_state_does_not_allocate(cfg);
-        sharded_steady_state_does_not_allocate(cfg);
+        serial_steady_state_does_not_allocate(cfg, &uniform);
+        sharded_steady_state_does_not_allocate(cfg, &uniform);
     }
+    let mut first_touch = distributed.clone();
+    first_touch.placement = PlacementPolicy::FirstTouch;
+    first_touch.name = "ds-ft".into();
+    let skewed = imbalanced_divergent_spec();
+    serial_steady_state_does_not_allocate(&first_touch, &skewed);
+    sharded_steady_state_does_not_allocate(&first_touch, &skewed);
     queue_batches_do_not_allocate();
 }

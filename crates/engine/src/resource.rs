@@ -2,6 +2,18 @@
 
 use crate::Cycle;
 
+/// `x.ceil() as u64` as a cycle, with integer arithmetic: on baseline
+/// x86-64 `f64::ceil` is a library call, and every bandwidth server
+/// rounds once per request. Exact for every `f64` — fractions round up,
+/// integral values (all values from 2^53 on) stay put, and the cast
+/// saturates exactly as `ceil() as u64` does (negatives and NaN to 0,
+/// beyond `u64::MAX` to `u64::MAX`).
+#[inline]
+fn ceil_cycle(x: f64) -> Cycle {
+    let whole = x as u64;
+    Cycle::new(whole.saturating_add(u64::from((whole as f64) < x)))
+}
+
 /// A bandwidth server: a shared facility that moves `bytes_per_cycle`
 /// bytes of traffic per cycle, serializing overlapping requests.
 ///
@@ -128,13 +140,13 @@ impl Resource {
         self.busy_cycles += duration;
         self.total_bytes += bytes;
         self.requests += 1;
-        Cycle::new(end.ceil() as u64)
+        ceil_cycle(end)
     }
 
     /// The earliest cycle at which a request arriving now would begin
     /// service.
     pub fn next_free(&self) -> Cycle {
-        Cycle::new(self.next_free.ceil() as u64)
+        ceil_cycle(self.next_free)
     }
 
     /// The server's capacity in bytes per cycle.
@@ -289,6 +301,117 @@ mod tests {
         assert_eq!(r.service_stretched(Cycle::new(0), 64, 2.0), Cycle::new(8));
         // The stretched occupancy also delays the next request.
         assert_eq!(r.service(Cycle::new(0), 64), Cycle::new(12));
+    }
+
+    #[test]
+    fn integer_round_up_matches_f64_ceil() {
+        let two53 = (1u64 << 53) as f64;
+        let specials = [
+            0.0,
+            -0.0,
+            0.25,
+            1.0,
+            1.5,
+            7.999_999_999,
+            -0.5,
+            -3.0,
+            two53 - 0.5,
+            two53,
+            two53 + 2.0,
+            (1u64 << 63) as f64,
+            u64::MAX as f64,
+            1e30,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            f64::MIN_POSITIVE,
+        ];
+        for x in specials {
+            assert_eq!(ceil_cycle(x).as_u64(), x.ceil() as u64, "x = {x:e}");
+        }
+        let mut rng = crate::rng::Xoshiro256::new(0xCE11);
+        for _ in 0..100_000 {
+            let x = f64::from_bits(rng.next_u64());
+            assert_eq!(ceil_cycle(x).as_u64(), x.ceil() as u64, "x = {x:e}");
+            let y = rng.next_f64() * 1e6;
+            assert_eq!(ceil_cycle(y).as_u64(), y.ceil() as u64, "y = {y}");
+        }
+    }
+
+    /// The fractional next-free-time model as it stood with `f64::ceil`
+    /// rounding every finish time.
+    struct CeilReference {
+        bytes_per_cycle: f64,
+        next_free: f64,
+        busy: f64,
+        queued: f64,
+    }
+
+    impl CeilReference {
+        fn service(&mut self, now: u64, bytes: u64, stretch: f64) -> u64 {
+            if bytes == 0 {
+                return now;
+            }
+            let arrival = now as f64;
+            let start = if self.next_free > arrival {
+                self.queued += self.next_free - arrival;
+                self.next_free
+            } else {
+                arrival
+            };
+            let duration = if self.bytes_per_cycle.is_infinite() {
+                0.0
+            } else {
+                bytes as f64 / self.bytes_per_cycle * stretch
+            };
+            let end = start + duration;
+            self.next_free = end;
+            self.busy += duration;
+            end.ceil() as u64
+        }
+    }
+
+    /// Generated request scripts against the `f64::ceil` reference:
+    /// bandwidths that divide request sizes (finish times land on exact
+    /// integers) and that do not, infinite bandwidth, unit and fault
+    /// stretches, and clocks from zero up past 2^53 (where every finish
+    /// time is integral).
+    #[test]
+    fn service_matches_the_ceil_reference() {
+        use mcm_testkit::prelude::*;
+        let bandwidths = [1.0, 3.0, 16.0, 32.0, 768.0, 0.7, 5.5, f64::INFINITY];
+        check(
+            "service_matches_ceil_reference",
+            &(
+                u8s(0..8),
+                u8s(0..4),
+                vecs((u64s(0..40), u64s(0..4096), u8s(0..4)), 1..200),
+            ),
+            |&(bw, epoch, ref script)| {
+                let bandwidth = bandwidths[usize::from(bw)];
+                let mut r = Resource::new("r", bandwidth);
+                let mut reference = CeilReference {
+                    bytes_per_cycle: bandwidth,
+                    next_free: 0.0,
+                    busy: 0.0,
+                    queued: 0.0,
+                };
+                let mut now = [0, 1000, 1 << 53, (1 << 53) + 12_345][usize::from(epoch)];
+                for &(gap, bytes, stretch) in script {
+                    now += gap;
+                    let stretch = [1.0, 1.0, 2.0, 1.37][usize::from(stretch)];
+                    let got = if stretch == 1.0 {
+                        r.service(Cycle::new(now), bytes)
+                    } else {
+                        r.service_stretched(Cycle::new(now), bytes, stretch)
+                    };
+                    assert_eq!(got.as_u64(), reference.service(now, bytes, stretch));
+                    assert_eq!(r.next_free().as_u64(), reference.next_free.ceil() as u64);
+                }
+                assert_eq!(r.queued_cycles(), reference.queued);
+                assert_eq!(r.busy_cycles, reference.busy);
+            },
+        );
     }
 
     #[test]

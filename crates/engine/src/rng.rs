@@ -70,13 +70,33 @@ impl Xoshiro256 {
     /// `[workload_seed, kernel, cta, warp]`), hashing them together so
     /// that adjacent identifiers produce decorrelated streams.
     pub fn seeded(parts: &[u64]) -> Self {
-        let mut acc = SplitMix64::new(0x6D63_6D2D_6770_7573); // "mcm-gpus"
-        let mut seed = acc.next_u64();
-        for &p in parts {
-            let mut sm = SplitMix64::new(seed ^ p);
-            seed = sm.next_u64();
-        }
-        Xoshiro256::new(seed)
+        Xoshiro256::new(Xoshiro256::seed_prefix(parts))
+    }
+
+    /// The hashed seed of a leading run of identifiers, so a family of
+    /// generators sharing it (every warp of one kernel launch) hashes
+    /// the shared part once: `seeded(&[a, b, c])` equals
+    /// `new(extend_seed(seed_prefix(&[a, b]), &[c]))`.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcm_engine::rng::Xoshiro256;
+    ///
+    /// let launch = Xoshiro256::seed_prefix(&[7, 3]);
+    /// let warp = Xoshiro256::extend_seed(launch, &[1]);
+    /// assert_eq!(Xoshiro256::new(warp), Xoshiro256::seeded(&[7, 3, 1]));
+    /// ```
+    pub fn seed_prefix(parts: &[u64]) -> u64 {
+        let root = SplitMix64::new(0x6D63_6D2D_6770_7573).next_u64(); // "mcm-gpus"
+        Xoshiro256::extend_seed(root, parts)
+    }
+
+    /// Hashes further identifiers onto a [`seed_prefix`](Xoshiro256::seed_prefix).
+    pub fn extend_seed(prefix: u64, parts: &[u64]) -> u64 {
+        parts
+            .iter()
+            .fold(prefix, |seed, &p| SplitMix64::new(seed ^ p).next_u64())
     }
 
     /// Produces the next 64-bit output.
@@ -239,6 +259,23 @@ mod tests {
         let mut a = Xoshiro256::seeded(&[1, 2]);
         let mut b = Xoshiro256::seeded(&[2, 1]);
         assert_ne!(a.next_u64(), b.next_u64());
+    }
+
+    #[test]
+    fn split_seeding_matches_seeded_at_every_split_point() {
+        use mcm_testkit::prelude::*;
+        check(
+            "split_seeding_matches_seeded",
+            &vecs(any_u64(), 0..8),
+            |parts: &Vec<u64>| {
+                let whole = Xoshiro256::seeded(parts);
+                for split in 0..=parts.len() {
+                    let (head, tail) = parts.split_at(split);
+                    let seed = Xoshiro256::extend_seed(Xoshiro256::seed_prefix(head), tail);
+                    assert_eq!(Xoshiro256::new(seed), whole, "split at {split}");
+                }
+            },
+        );
     }
 
     #[test]

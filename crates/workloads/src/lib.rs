@@ -13,7 +13,8 @@
 //! * [`descriptor`] — [`descriptor::ModelDescriptor`], the closed-form
 //!   view of a spec that analytical performance models read.
 //! * [`stream`] — [`stream::WarpStream`], the per-warp instruction and
-//!   address generator.
+//!   address generator, split into a per-launch [`stream::StreamPlan`]
+//!   and a per-warp [`stream::WarpCursor`].
 //! * [`suite`] — the 48 concrete workloads, grouped and ordered as the
 //!   paper's figures group and order them.
 //! * [`trace`] — capture any stream into a concrete, serializable
@@ -42,4 +43,4 @@ pub mod trace;
 
 pub use descriptor::{AccessMix, ModelDescriptor};
 pub use spec::{Category, LocalityProfile, WorkloadSpec};
-pub use stream::{WarpOp, WarpStream};
+pub use stream::{StreamPlan, WarpCursor, WarpOp, WarpStream};

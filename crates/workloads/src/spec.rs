@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use mcm_engine::rng::StableHasher;
+
 /// The paper's three workload categories (§4).
 ///
 /// High-parallelism applications (parallel efficiency ≥ 25 %) are split
@@ -265,6 +267,77 @@ impl WorkloadSpec {
         spec
     }
 
+    /// A stable 64-bit digest of every field, for cache keys: specs
+    /// that differ in any field (a suite entry edited under its old
+    /// name included) get different fingerprints, across processes and
+    /// machines.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use mcm_workloads::WorkloadSpec;
+    ///
+    /// let spec = WorkloadSpec::template("demo");
+    /// let mut edited = spec.clone();
+    /// edited.locality.neighbor_frac += 0.01;
+    /// assert_eq!(spec.fingerprint(), spec.clone().fingerprint());
+    /// assert_ne!(spec.fingerprint(), edited.fingerprint());
+    /// ```
+    pub fn fingerprint(&self) -> u64 {
+        // Exhaustive destructures, no `..`: a field added to any of
+        // these structs fails to compile here until it is hashed.
+        let WorkloadSpec {
+            name,
+            category,
+            footprint_bytes,
+            ctas,
+            warps_per_cta,
+            insts_per_warp,
+            mem_ratio,
+            write_frac,
+            kernel_iters,
+            locality,
+            imbalance,
+            seed,
+        } = self;
+        let LocalityProfile {
+            streaming,
+            reuse_window_lines,
+            neighbor_frac,
+            shared_frac,
+            shared_region_frac,
+            cold_shared_frac,
+            divergence,
+        } = locality;
+        let mut h = StableHasher::new();
+        h.write_str(name);
+        h.write_str(category.label());
+        h.write_u64(*footprint_bytes);
+        h.write_u32(*ctas);
+        h.write_u32(*warps_per_cta);
+        h.write_u32(*insts_per_warp);
+        h.write_f64(*mem_ratio);
+        h.write_f64(*write_frac);
+        h.write_u32(*kernel_iters);
+        h.write_f64(*streaming);
+        h.write_u32(*reuse_window_lines);
+        h.write_f64(*neighbor_frac);
+        h.write_f64(*shared_frac);
+        h.write_f64(*shared_region_frac);
+        h.write_f64(*cold_shared_frac);
+        match divergence {
+            None => h.write_u8(0),
+            Some(Divergence { frac, degree }) => {
+                h.write_u8(1);
+                h.write_f64(*frac);
+                h.write_u8(*degree);
+            }
+        }
+        h.write_f64(*imbalance);
+        h.write_u64(*seed);
+        h.finish()
+    }
+
     /// Validates the spec's internal consistency.
     ///
     /// # Errors
@@ -369,6 +442,48 @@ mod tests {
         let mut spec = WorkloadSpec::template("t");
         spec.footprint_bytes = 128; // 1 line but 256 CTAs
         assert!(spec.validate().is_err());
+    }
+
+    #[test]
+    fn fingerprint_covers_every_field() {
+        let base = WorkloadSpec::template("t");
+        let edits: Vec<fn(&mut WorkloadSpec)> = vec![
+            |s| s.name = "u",
+            |s| s.category = Category::ComputeIntensive,
+            |s| s.footprint_bytes += 128,
+            |s| s.ctas += 1,
+            |s| s.warps_per_cta += 1,
+            |s| s.insts_per_warp += 1,
+            |s| s.mem_ratio += 0.01,
+            |s| s.write_frac += 0.01,
+            |s| s.kernel_iters += 1,
+            |s| s.locality.streaming += 0.01,
+            |s| s.locality.reuse_window_lines += 1,
+            |s| s.locality.neighbor_frac += 0.01,
+            |s| s.locality.shared_frac += 0.01,
+            |s| s.locality.shared_region_frac += 0.01,
+            |s| s.locality.cold_shared_frac += 0.01,
+            |s| s.locality = s.locality.with_divergence(0.5, 4),
+            |s| s.imbalance += 0.01,
+            |s| s.seed += 1,
+        ];
+        let mut seen = std::collections::HashSet::new();
+        assert!(seen.insert(base.fingerprint()));
+        for (i, edit) in edits.iter().enumerate() {
+            let mut spec = base.clone();
+            edit(&mut spec);
+            assert!(
+                seen.insert(spec.fingerprint()),
+                "edit {i} kept the fingerprint"
+            );
+        }
+        // Divergence parameters count, not just its presence.
+        let mut a = base.clone();
+        a.locality = a.locality.with_divergence(0.5, 4);
+        let mut b = a.clone();
+        b.locality = b.locality.with_divergence(0.5, 5);
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        assert_eq!(base.fingerprint(), base.clone().fingerprint());
     }
 
     #[test]

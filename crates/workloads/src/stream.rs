@@ -1,6 +1,6 @@
 //! Per-warp synthetic instruction/address streams.
 //!
-//! A [`WarpStream`] deterministically generates the alternating
+//! A warp's stream deterministically generates the alternating
 //! compute-burst / memory-operation sequence one warp executes, with
 //! addresses drawn according to the workload's
 //! [`LocalityProfile`](crate::spec::LocalityProfile):
@@ -17,6 +17,14 @@
 //! Streams are pure functions of `(spec.seed, kernel, cta, warp)`, so
 //! repeated kernel launches re-walk the same data — the cross-kernel
 //! page locality of §5.3 (Fig. 12).
+//!
+//! A stream splits in two. A [`StreamPlan`] holds everything that
+//! depends only on the spec and the kernel launch: the validated spec,
+//! the footprint geometry, the burst divisor and the launch's seed
+//! prefix. A [`WarpCursor`] holds one warp's position: its generator,
+//! its walk through the CTA slice and its remaining budget. The
+//! simulator builds one plan per launch and one small cursor per warp;
+//! [`WarpStream`] bundles the two into a self-contained iterator.
 
 use mcm_engine::rng::Xoshiro256;
 use mcm_mem::addr::{AccessKind, MemAddr, LINE_BYTES};
@@ -35,47 +43,6 @@ pub enum WarpOp {
         /// Load or store.
         kind: AccessKind,
     },
-}
-
-/// The deterministic instruction stream of one warp in one kernel
-/// launch.
-///
-/// # Example
-///
-/// ```
-/// use mcm_workloads::spec::WorkloadSpec;
-/// use mcm_workloads::stream::{WarpOp, WarpStream};
-///
-/// let spec = WorkloadSpec::template("demo");
-/// let ops: Vec<WarpOp> = WarpStream::new(&spec, 0, 0, 0).collect();
-/// let again: Vec<WarpOp> = WarpStream::new(&spec, 0, 0, 0).collect();
-/// assert_eq!(ops, again); // bit-reproducible
-/// ```
-#[derive(Debug, Clone)]
-pub struct WarpStream {
-    rng: Xoshiro256,
-    remaining: u32,
-    emit_mem_next: bool,
-    // Geometry, in lines.
-    shared_lines: u64,
-    own_start: u64,
-    own_lines: u64,
-    left_start: u64,
-    right_start: u64,
-    neighbor_lines: u64,
-    cursor: u64,
-    // Knobs.
-    mem_ratio: f64,
-    write_frac: f64,
-    streaming: f64,
-    reuse_window: u64,
-    neighbor_frac: f64,
-    shared_frac: f64,
-    cold_shared_frac: f64,
-    footprint_lines: u64,
-    divergence: Option<crate::spec::Divergence>,
-    /// Remaining transactions of an in-progress divergent gather.
-    pending_gather: u8,
 }
 
 /// Instructions warp `w` of CTA `cta` executes in one kernel launch,
@@ -100,113 +67,211 @@ pub fn cta_insts(spec: &WorkloadSpec, cta: u32) -> u32 {
     ((f64::from(spec.insts_per_warp) * scale).round() as u32).max(1)
 }
 
-impl WarpStream {
-    /// Creates the stream for warp `warp` of CTA `cta` in kernel launch
-    /// `kernel`.
+/// The part of every warp stream that one kernel launch shares: built
+/// once per launch, read by each [`WarpCursor`] of that launch.
+///
+/// # Example
+///
+/// ```
+/// use mcm_workloads::spec::WorkloadSpec;
+/// use mcm_workloads::stream::{StreamPlan, WarpOp, WarpStream};
+///
+/// let spec = WorkloadSpec::template("demo");
+/// let plan = StreamPlan::new(&spec, 1);
+/// let mut cursor = plan.cursor(3, 2);
+/// let ops: Vec<WarpOp> = std::iter::from_fn(|| cursor.next_op(&plan)).collect();
+/// // The same ops the self-contained stream emits.
+/// assert_eq!(ops, WarpStream::new(&spec, 1, 3, 2).collect::<Vec<_>>());
+/// ```
+#[derive(Debug, Clone)]
+pub struct StreamPlan {
+    /// The validated spec (a plain copy: it owns no heap data).
+    spec: WorkloadSpec,
+    /// `[spec.seed, kernel]` hashed once; each cursor extends it with
+    /// its `[cta, warp]`.
+    seed_prefix: u64,
+    // Geometry, in lines.
+    footprint_lines: u64,
+    shared_lines: u64,
+    /// One CTA's slice (also the halo's extent).
+    slice: u64,
+    /// The reuse window, clamped to the slice.
+    reuse_window: u64,
+    /// `ln(1 - mem_ratio)`, the geometric burst divisor; `None` when
+    /// every instruction is a memory operation.
+    burst_divisor: Option<f64>,
+    /// `shared_frac + cold_shared_frac`: draws below it that miss the
+    /// hot region go cold.
+    cold_below: f64,
+    /// `cold_below + neighbor_frac`: draws below it (and above the
+    /// others) reach into a neighbour's slice.
+    neighbor_below: f64,
+}
+
+impl StreamPlan {
+    /// Plans kernel launch `kernel` of `spec`.
     ///
     /// # Panics
     ///
-    /// Panics if the spec is invalid (see [`WorkloadSpec::validate`]) or
-    /// `cta`/`warp` are out of range.
-    pub fn new(spec: &WorkloadSpec, kernel: u32, cta: u32, warp: u32) -> Self {
+    /// Panics if the spec is invalid (see [`WorkloadSpec::validate`]).
+    pub fn new(spec: &WorkloadSpec, kernel: u32) -> Self {
         spec.validate().expect("invalid workload spec");
-        assert!(cta < spec.ctas, "CTA index out of range");
-        assert!(warp < spec.warps_per_cta, "warp index out of range");
-
-        let total_lines = spec.footprint_lines();
-        let shared_lines = ((total_lines as f64) * spec.locality.shared_region_frac) as u64;
-        let region_lines = total_lines - shared_lines;
-        let slice = (region_lines / u64::from(spec.ctas)).max(1);
-        let slice_of = |c: u32| shared_lines + u64::from(c) * slice;
-        let left = if cta == 0 { spec.ctas - 1 } else { cta - 1 };
-        let right = if cta + 1 == spec.ctas { 0 } else { cta + 1 };
-
-        // Warps start phase-shifted through the slice so a CTA's warps
-        // cover its slice cooperatively.
-        let warp_origin = (u64::from(warp) * slice) / u64::from(spec.warps_per_cta);
-
-        WarpStream {
-            rng: Xoshiro256::seeded(&[
-                spec.seed,
-                u64::from(kernel),
-                u64::from(cta),
-                u64::from(warp),
-            ]),
-            remaining: cta_insts(spec, cta),
-            emit_mem_next: false,
+        let loc = &spec.locality;
+        let footprint_lines = spec.footprint_lines();
+        let shared_lines = ((footprint_lines as f64) * loc.shared_region_frac) as u64;
+        let slice = ((footprint_lines - shared_lines) / u64::from(spec.ctas)).max(1);
+        let cold_below = loc.shared_frac + loc.cold_shared_frac;
+        StreamPlan {
+            spec: spec.clone(),
+            seed_prefix: Xoshiro256::seed_prefix(&[spec.seed, u64::from(kernel)]),
+            footprint_lines,
             shared_lines,
-            own_start: slice_of(cta),
-            own_lines: slice,
-            left_start: slice_of(left),
-            right_start: slice_of(right),
-            neighbor_lines: slice,
-            cursor: warp_origin,
-            mem_ratio: spec.mem_ratio,
-            write_frac: spec.write_frac,
-            streaming: spec.locality.streaming,
-            reuse_window: u64::from(spec.locality.reuse_window_lines),
-            neighbor_frac: spec.locality.neighbor_frac,
-            shared_frac: spec.locality.shared_frac,
-            cold_shared_frac: spec.locality.cold_shared_frac,
-            footprint_lines: total_lines,
-            divergence: spec.locality.divergence,
+            slice,
+            reuse_window: u64::from(loc.reuse_window_lines).min(slice),
+            burst_divisor: (spec.mem_ratio < 1.0).then(|| (1.0 - spec.mem_ratio).ln()),
+            cold_below,
+            neighbor_below: cold_below + loc.neighbor_frac,
+        }
+    }
+
+    /// The cursor of warp `warp` of CTA `cta`, at its first op.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cta` or `warp` is out of range.
+    pub fn cursor(&self, cta: u32, warp: u32) -> WarpCursor {
+        assert!(cta < self.spec.ctas, "CTA index out of range");
+        assert!(warp < self.spec.warps_per_cta, "warp index out of range");
+        let seed = Xoshiro256::extend_seed(self.seed_prefix, &[u64::from(cta), u64::from(warp)]);
+        WarpCursor {
+            rng: Xoshiro256::new(seed),
+            // Warps start phase-shifted through the slice so a CTA's
+            // warps cover its slice cooperatively.
+            cursor: (u64::from(warp) * self.slice) / u64::from(self.spec.warps_per_cta),
+            cta,
+            remaining: cta_insts(&self.spec, cta),
+            emit_mem_next: false,
             pending_gather: 0,
         }
     }
 
+    /// First line of CTA `cta`'s slice.
+    #[inline]
+    fn slice_start(&self, cta: u32) -> u64 {
+        self.shared_lines + u64::from(cta) * self.slice
+    }
+}
+
+/// One warp's position in its stream: everything that differs between
+/// the warps of a launch. Drawing an op needs the launch's
+/// [`StreamPlan`].
+#[derive(Debug, Clone)]
+pub struct WarpCursor {
+    rng: Xoshiro256,
+    /// Offset of the warp's walk within its CTA's slice.
+    cursor: u64,
+    cta: u32,
+    remaining: u32,
+    emit_mem_next: bool,
+    /// Remaining transactions of an in-progress divergent gather.
+    pending_gather: u8,
+}
+
+impl WarpCursor {
     /// Instructions not yet emitted.
     pub fn remaining(&self) -> u32 {
         self.remaining
     }
 
-    fn pick_line(&mut self) -> u64 {
-        let r = self.rng.next_f64();
-        if r < self.shared_frac && self.shared_lines > 0 {
-            return self.rng.next_range(self.shared_lines);
+    /// The warp's next op under `plan` (the plan that built this
+    /// cursor), or `None` once its budget is spent.
+    #[inline]
+    pub fn next_op(&mut self, plan: &StreamPlan) -> Option<WarpOp> {
+        if self.remaining == 0 {
+            return None;
         }
-        if r < self.shared_frac + self.cold_shared_frac {
+        if self.pending_gather > 0 {
+            // Finish the divergent gather before anything else.
+            return Some(self.emit_access(plan));
+        }
+        if self.emit_mem_next {
+            self.emit_mem_next = false;
+            return Some(self.emit_access(plan));
+        }
+        // Compute burst: geometric with success probability `mem_ratio`,
+        // so the long-run instruction mix matches the spec.
+        let u = self.rng.next_f64().max(f64::MIN_POSITIVE);
+        let burst = match plan.burst_divisor {
+            None => 0,
+            Some(divisor) => (u.ln() / divisor) as u64,
+        };
+        let burst = burst.min(u64::from(self.remaining.saturating_sub(1))) as u32;
+        Some(if burst == 0 {
+            self.emit_mem_next = false;
+            self.emit_access(plan)
+        } else {
+            self.emit_mem_next = true;
+            self.remaining -= burst;
+            WarpOp::Compute(burst)
+        })
+    }
+
+    fn pick_line(&mut self, plan: &StreamPlan) -> u64 {
+        let loc = &plan.spec.locality;
+        let r = self.rng.next_f64();
+        if r < loc.shared_frac && plan.shared_lines > 0 {
+            return self.rng.next_range(plan.shared_lines);
+        }
+        if r < plan.cold_below {
             // Cold shared: a uniform gather over the whole footprint —
             // too large to cache, owned by no CTA.
-            return self.rng.next_range(self.footprint_lines);
+            return self.rng.next_range(plan.footprint_lines);
         }
-        if r < self.shared_frac + self.cold_shared_frac + self.neighbor_frac {
+        if r < plan.neighbor_below {
             // Halo exchange: stencil-style kernels read the region of
             // the *adjacent* CTA that corresponds to their own current
             // sweep position. Because neighbouring CTAs sweep their
             // slices in lockstep, this access lands where the neighbour
             // is working *right now* — the temporal alignment that
             // makes distributed CTA scheduling (§5.2) profitable.
-            let base = if self.rng.chance(0.5) {
-                self.left_start
+            let ctas = plan.spec.ctas;
+            let neighbor = if self.rng.chance(0.5) {
+                if self.cta == 0 {
+                    ctas - 1
+                } else {
+                    self.cta - 1
+                }
+            } else if self.cta + 1 == ctas {
+                0
             } else {
-                self.right_start
+                self.cta + 1
             };
             let jitter = self.rng.next_range(64);
-            return base + (self.cursor + jitter) % self.neighbor_lines;
+            return plan.slice_start(neighbor) + (self.cursor + jitter) % plan.slice;
         }
-        if self.rng.chance(self.streaming) {
-            self.cursor = (self.cursor + 1) % self.own_lines;
-            self.own_start + self.cursor
+        let own_start = plan.slice_start(self.cta);
+        if self.rng.chance(loc.streaming) {
+            self.cursor = (self.cursor + 1) % plan.slice;
+            own_start + self.cursor
         } else {
-            let window = self.reuse_window.min(self.own_lines);
-            let back = self.rng.next_range(window);
-            self.own_start + (self.cursor + self.own_lines - back) % self.own_lines
+            let back = self.rng.next_range(plan.reuse_window);
+            own_start + (self.cursor + plan.slice - back) % plan.slice
         }
     }
 
     /// Emits one memory transaction, arming further gather
     /// transactions when a divergent instruction begins.
-    fn emit_access(&mut self) -> WarpOp {
+    fn emit_access(&mut self, plan: &StreamPlan) -> WarpOp {
         self.remaining -= 1;
         if self.pending_gather > 0 {
             self.pending_gather -= 1;
-        } else if let Some(d) = self.divergence {
+        } else if let Some(d) = plan.spec.locality.divergence {
             if self.rng.chance(d.frac) {
                 self.pending_gather = d.degree - 1;
             }
         }
-        let line = self.pick_line();
-        let kind = if self.rng.chance(self.write_frac) {
+        let line = self.pick_line(plan);
+        let kind = if self.rng.chance(plan.spec.write_frac) {
             AccessKind::Write
         } else {
             AccessKind::Read
@@ -216,33 +281,46 @@ impl WarpStream {
             kind,
         }
     }
+}
 
-    fn next_op(&mut self) -> WarpOp {
-        if self.pending_gather > 0 {
-            // Finish the divergent gather before anything else.
-            return self.emit_access();
-        }
-        if self.emit_mem_next {
-            self.emit_mem_next = false;
-            return self.emit_access();
-        }
-        // Compute burst: geometric with success probability `mem_ratio`,
-        // so the long-run instruction mix matches the spec.
-        let u = self.rng.next_f64().max(f64::MIN_POSITIVE);
-        let burst = if self.mem_ratio >= 1.0 {
-            0
-        } else {
-            (u.ln() / (1.0 - self.mem_ratio).ln()) as u64
-        };
-        let burst = burst.min(u64::from(self.remaining.saturating_sub(1))) as u32;
-        if burst == 0 {
-            self.emit_mem_next = false;
-            self.emit_access()
-        } else {
-            self.emit_mem_next = true;
-            self.remaining -= burst;
-            WarpOp::Compute(burst)
-        }
+/// The deterministic instruction stream of one warp in one kernel
+/// launch: a [`StreamPlan`] and the warp's [`WarpCursor`] in one
+/// self-contained iterator.
+///
+/// # Example
+///
+/// ```
+/// use mcm_workloads::spec::WorkloadSpec;
+/// use mcm_workloads::stream::{WarpOp, WarpStream};
+///
+/// let spec = WorkloadSpec::template("demo");
+/// let ops: Vec<WarpOp> = WarpStream::new(&spec, 0, 0, 0).collect();
+/// let again: Vec<WarpOp> = WarpStream::new(&spec, 0, 0, 0).collect();
+/// assert_eq!(ops, again); // bit-reproducible
+/// ```
+#[derive(Debug, Clone)]
+pub struct WarpStream {
+    plan: StreamPlan,
+    cursor: WarpCursor,
+}
+
+impl WarpStream {
+    /// Creates the stream for warp `warp` of CTA `cta` in kernel launch
+    /// `kernel`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the spec is invalid (see [`WorkloadSpec::validate`]) or
+    /// `cta`/`warp` are out of range.
+    pub fn new(spec: &WorkloadSpec, kernel: u32, cta: u32, warp: u32) -> Self {
+        let plan = StreamPlan::new(spec, kernel);
+        let cursor = plan.cursor(cta, warp);
+        WarpStream { plan, cursor }
+    }
+
+    /// Instructions not yet emitted.
+    pub fn remaining(&self) -> u32 {
+        self.cursor.remaining()
     }
 }
 
@@ -250,11 +328,7 @@ impl Iterator for WarpStream {
     type Item = WarpOp;
 
     fn next(&mut self) -> Option<WarpOp> {
-        if self.remaining == 0 {
-            None
-        } else {
-            Some(self.next_op())
-        }
+        self.cursor.next_op(&self.plan)
     }
 }
 
