@@ -11,8 +11,8 @@
 //! The suite is deliberately pinned: workload scale, op counts, and
 //! repetition counts are hard-coded per mode (`--smoke` shrinks them
 //! for CI), and the simulator is driven directly — `MCM_SCALE`,
-//! `MCM_SHARDS`, `MCM_TRACE`, and `MCM_METRICS` are ignored so two
-//! snapshots from the same binary always measured the same work.
+//! `MCM_TRACE`, and `MCM_METRICS` are ignored so two snapshots from the
+//! same binary always measured the same work.
 //!
 //! Every entry records wall times as integer nanoseconds (never NaN,
 //! never negative); macro entries also record simulated cycle counts,
@@ -439,38 +439,6 @@ fn macro_run(name: &'static str, cfg: &SystemConfig, mode: &Mode) -> Entry {
     }
 }
 
-/// Sharded singles: the same single simulation at 1, 2, and 4 shards,
-/// asserting bit-identical reports and recording each wall time.
-fn sharded_runs(mode: &Mode) -> Vec<Entry> {
-    let mut cfg = SystemConfig::baseline_mcm();
-    cfg.topology.sms_per_module = 4; // keep the single-run grain small
-    let spec = suite::by_name("Stream")
-        .expect("Stream workload in suite")
-        .scaled(mode.scale);
-    let serial = Simulator::run_sharded(&cfg, &spec, 1);
-    [
-        (1usize, "sharded.shards1"),
-        (2, "sharded.shards2"),
-        (4, "sharded.shards4"),
-    ]
-    .into_iter()
-    .map(|(shards, name)| {
-        let (median, min) = time_reps(mode.reps, || {
-            let r = Simulator::run_sharded(&cfg, &spec, shards);
-            assert_eq!(r, serial, "{name}: sharded run diverged from serial");
-        });
-        Entry {
-            name,
-            wall_ns_median: median,
-            wall_ns_min: min,
-            reps: mode.reps,
-            ops: None,
-            cycles: Some(serial.cycles.as_u64()),
-        }
-    })
-    .collect()
-}
-
 fn push_u64(out: &mut String, v: u64) {
     push_f64(out, v as f64);
 }
@@ -517,12 +485,6 @@ fn render_json(
     push_escaped(&mut out, "caveats");
     out.push_str(":[");
     let mut caveats: Vec<String> = Vec::new();
-    if cores <= 1 {
-        caveats.push(
-            "single-core host: sharded.shards2/4 measure coordination overhead, not speedup"
-                .to_string(),
-        );
-    }
     if mode.smoke {
         caveats.push("smoke mode: tiny pinned scale, numbers are shape checks only".to_string());
     }
@@ -591,7 +553,7 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
         mode.smoke
     );
     let before = mcm_telemetry::global().snapshot();
-    let mut entries = vec![
+    let entries = vec![
         micro_queue_hold(mode),
         micro_queue_same_cycle_burst(mode),
         micro_warp_launch(mode),
@@ -612,7 +574,6 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
         macro_run("macro.fig09_pair_base", &SystemConfig::baseline_mcm(), mode),
         macro_run("macro.fig09_pair_ds", &SystemConfig::mcm_l15_ds(), mode),
     ];
-    entries.extend(sharded_runs(mode));
     let telemetry = mcm_telemetry::global()
         .snapshot()
         .delta_since(&before)
@@ -641,20 +602,12 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
     };
     let ratios = [
         (
-            "sharded.speedup_2x",
-            wall("sharded.shards1") / wall("sharded.shards2"),
-        ),
-        (
             // Per-point analytic-vs-simulated speedup on the same
             // (config, workload, scale): how much cheaper the planner's
             // scoring pass is than the simulation it avoids.
             "analytic.speedup_vs_sim",
             wall("macro.fig09_pair_base")
                 / (wall("micro.analytic_point") / ops("micro.analytic_point")),
-        ),
-        (
-            "sharded.speedup_4x",
-            wall("sharded.shards1") / wall("sharded.shards4"),
         ),
         (
             "macro.ds_over_base_cycles",

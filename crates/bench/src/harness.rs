@@ -104,21 +104,6 @@ pub fn fault_rate() -> f64 {
     r
 }
 
-/// The shard count for single-simulation parallel execution, read from
-/// `MCM_SHARDS` (default 1 = the serial engine). Values above a
-/// configuration's usable parallelism are clamped per machine by
-/// [`mcm_gpu::effective_shards`], so one knob value works across a
-/// whole sweep; results are bit-identical at every setting.
-///
-/// # Panics
-///
-/// Panics when `MCM_SHARDS` is set but not a positive integer.
-pub fn shards() -> usize {
-    let s: usize = env_parsed("MCM_SHARDS").unwrap_or(1);
-    assert!(s > 0, "MCM_SHARDS must be positive, got {s}");
-    s
-}
-
 /// A memoizing runner: each `(configuration, workload)` pair is
 /// simulated once per process, so figures that share configurations
 /// (e.g. every figure needs the baseline) don't re-run it.
@@ -175,7 +160,7 @@ pub struct MemoStats {
 
 /// Pre-registered global `memo.*` telemetry. Mostly deterministic: the
 /// cache keys on content fingerprints and the call sequence of a
-/// harness binary does not depend on `MCM_JOBS`/`MCM_SHARDS`. The
+/// harness binary does not depend on `MCM_JOBS`. The
 /// store-dependent counters are [`Class::PerConfig`] because their
 /// values are a function of the `MCM_STORE` knob and the disk contents
 /// it points at.
@@ -755,24 +740,17 @@ pub fn run_instrumented(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
 /// # Panics
 ///
 /// Panics if a fault environment knob holds an invalid value.
-pub fn run_probed_env_faults<P: Probe + Send>(
+pub fn run_probed_env_faults<P: Probe>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
 ) -> RunReport {
-    // Routed through the sharded entry point: an active probe always
-    // runs serially, but the core layer then warns loudly (and counts)
-    // when MCM_SHARDS>1 is being ignored instead of silently dropping
-    // the knob.
     let rate = fault_rate();
     if rate > 0.0 {
         let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        let (report, _) = Simulator::run_faulted_sharded(cfg, spec, probe, &mut plan, shards());
-        report
+        Simulator::run_faulted(cfg, spec, probe, &mut plan)
     } else {
-        let (report, _) =
-            Simulator::run_faulted_sharded(cfg, spec, probe, &mut NullFaultPlan, shards());
-        report
+        Simulator::run_faulted(cfg, spec, probe, &mut NullFaultPlan)
     }
 }
 
@@ -785,7 +763,7 @@ pub fn run_probed_env_faults<P: Probe + Send>(
 /// # Panics
 ///
 /// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted<F: FaultPlan + Clone + Send>(
+pub fn run_instrumented_faulted<F: FaultPlan>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     plan: &mut F,
@@ -801,16 +779,10 @@ pub fn run_instrumented_faulted<F: FaultPlan + Clone + Send>(
 /// scenarios don't overwrite each other's trace/metrics files — which
 /// also makes those writes safe to run in parallel.
 ///
-/// The uninstrumented path (neither `MCM_TRACE` nor `MCM_METRICS` set)
-/// honours `MCM_SHARDS` (see [`shards`]): the simulation itself is
-/// sharded across cores, with a bit-identical report at every shard
-/// count. Probe-attached runs stay on the serial engine so artifact
-/// event order is trivially canonical.
-///
 /// # Panics
 ///
 /// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted_stemmed<F: FaultPlan + Clone + Send>(
+pub fn run_instrumented_faulted_stemmed<F: FaultPlan>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     plan: &mut F,
@@ -819,8 +791,7 @@ pub fn run_instrumented_faulted_stemmed<F: FaultPlan + Clone + Send>(
     let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
     let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
     if trace_dir.is_none() && metrics_dir.is_none() {
-        let (report, _) = Simulator::run_faulted_sharded(cfg, spec, &mut NullProbe, plan, shards());
-        return report;
+        return Simulator::run_faulted(cfg, spec, &mut NullProbe, plan);
     }
     let mut probe = (
         trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
@@ -828,11 +799,7 @@ pub fn run_instrumented_faulted_stemmed<F: FaultPlan + Clone + Send>(
             .as_ref()
             .map(|_| MetricsProbe::new(metrics_bucket(), cfg.topology.sms_per_module)),
     );
-    // Routed through the sharded entry point even though an active
-    // probe always runs serially: the core layer then warns loudly
-    // (and counts) when MCM_SHARDS>1 is being ignored, instead of the
-    // harness silently dropping the knob.
-    let (report, _) = Simulator::run_faulted_sharded(cfg, spec, &mut probe, plan, shards());
+    let report = Simulator::run_faulted(cfg, spec, &mut probe, plan);
     if let (Some(dir), Some(trace)) = (&trace_dir, &mut probe.0) {
         std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
         let path = dir.join(format!("{stem}.trace.json"));

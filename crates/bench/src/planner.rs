@@ -33,7 +33,7 @@ use crate::harness::{f2, pct, Memo, TextTable};
 /// `mcm_gpu::analytic`; these cover the planner's pruning and
 /// confirmation decisions. All deterministic: the grid and frontier are
 /// pure functions of the scale and the simulation results, independent
-/// of `MCM_JOBS`/`MCM_SHARDS` and of store warmth.
+/// of `MCM_JOBS` and of store warmth.
 struct PlannerTele {
     pruned: Counter,
     confirmed: Counter,

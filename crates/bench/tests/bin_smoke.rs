@@ -310,6 +310,26 @@ fn perf_snapshot_is_well_formed_and_comparator_catches_regressions() {
             .any(|l| l.starts_with("micro.added_later") && l.ends_with("NEW")),
         "comparator output lists the new entry:\n{report}"
     );
+
+    // The reverse: an entry the new snapshot dropped fails the
+    // comparison, so a removed benchmark is never skipped silently.
+    let shrunk = Command::new(exe)
+        .arg("--compare")
+        .args([&grown_path, &out_path])
+        .output()
+        .expect("spawn perf --compare");
+    let report = String::from_utf8_lossy(&shrunk.stdout);
+    assert_eq!(
+        shrunk.status.code(),
+        Some(1),
+        "a removed entry must fail the comparison:\n{report}"
+    );
+    assert!(
+        report
+            .lines()
+            .any(|l| l.starts_with("micro.added_later") && l.ends_with("MISSING in new snapshot")),
+        "comparator output names the missing entry:\n{report}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 

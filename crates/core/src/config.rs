@@ -204,39 +204,72 @@ impl SystemConfig {
     /// builds, and machines, making it safe to embed in golden-compared
     /// artifact filenames.
     pub fn fingerprint(&self) -> u64 {
+        // Exhaustive destructures, no `..`: a field added to any of
+        // these structs fails to compile here until it is hashed.
+        let SystemConfig {
+            name,
+            topology,
+            caches,
+            dram_total_gbps,
+            dram_latency_ns,
+            placement,
+            scheduler,
+            ft_page_bytes,
+            sm,
+        } = self;
+        let Topology {
+            modules,
+            sms_per_module,
+            link_gbps,
+            hop_cycles,
+            link_tier,
+            network,
+        } = topology;
+        let CacheHierarchy {
+            l1_bytes_per_sm,
+            l15_bytes_total,
+            l15_filter,
+            l2_bytes_total,
+        } = caches;
+        let SmConfig {
+            max_warps,
+            issue_ipc,
+            mshr_entries,
+            mlp_per_warp,
+        } = sm;
         let mut h = StableHasher::new();
-        h.write_str(&self.name);
-        h.write_u8(self.topology.modules);
-        h.write_u32(self.topology.sms_per_module);
-        h.write_f64(self.topology.link_gbps);
-        h.write_u64(self.topology.hop_cycles);
-        h.write_u8(match self.topology.link_tier {
+        h.write_str(name);
+        h.write_u8(*modules);
+        h.write_u32(*sms_per_module);
+        h.write_f64(*link_gbps);
+        h.write_u64(*hop_cycles);
+        h.write_u8(match link_tier {
             Tier::Chip => 0,
             Tier::Package => 1,
             Tier::Board => 2,
             Tier::System => 3,
         });
-        h.write_u8(match self.topology.network {
+        h.write_u8(match network {
             NetworkKind::Ring => 0,
             NetworkKind::FullyConnected => 1,
         });
-        h.write_u64(self.caches.l1_bytes_per_sm);
-        h.write_u64(self.caches.l15_bytes_total);
-        h.write_u8(match self.caches.l15_filter {
+        h.write_u64(*l1_bytes_per_sm);
+        h.write_u64(*l15_bytes_total);
+        h.write_u8(match l15_filter {
             AllocFilter::All => 0,
             AllocFilter::RemoteOnly => 1,
             AllocFilter::LocalOnly => 2,
             AllocFilter::Adaptive => 3,
         });
-        h.write_u64(self.caches.l2_bytes_total);
-        h.write_f64(self.dram_total_gbps);
-        h.write_u64(self.dram_latency_ns);
-        h.write_u8(match self.placement {
+        h.write_u64(*l2_bytes_total);
+        h.write_f64(*dram_total_gbps);
+        h.write_u64(*dram_latency_ns);
+        h.write_u8(match placement {
             PlacementPolicy::Interleaved => 0,
             PlacementPolicy::FirstTouch => 1,
             PlacementPolicy::PageRoundRobin => 2,
         });
-        match self.scheduler {
+        match *scheduler {
             SchedulerPolicy::Centralized => h.write_u8(0),
             SchedulerPolicy::Distributed => h.write_u8(1),
             SchedulerPolicy::Chunked { group } => {
@@ -248,11 +281,11 @@ impl SystemConfig {
                 h.write_u32(group);
             }
         }
-        h.write_u64(self.ft_page_bytes);
-        h.write_u32(self.sm.max_warps);
-        h.write_f64(self.sm.issue_ipc);
-        h.write_u64(self.sm.mshr_entries as u64);
-        h.write_u32(self.sm.mlp_per_warp);
+        h.write_u64(*ft_page_bytes);
+        h.write_u32(*max_warps);
+        h.write_f64(*issue_ipc);
+        h.write_u64(*mshr_entries as u64);
+        h.write_u32(*mlp_per_warp);
         h.finish()
     }
 
@@ -306,45 +339,6 @@ impl SystemConfig {
         }
         if self.ft_page_bytes < mcm_mem::addr::LINE_BYTES {
             return Err("placement pages must hold at least one line".into());
-        }
-        Ok(())
-    }
-
-    /// Validates an explicit shard-count request against this
-    /// configuration, over and above [`SystemConfig::validate`].
-    ///
-    /// The environment path (`MCM_SHARDS`) deliberately *clamps* instead
-    /// — one knob value must work across a whole sweep of machines — via
-    /// [`crate::effective_shards`]. This is the loud variant for callers
-    /// who picked a shard count for one specific machine and want a
-    /// mistake rejected, not silently degraded.
-    ///
-    /// # Errors
-    ///
-    /// Returns a named description of the first violated constraint:
-    /// zero shards, more shards than modules (a shard owns at least one
-    /// whole GPM), or multi-shard execution on a zero-lookahead fabric
-    /// (`hop_cycles == 0` leaves no conservative window to run shards
-    /// concurrently in).
-    pub fn validate_shards(&self, shards: usize) -> Result<(), String> {
-        self.validate()?;
-        if shards == 0 {
-            return Err("shard count must be at least 1 (got 0)".into());
-        }
-        let modules = usize::from(self.topology.modules);
-        if shards > modules {
-            return Err(format!(
-                "shard count {shards} exceeds the {modules} module(s) of '{}': \
-                 each shard must own at least one whole module",
-                self.name
-            ));
-        }
-        if shards > 1 && self.topology.hop_cycles == 0 {
-            return Err(format!(
-                "cannot run '{}' with {shards} shards: zero inter-module hop \
-                 latency leaves no conservative lookahead window",
-                self.name
-            ));
         }
         Ok(())
     }
@@ -702,9 +696,8 @@ mod tests {
         assert_ne!(a.fingerprint(), d.fingerprint());
     }
 
-    #[test]
-    fn fingerprints_of_all_presets_are_distinct() {
-        let presets = [
+    fn fingerprinted_presets() -> [SystemConfig; 13] {
+        [
             SystemConfig::baseline_mcm(),
             SystemConfig::mcm_with_link(384.0),
             SystemConfig::mcm_with_l15(8, AllocFilter::RemoteOnly),
@@ -718,11 +711,43 @@ mod tests {
             SystemConfig::optimized_mcm_dynamic(8),
             SystemConfig::optimized_mcm_chunked(32),
             SystemConfig::optimized_mcm_fully_connected(),
-        ];
+        ]
+    }
+
+    #[test]
+    fn fingerprints_of_all_presets_are_distinct() {
+        let presets = fingerprinted_presets();
         let mut prints: Vec<u64> = presets.iter().map(SystemConfig::fingerprint).collect();
         prints.sort_unstable();
         prints.dedup();
         assert_eq!(prints.len(), presets.len(), "preset fingerprints collide");
+    }
+
+    #[test]
+    fn preset_fingerprints_do_not_move() {
+        // `MCM_STORE` keys, serve keys and artifact stems hash these
+        // values: a fingerprint that moves orphans every stored result
+        // and renames every artifact.
+        const PINNED: [u64; 13] = [
+            0x87d0_a8be_561c_da86,
+            0xc765_8e56_478a_0305,
+            0xd756_8e4a_e46d_7d3a,
+            0xbeac_d69d_04e9_288c,
+            0xe59d_c2a0_f3d4_f9f7,
+            0x2e1c_06b2_4154_7895,
+            0xfe3e_269f_af13_716f,
+            0xd9ec_fd90_9b62_c06c,
+            0x58db_a01d_6c31_b05e,
+            0x21fb_ec20_976c_4894,
+            0x8b3e_8ae8_e47b_ec0f,
+            0x4a21_70f9_b34e_f195,
+            0xa581_2abd_0d66_da13,
+        ];
+        let prints: Vec<u64> = fingerprinted_presets()
+            .iter()
+            .map(SystemConfig::fingerprint)
+            .collect();
+        assert_eq!(prints, PINNED);
     }
 
     #[test]
@@ -762,57 +787,6 @@ mod tests {
         let mut cfg = SystemConfig::monolithic(32);
         cfg.topology.link_gbps = f64::NAN;
         assert!(cfg.validate().is_err());
-    }
-
-    #[test]
-    fn shard_validation_rejects_bad_counts_loudly() {
-        let cfg = SystemConfig::baseline_mcm(); // 4 modules, 32-cycle hops
-        assert!(cfg.validate_shards(1).is_ok());
-        assert!(cfg.validate_shards(4).is_ok());
-
-        let err = cfg.validate_shards(0).unwrap_err();
-        assert!(err.contains("at least 1"), "unhelpful error: {err}");
-
-        let err = cfg.validate_shards(5).unwrap_err();
-        assert!(
-            err.contains("exceeds the 4 module"),
-            "unhelpful error: {err}"
-        );
-
-        // A zero-lookahead fabric (still a valid *config* per
-        // validation_rejects_free_infinite_fabric's second half) cannot
-        // host more than one shard.
-        let mut flat = SystemConfig::baseline_mcm();
-        flat.topology.hop_cycles = 0;
-        assert!(flat.validate().is_ok());
-        assert!(flat.validate_shards(1).is_ok());
-        let err = flat.validate_shards(2).unwrap_err();
-        assert!(err.contains("lookahead"), "unhelpful error: {err}");
-
-        // Monolithic: one shard only, and the module bound fires first.
-        let mono = SystemConfig::monolithic(32);
-        assert!(mono.validate_shards(1).is_ok());
-        assert!(mono
-            .validate_shards(2)
-            .unwrap_err()
-            .contains("exceeds the 1 module"));
-
-        // An invalid base config is rejected before shard checks.
-        let mut bad = SystemConfig::baseline_mcm();
-        bad.dram_total_gbps = 0.0;
-        assert!(bad.validate_shards(1).is_err());
-    }
-
-    #[test]
-    fn fingerprint_ignores_shard_count() {
-        // Sharding is an execution strategy, not a machine: memo caches
-        // and artifact stems must not fork on MCM_SHARDS.
-        let a = SystemConfig::baseline_mcm();
-        let print = a.fingerprint();
-        for shards in [1usize, 2, 4] {
-            assert!(a.validate_shards(shards).is_ok());
-            assert_eq!(a.fingerprint(), print);
-        }
     }
 
     #[test]

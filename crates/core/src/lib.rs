@@ -48,7 +48,6 @@
 
 mod config;
 mod report;
-mod shard;
 mod sim;
 mod system;
 
@@ -60,6 +59,5 @@ pub mod reference;
 pub use analytic::{AnalyticModel, Calibration, Observation, Prediction};
 pub use config::{CacheHierarchy, SystemConfig, Topology, KIB, MIB};
 pub use report::{ModuleStats, RunReport};
-pub use shard::{effective_shards, ShardRunStats};
 pub use sim::Simulator;
 pub use system::McmSystem;

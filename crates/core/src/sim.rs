@@ -14,12 +14,9 @@
 //! Every event carries a **content key** (a warp's grid coordinates, a
 //! request's issue id) and the queue breaks timestamp ties by `(wave,
 //! key)` — see [`EventQueue`]. Because the key is derived from *what*
-//! the event is rather than *when it was pushed*, the global processing
-//! order is a property of the workload alone. That is what lets
-//! [`crate::shard`] split one run across threads, one shard per module
-//! group, and still reproduce this serial loop bit-for-bit: each
-//! shard's local pop order is the restriction of the global keyed
-//! order to the events it owns.
+//! the event is rather than *when it was pushed*, the processing order
+//! is a property of the workload alone, and it is the order the golden
+//! cycle tables pin.
 //!
 //! Loads coalesce through the per-SM MSHR: concurrent misses to a line
 //! with a fill already in flight attach to that request as waiters. A
@@ -44,13 +41,11 @@ use mcm_workloads::WorkloadSpec;
 
 use crate::config::SystemConfig;
 use crate::report::RunReport;
-use crate::shard::{Msg, ShardCtx};
 
 /// `fault.gpm.resteal_kernels`: kernel launches that restole CTAs away
-/// from newly disabled modules. Fires once per launch in both the
-/// serial and sharded engines, so it is deterministic across
-/// `MCM_SHARDS` (and out-of-band either way).
-pub(crate) fn gpm_resteal_counter() -> &'static mcm_telemetry::Counter {
+/// from newly disabled modules. Fires once per launch, so it is
+/// deterministic (and out-of-band).
+fn gpm_resteal_counter() -> &'static mcm_telemetry::Counter {
     static TELE: std::sync::OnceLock<mcm_telemetry::Counter> = std::sync::OnceLock::new();
     TELE.get_or_init(|| {
         mcm_telemetry::global().counter(
@@ -64,10 +59,10 @@ use mcm_interconnect::ring::RingDir;
 
 /// Event-key tag for warp events. Warp keys are the warp's grid
 /// coordinates (`cta * warps_per_cta + warp`), unique within a kernel.
-pub(crate) const TAG_WARP: u64 = 0;
+const TAG_WARP: u64 = 0;
 /// Event-key tag for request events (the high bit, so warp and request
 /// key spaces never collide). Request keys are the run-unique issue id.
-pub(crate) const TAG_REQ: u64 = 1 << 63;
+const TAG_REQ: u64 = 1 << 63;
 
 /// Runs workloads on configurations.
 ///
@@ -91,22 +86,22 @@ pub(crate) const TAG_REQ: u64 = 1 << 63;
 pub struct Simulator;
 
 #[derive(Clone, Copy, Debug)]
-pub(crate) enum Ev {
+enum Ev {
     /// Advance the warp in this slot.
     Warp(u32),
     /// Advance the in-flight memory request in this slot.
     Req(u32),
 }
 
-pub(crate) struct WarpRt {
+struct WarpRt {
     /// The warp's position in its stream; the launch's
     /// [`RunState::stream`] plan draws its ops.
     cursor: WarpCursor,
     sm: u32,
     cta_slot: u32,
     /// Content key for this warp's events: `TAG_WARP | (cta *
-    /// warps_per_cta + warp)`. Stable across shard counts (slot indices
-    /// are not, so they must never reach the event queue).
+    /// warps_per_cta + warp)`. Slot indices depend on retirement order,
+    /// so they must never reach the event queue.
     key: u64,
     /// A load stalled on a full MSHR, awaiting replay.
     pending_load: Option<LineAddr>,
@@ -132,7 +127,7 @@ struct CtaRt {
 }
 
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(crate) enum Stage {
+enum Stage {
     /// Probe the L1.5 and cross the module's crossbar.
     Access,
     /// Ride the ring toward the home module, one hop per event.
@@ -156,37 +151,32 @@ pub(crate) enum Stage {
         left: u8,
     },
     /// The response arrived at the requesting module; fill the caches
-    /// and wake the waiters. A separate stage (rather than completing
-    /// inline at the last ring hop) so the completion always runs on
-    /// the shard that owns the requesting SM.
+    /// and wake the waiters. A separate stage rather than completing
+    /// inline at the last ring hop: the fill and the MSHR release must
+    /// take effect at the arrival time, after every event due before
+    /// it. Completed inline, they would already be visible to the
+    /// events between the hop and the arrival (which moves the golden
+    /// cycle counts).
     Deliver,
 }
 
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct Req {
+struct Req {
     /// Run-unique content id: `(sm << 40) | per-SM issue counter`.
-    /// Derived from the issuing SM rather than a global counter so the
-    /// id — which keys the event queue, the probe's request lifecycle,
-    /// and the fault plan's poison draws — is identical no matter how
-    /// the run is sharded.
-    pub(crate) id: u64,
+    /// The id keys the event queue, the probe's request lifecycle and
+    /// the fault plan's poison draws.
+    id: u64,
     line: LineAddr,
     sm: u32,
-    pub(crate) module: u8,
+    module: u8,
     home: u8,
     locality: Locality,
-    pub(crate) is_read: bool,
+    is_read: bool,
     l15_fill: bool,
-    pub(crate) stage: Stage,
+    stage: Stage,
     /// Whether a poisoned fill already forced one replay — bounds the
     /// fault layer's MSHR-poison penalty to a single round trip.
     replayed: bool,
-    /// The request's slot in the *origin* shard's arena. While the
-    /// request travels through other shards it occupies temporary
-    /// slots there; the origin slot (which the MSHR and the waiter
-    /// list point at) stays reserved until delivery. In a serial run
-    /// this is simply the request's own slot.
-    pub(crate) origin_slot: u32,
 }
 
 impl Req {
@@ -199,35 +189,14 @@ impl Req {
             mcm_mem::addr::LINE_BYTES
         }
     }
-
-    /// The module whose owner must process the *next* event for this
-    /// request (given `stage` already names the upcoming stage).
-    pub(crate) fn stage_module(&self) -> u8 {
-        match self.stage {
-            Stage::Access | Stage::Deliver => self.module,
-            Stage::ToHome { at, .. } | Stage::ToRequester { at, .. } => at,
-            Stage::AtMem => self.home,
-        }
-    }
 }
 
-/// How a run-loop method reaches the CTA pool: the serial loop hands an
-/// exclusive borrow straight through; a shard locks the team's shared
-/// pool only for the draw itself.
-pub(crate) enum PoolRef<'p> {
-    /// Exclusive access (serial runs, and the leader's kernel-boundary
-    /// placement in sharded runs).
-    Direct(&'p mut CtaPool),
-    /// The team-shared pool of a sharded run.
-    Shared(&'p std::sync::Mutex<CtaPool>),
-}
-
-pub(crate) struct RunState<'a, P: Probe, F: FaultPlan> {
-    pub(crate) spec: &'a WorkloadSpec,
-    pub(crate) probe: P,
-    pub(crate) plan: F,
-    pub(crate) sys: McmSystem,
-    pub(crate) queue: EventQueue<Ev>,
+struct RunState<'a, P: Probe, F: FaultPlan> {
+    spec: &'a WorkloadSpec,
+    probe: P,
+    plan: F,
+    sys: McmSystem,
+    queue: EventQueue<Ev>,
     warps: Vec<Option<WarpRt>>,
     free_warps: Vec<u32>,
     ctas: Vec<Option<CtaRt>>,
@@ -244,28 +213,16 @@ pub(crate) struct RunState<'a, P: Probe, F: FaultPlan> {
     stalled: Vec<Vec<u32>>,
     /// Per-module hard-degradation mask, refreshed at each kernel
     /// launch from the fault plan; only consulted when `F::ACTIVE`.
-    pub(crate) disabled: Vec<bool>,
+    disabled: Vec<bool>,
     /// The current launch's stream plan, shared by every warp it
     /// admits (see [`RunState::start_kernel`]).
     stream: StreamPlan,
     /// `mlp_per_warp` (at least 1), uniform across SMs.
     mlp: u32,
     /// Latest timestamp any event reached.
-    pub(crate) horizon: Cycle,
+    horizon: Cycle,
     /// Per-SM issue counters feeding [`Req::id`].
     req_seq: Vec<u64>,
-    /// Capacity reserved for a slot's waiter buffer at its first use.
-    /// Serial runs leave this at zero (buffers grow once during warm-up
-    /// and are recycled); sharded runs reserve the per-request ceiling
-    /// up front because cross-shard temp-slot churn keeps minting cold
-    /// slots well past warm-up, and each first growth would break the
-    /// steady-state zero-allocation contract.
-    waiter_reserve: usize,
-    /// Sharded-execution context; `None` for a serial run. A runtime
-    /// field rather than a type parameter: the branch sits on cold
-    /// paths (request push, home resolution, pool draw), never in the
-    /// per-cycle hot loop.
-    pub(crate) shard: Option<ShardCtx>,
 }
 
 impl Simulator {
@@ -326,78 +283,68 @@ impl Simulator {
     ) -> RunReport {
         cfg.validate().expect("invalid system configuration");
         spec.validate().expect("invalid workload spec");
-        run_serial(cfg, spec, probe, plan)
-    }
-}
+        // The blanket `&mut` forwarding impls let the state own
+        // `probe`/`plan` by value while callers keep their borrows.
+        let mut state: RunState<'_, &mut P, &mut F> = RunState::new(cfg, spec, probe, plan);
+        let sm_order = module_interleaved_order(state.sys.modules(), state.sys.total_sms());
 
-/// The serial engine: one queue, one thread. The blanket `&mut`
-/// forwarding impls let the state own `probe`/`plan` by value here
-/// while callers keep their exclusive borrows.
-fn run_serial<P: Probe, F: FaultPlan>(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
-    probe: &mut P,
-    plan: &mut F,
-) -> RunReport {
-    let mut state: RunState<'_, &mut P, &mut F> = RunState::new(cfg, spec, probe, plan, None);
-    let sm_order = module_interleaved_order(state.sys.modules(), state.sys.total_sms());
+        // One pool for the whole run: later kernels rewind it in place
+        // (`reset` keeps queue capacity), so steady-state launches
+        // allocate nothing.
+        let mut pool = CtaPool::new(cfg.scheduler, spec.ctas, state.sys.modules() as u32);
+        let mut now = Cycle::ZERO;
+        for kernel in 0..spec.kernel_iters {
+            state.start_kernel(kernel, now);
+            state.probe.kernel_begin(kernel, now);
+            if kernel > 0 {
+                pool.reset();
+            }
 
-    // One pool for the whole run: later kernels rewind it in place
-    // (`reset` keeps queue capacity), so steady-state launches
-    // allocate nothing.
-    let mut pool = CtaPool::new(cfg.scheduler, spec.ctas, state.sys.modules() as u32);
-    let mut now = Cycle::ZERO;
-    for kernel in 0..spec.kernel_iters {
-        state.start_kernel(kernel, now);
-        state.probe.kernel_begin(kernel, now);
-        if kernel > 0 {
-            pool.reset();
-        }
+            if F::ACTIVE && state.refresh_disabled(kernel, now) {
+                gpm_resteal_counter().inc();
+                pool.resteal_disabled(&state.disabled);
+            }
 
-        if F::ACTIVE && state.refresh_disabled(kernel, now) {
-            gpm_resteal_counter().inc();
-            pool.resteal_disabled(&state.disabled);
-        }
-
-        // Initial placement: one CTA per SM per round until no SM
-        // can take more (or the pool runs dry).
-        loop {
-            let mut admitted = false;
-            for &sm in &sm_order {
-                if state.admit_cta(&mut PoolRef::Direct(&mut pool), sm, now) {
-                    admitted = true;
+            // Initial placement: one CTA per SM per round until no SM
+            // can take more (or the pool runs dry).
+            loop {
+                let mut admitted = false;
+                for &sm in &sm_order {
+                    if state.admit_cta(&mut pool, sm, now) {
+                        admitted = true;
+                    }
+                }
+                if !admitted {
+                    break;
                 }
             }
-            if !admitted {
-                break;
+
+            // Drain the launch: warps, then their trailing stores.
+            while let Some((t, ev)) = state.queue.pop() {
+                state.horizon = state.horizon.max(t);
+                if P::ACTIVE {
+                    state.probe.queue_depth(t, state.queue.len());
+                }
+                match ev {
+                    Ev::Warp(widx) => state.advance_warp(&mut pool, widx, t),
+                    Ev::Req(ridx) => state.advance_req(ridx, t),
+                }
             }
+
+            debug_assert!(pool.is_exhausted(), "kernel drained with unscheduled CTAs");
+            now = state.horizon;
+            state.probe.kernel_end(kernel, now);
+            state.sys.flush_private_caches();
         }
 
-        // Drain the launch: warps, then their trailing stores.
-        while let Some((t, ev)) = state.queue.pop() {
-            state.horizon = state.horizon.max(t);
-            if P::ACTIVE {
-                state.probe.queue_depth(t, state.queue.len());
-            }
-            match ev {
-                Ev::Warp(widx) => state.advance_warp(&mut PoolRef::Direct(&mut pool), widx, t),
-                Ev::Req(ridx) => state.advance_req(ridx, t),
-            }
-        }
-
-        debug_assert!(pool.is_exhausted(), "kernel drained with unscheduled CTAs");
-        now = state.horizon;
-        state.probe.kernel_end(kernel, now);
-        state.sys.flush_private_caches();
+        finish_report(cfg, spec, now, state.sys)
     }
-
-    finish_report(cfg, spec, now, state.sys)
 }
 
 /// SMs in module-interleaved order: the centralized scheduler's
 /// round-robin then sends consecutive CTAs to different modules, the
 /// steady state of Fig. 8(a).
-pub(crate) fn module_interleaved_order(modules: usize, total_sms: usize) -> Vec<usize> {
+fn module_interleaved_order(modules: usize, total_sms: usize) -> Vec<usize> {
     let per_module = total_sms / modules;
     let mut sm_order = Vec::with_capacity(total_sms);
     for slot in 0..per_module {
@@ -409,12 +356,7 @@ pub(crate) fn module_interleaved_order(modules: usize, total_sms: usize) -> Vec<
 }
 
 /// Assembles the final [`RunReport`] from a drained machine.
-pub(crate) fn finish_report(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
-    now: Cycle,
-    sys: McmSystem,
-) -> RunReport {
+fn finish_report(cfg: &SystemConfig, spec: &WorkloadSpec, now: Cycle, sys: McmSystem) -> RunReport {
     RunReport {
         workload: spec.name.to_string(),
         config: cfg.name.clone(),
@@ -436,8 +378,8 @@ pub(crate) fn finish_report(
 }
 
 impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
-    /// Builds the per-run (or per-shard) state: a fresh machine and
-    /// pre-sized slot arenas.
+    /// Builds the per-run state: a fresh machine and pre-sized slot
+    /// arenas.
     ///
     /// The arenas are sized to their occupancy ceilings so the hot loop
     /// never regrows them: warps and CTAs are bounded by SM occupancy,
@@ -446,13 +388,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// proportional to resident warps and may still grow once on a
     /// pathological store storm — after which the arena is at peak and
     /// stays allocation-free.
-    pub(crate) fn new(
-        cfg: &SystemConfig,
-        spec: &'a WorkloadSpec,
-        probe: P,
-        plan: F,
-        shard: Option<ShardCtx>,
-    ) -> Self {
+    fn new(cfg: &SystemConfig, spec: &'a WorkloadSpec, probe: P, plan: F) -> Self {
         let sys = McmSystem::new(cfg);
         let total_sms = sys.total_sms();
         let module_count = sys.modules();
@@ -463,26 +399,6 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             (warp_cap / spec.warps_per_cta as usize + 1).min(spec.ctas as usize)
         };
         let req_cap = (total_sms * cfg.sm.mshr_entries + warp_cap).min(1 << 20);
-        let waiter_reserve = if shard.is_some() {
-            cfg.sm.max_warps as usize
-        } else {
-            0
-        };
-        let mut reqs: Vec<Option<Req>> = Vec::with_capacity(req_cap);
-        let mut free_reqs: Vec<u32> = Vec::with_capacity(req_cap);
-        let mut waiters: Vec<Vec<u32>> = Vec::with_capacity(req_cap);
-        if shard.is_some() {
-            // Sharded runs pre-warm the whole request arena (slots and
-            // their waiter buffers) to the occupancy ceiling: epoch-by-
-            // epoch temp-slot churn keeps nudging the live-slot high-
-            // water mark for the entire run, and every first touch of a
-            // fresh slot past warm-up would break the per-shard
-            // zero-allocation steady state. Serial runs keep the lazy
-            // grow-to-peak behaviour (their peak settles in kernel 0).
-            reqs.resize_with(req_cap, || None);
-            waiters.resize_with(req_cap, || Vec::with_capacity(waiter_reserve));
-            free_reqs.extend((0..req_cap as u32).rev());
-        }
         RunState {
             spec,
             probe,
@@ -493,17 +409,15 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             free_warps: Vec::with_capacity(warp_cap),
             ctas: Vec::with_capacity(cta_cap),
             free_ctas: Vec::with_capacity(cta_cap),
-            reqs,
-            free_reqs,
-            waiters,
+            reqs: Vec::with_capacity(req_cap),
+            free_reqs: Vec::with_capacity(req_cap),
+            waiters: Vec::with_capacity(req_cap),
             stalled: vec![Vec::new(); total_sms],
             disabled: vec![false; module_count],
             stream: StreamPlan::new(spec, 0),
             mlp: cfg.sm.mlp_per_warp.max(1),
             horizon: Cycle::ZERO,
             req_seq: vec![0; total_sms],
-            waiter_reserve,
-            shard,
         }
     }
 
@@ -511,15 +425,15 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// replaces the last one, and the queue restarts same-cycle wave
     /// numbering, so the initial placement's event coordinates do not
     /// depend on how the previous kernel's tail happened to drain.
-    pub(crate) fn start_kernel(&mut self, kernel: u32, now: Cycle) {
+    fn start_kernel(&mut self, kernel: u32, now: Cycle) {
         self.stream = StreamPlan::new(self.spec, kernel);
         self.horizon = now;
         self.queue.sync_to(now);
     }
 
-    /// Stores `req` in a free slot (the slot's previous waiter buffer
-    /// is retained, drained).
-    fn alloc_slot(&mut self, req: Req) -> u32 {
+    /// Stores a freshly issued `req` in a free slot (the slot's
+    /// previous waiter buffer is retained, drained).
+    fn alloc_req(&mut self, req: Req) -> u32 {
         match self.free_reqs.pop() {
             Some(slot) => {
                 debug_assert!(self.waiters[slot as usize].is_empty());
@@ -528,35 +442,16 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             }
             None => {
                 self.reqs.push(Some(req));
-                // All waiters on one request are warps of its issuing
-                // SM, so `max_warps` bounds the buffer for good.
-                self.waiters.push(Vec::with_capacity(self.waiter_reserve));
+                self.waiters.push(Vec::new());
                 (self.reqs.len() - 1) as u32
             }
         }
     }
 
-    /// Allocates the *origin* slot for a freshly issued request and
-    /// stamps it into `origin_slot`.
-    fn alloc_req(&mut self, req: Req) -> u32 {
-        let slot = self.alloc_slot(req);
-        self.reqs[slot as usize]
-            .as_mut()
-            .expect("slot just filled")
-            .origin_slot = slot;
-        slot
-    }
-
-    /// Allocates a *temporary* slot for a request visiting from another
-    /// shard, preserving its foreign `origin_slot`.
-    fn alloc_temp(&mut self, req: Req) -> u32 {
-        self.alloc_slot(req)
-    }
-
     /// Refreshes the hard-degradation mask from the fault plan at a
     /// launch boundary (a GPM cannot die mid-kernel under the paper's
     /// software-coherence model); returns whether any module is dead.
-    pub(crate) fn refresh_disabled(&mut self, kernel: u32, now: Cycle) -> bool {
+    fn refresh_disabled(&mut self, kernel: u32, now: Cycle) -> bool {
         let mut any_dead = false;
         for m in 0..self.sys.modules() {
             let dead = self.plan.module_disabled(m, kernel);
@@ -577,48 +472,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         any_dead
     }
 
-    /// Resolves the home module and locality of `line` for an access
-    /// from `module`.
-    ///
-    /// Serial runs (and sharded runs under pure placement policies,
-    /// whose page maps are stateless functions every shard replicates)
-    /// go straight to the local machine. Sharded first-touch runs
-    /// consult a per-shard cache of settled mappings first — a settled
-    /// page can never re-map, so a hit needs no cross-shard ordering —
-    /// and only sequence against the team for genuinely new pages,
-    /// where the *order* of first touches decides the placement.
-    fn resolve_home(&mut self, line: LineAddr, module: usize) -> (usize, Locality) {
-        let RunState { shard, sys, .. } = self;
-        let Some(ctx) = shard else {
-            return sys.home_of(line, module);
-        };
-        let Some(shared) = &ctx.shared_pages else {
-            return sys.home_of(line, module);
-        };
-        let page = line.index() / ctx.ft_page_lines;
-        if let Some(&home) = ctx.ft_cache.get(&page) {
-            ctx.ft_extra_lookups += 1;
-            let home = usize::from(home);
-            return (home, sys.note_locality(home, module));
-        }
-        // A page this shard has not seen: take the draw in canonical
-        // order, so whichever shard's access is globally first touches
-        // first — exactly the serial placement.
-        ctx.seq.wait_until_min(ctx.me, ctx.pos);
-        let mapped = {
-            let mut pages = shared
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            pages.partition_for(line, mcm_mem::addr::PartitionId(module as u8))
-        };
-        let home = mapped.as_usize();
-        ctx.ft_cache.insert(page, home as u8);
-        (home, sys.note_locality(home, module))
-    }
-
     /// Tries to pull one CTA from the pool onto `sm`; returns whether a
     /// CTA was admitted.
-    pub(crate) fn admit_cta(&mut self, pool: &mut PoolRef<'_>, sm: usize, now: Cycle) -> bool {
+    fn admit_cta(&mut self, pool: &mut CtaPool, sm: usize, now: Cycle) -> bool {
         let warps = self.spec.warps_per_cta;
         // Check occupancy *before* drawing from the pool: a drawn CTA
         // cannot be returned.
@@ -631,25 +487,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         if F::ACTIVE && self.disabled[module] {
             return false;
         }
-        let drawn = match pool {
-            PoolRef::Direct(p) => p.next_cta(module),
-            PoolRef::Shared(shared) => {
-                let ctx = self.shard.as_ref().expect("shared pool outside shard mode");
-                // Centralized/dynamic draws read global scheduler state
-                // whose hand-out order is the result; take them in
-                // canonical event order. Distributed/chunked draws only
-                // touch this module's own queue, which no other shard
-                // ever reads.
-                if ctx.needs_draw_sequencing {
-                    ctx.seq.wait_until_min(ctx.me, ctx.pos);
-                }
-                shared
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .next_cta(module)
-            }
-        };
-        let Some(cta) = drawn else {
+        let Some(cta) = pool.next_cta(module) else {
             return false;
         };
         assert!(self.sys.sm_mut(sm).try_admit(warps));
@@ -707,7 +545,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// `resume_at` use-sync point, and every `mlp_per_warp` loads the
     /// warp synchronizes with it — modelling the consume of the oldest
     /// load without an extra event.
-    pub(crate) fn advance_warp(&mut self, pool: &mut PoolRef<'_>, widx: u32, t: Cycle) {
+    fn advance_warp(&mut self, pool: &mut CtaPool, widx: u32, t: Cycle) {
         // Step the warp in its slot. Detaching the arena (an empty `Vec`
         // does not allocate) lets the warp and `self` be borrowed at
         // once; it is back in place before retirement admits new warps.
@@ -830,7 +668,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
 
     /// Retires a finished warp of CTA slot `cta_slot` on `sm`, releasing
     /// the CTA when it is the last.
-    fn retire_warp(&mut self, pool: &mut PoolRef<'_>, sm: u32, cta_slot: u32, widx: u32, t: Cycle) {
+    fn retire_warp(&mut self, pool: &mut CtaPool, sm: u32, cta_slot: u32, widx: u32, t: Cycle) {
         self.free_warps.push(widx);
         let cta = self.ctas[cta_slot as usize]
             .as_mut()
@@ -876,7 +714,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 }
                 MshrLookup::CanIssue => {
                     let module = self.sys.module_of(sm);
-                    let (home, locality) = self.resolve_home(line, module);
+                    let (home, locality) = self.sys.home_of(line, module);
                     let id = self.next_req_id(sm);
                     let ridx = self.alloc_req(Req {
                         id,
@@ -889,7 +727,6 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         l15_fill: false,
                         stage: Stage::Access,
                         replayed: false,
-                        origin_slot: 0, // stamped by alloc_req
                     });
                     self.waiters[ridx as usize].push(widx);
                     self.sys.mshr_mut(sm).reserve_probed(
@@ -941,7 +778,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             CacheOutcome::Bypass => issued,
         };
         let module = self.sys.module_of(sm);
-        let (home, locality) = self.resolve_home(line, module);
+        let (home, locality) = self.sys.home_of(line, module);
         let id = self.next_req_id(sm);
         let ridx = self.alloc_req(Req {
             id,
@@ -954,7 +791,6 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             l15_fill: false,
             stage: Stage::Access,
             replayed: false,
-            origin_slot: 0, // stamped by alloc_req
         });
         if P::ACTIVE {
             self.probe.request_issued(
@@ -993,10 +829,8 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// global processing order (and with it every resource-model and
     /// fault-plan consultation order) is unchanged, so runs stay
     /// bit-exact. With an active probe the request is always re-queued,
-    /// because `Probe::queue_depth` observes every pop. A shard
-    /// additionally refuses to chain past its epoch window or onto a
-    /// stage another shard owns.
-    pub(crate) fn advance_req(&mut self, ridx: u32, now: Cycle) {
+    /// because `Probe::queue_depth` observes every pop.
+    fn advance_req(&mut self, ridx: u32, now: Cycle) {
         let mut req = self.reqs[ridx as usize]
             .take()
             .expect("event for freed request");
@@ -1158,110 +992,17 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             // pending event; equal-time ties must go through the queue
             // for the keyed order to arbitrate them).
             if !P::ACTIVE
-                && self.chain_allowed(&req, t_next)
                 && self
                     .queue
                     .peek_time()
                     .is_none_or(|pending| pending > t_next)
             {
-                if let Some(ctx) = &mut self.shard {
-                    // A chained continuation occupies exactly the
-                    // canonical coordinates the queued event would
-                    // have had.
-                    ctx.pos = (t_next.as_u64(), 0, TAG_REQ | req.id);
-                }
                 now = t_next;
                 continue;
             }
-            self.push_req(t_next, ridx, req);
-            return;
-        }
-    }
-
-    /// Whether a request may continue inline to its next stage at
-    /// `t_next` (see [`RunState::advance_req`]). Serial runs always
-    /// may; a shard must stop at its epoch window and at any stage
-    /// another shard owns.
-    fn chain_allowed(&self, req: &Req, t_next: Cycle) -> bool {
-        match &self.shard {
-            None => true,
-            Some(ctx) => {
-                t_next < ctx.epoch_end && usize::from(req.stage_module()) % ctx.shards == ctx.me
-            }
-        }
-    }
-
-    /// Schedules the next event for `req` at `t`: onto the local queue
-    /// when this shard owns the next stage (always, when serial),
-    /// otherwise into the outbox for the epoch-boundary exchange.
-    fn push_req(&mut self, t: Cycle, ridx: u32, req: Req) {
-        let key = TAG_REQ | req.id;
-        let Some(ctx) = &mut self.shard else {
             self.reqs[ridx as usize] = Some(req);
-            self.queue.push(t, key, Ev::Req(ridx));
+            self.queue.push(t_next, TAG_REQ | req.id, Ev::Req(ridx));
             return;
-        };
-        let dest = usize::from(req.stage_module());
-        if dest % ctx.shards == ctx.me {
-            // Deliveries must land in the origin slot (the MSHR and
-            // waiter list point there); retire a temp slot the request
-            // rode in on.
-            let ridx = if matches!(req.stage, Stage::Deliver) && ridx != req.origin_slot {
-                debug_assert!(self.waiters[ridx as usize].is_empty());
-                self.free_reqs.push(ridx);
-                req.origin_slot
-            } else {
-                ridx
-            };
-            self.reqs[ridx as usize] = Some(req);
-            self.queue.push(t, key, Ev::Req(ridx));
-            return;
-        }
-        ctx.sent += 1;
-        ctx.outbox.push(Msg {
-            at: t,
-            key,
-            req,
-            epoch: ctx.epoch,
-        });
-        // An origin read slot stays reserved while its request travels
-        // (the MSHR maps the line to it and waiters are parked on it);
-        // park a stale copy so the slot reads as live. Anything else —
-        // stores, and temp slots on intermediate shards — frees here.
-        let keep = req.is_read
-            && usize::from(req.module) % ctx.shards == ctx.me
-            && ridx == req.origin_slot;
-        if keep {
-            self.reqs[ridx as usize] = Some(req);
-        } else {
-            debug_assert!(self.waiters[ridx as usize].is_empty());
-            self.free_reqs.push(ridx);
-        }
-    }
-
-    /// Accepts a request arriving from another shard's outbox: a
-    /// delivery re-activates its reserved origin slot; an in-transit
-    /// stage gets a temporary local slot.
-    pub(crate) fn deliver_msg(&mut self, msg: Msg) {
-        let ridx = match msg.req.stage {
-            Stage::Deliver => {
-                let slot = msg.req.origin_slot;
-                debug_assert!(
-                    self.reqs[slot as usize].is_some(),
-                    "delivery into an unreserved origin slot"
-                );
-                self.reqs[slot as usize] = Some(msg.req);
-                slot
-            }
-            _ => self.alloc_temp(msg.req),
-        };
-        self.queue.push(msg.at, msg.key, Ev::Req(ridx));
-        if let Some(ctx) = &mut self.shard {
-            debug_assert!(
-                ctx.epoch > msg.epoch,
-                "message delivered within its send epoch"
-            );
-            ctx.received += 1;
         }
     }
 
@@ -1270,7 +1011,6 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// limit or draining to retirement), and lets one MSHR-stalled warp
     /// replay.
     fn complete_read(&mut self, mut req: Req, ridx: u32, ready: Cycle) {
-        debug_assert_eq!(ridx, req.origin_slot, "completion outside the origin slot");
         // A poisoned fill: the line arrived corrupt past the link CRC,
         // so the MSHR discards it and replays the whole request once.
         // The entry stays reserved and the waiters stay attached, so no

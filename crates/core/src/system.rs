@@ -254,19 +254,12 @@ impl McmSystem {
             .page_map
             .partition_for(line, PartitionId(module as u8))
             .as_usize();
-        (home, self.note_locality(home, module))
-    }
-
-    /// Classifies and counts an access from `module` homed at `home` —
-    /// the statistics half of [`McmSystem::home_of`], for callers that
-    /// resolved the placement elsewhere (a sharded run's replica cache).
-    pub(crate) fn note_locality(&mut self, home: usize, module: usize) -> Locality {
         if home == module {
             self.local_accesses.inc();
-            Locality::Local
+            (home, Locality::Local)
         } else {
             self.remote_accesses.inc();
-            Locality::Remote
+            (home, Locality::Remote)
         }
     }
 
@@ -720,58 +713,6 @@ impl McmSystem {
     /// The page map (placement diagnostics).
     pub fn page_map(&self) -> &PageMap {
         &self.page_map
-    }
-
-    /// Replaces the page map — the merge step of a sharded first-touch
-    /// run, whose authoritative map lives behind a team-shared lock.
-    pub(crate) fn install_page_map(&mut self, map: PageMap) {
-        self.page_map = map;
-    }
-
-    /// Folds `n` placement lookups into the page map's counter (see
-    /// [`PageMap::add_lookups`]).
-    pub(crate) fn add_page_lookups(&mut self, n: u64) {
-        self.page_map.add_lookups(n);
-    }
-
-    /// Absorbs from `other` every component owned by shard `shard` of a
-    /// `shards`-way team (module `m` — its SMs, L1s, MSHRs, L1.5,
-    /// crossbar, L2, DRAM partition, and charged fabric links — belongs
-    /// to shard `m % shards`), plus `other`'s whole-run counters.
-    ///
-    /// The owned components are *swapped* in: in a sharded run each
-    /// shard only ever touches the components it owns, so the absorbing
-    /// machine's copies of foreign components are pristine and the
-    /// shard's copies of everything it doesn't own are too. Counters
-    /// (reads, writes, locality) accumulate wherever the issuing SM
-    /// lives and are summed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machines differ in shape.
-    pub(crate) fn absorb_owned(&mut self, other: &mut McmSystem, shards: usize, shard: usize) {
-        assert_eq!(self.modules, other.modules, "absorbing a different machine");
-        assert_eq!(self.sms.len(), other.sms.len());
-        let per = self.sms_per_module as usize;
-        for m in 0..self.modules {
-            if m % shards != shard {
-                continue;
-            }
-            for sm in m * per..(m + 1) * per {
-                std::mem::swap(&mut self.sms[sm], &mut other.sms[sm]);
-                std::mem::swap(&mut self.l1s[sm], &mut other.l1s[sm]);
-                std::mem::swap(&mut self.mshrs[sm], &mut other.mshrs[sm]);
-            }
-            std::mem::swap(&mut self.l15s[m], &mut other.l15s[m]);
-            std::mem::swap(&mut self.xbars[m], &mut other.xbars[m]);
-            std::mem::swap(&mut self.l2s[m], &mut other.l2s[m]);
-            std::mem::swap(&mut self.drams[m], &mut other.drams[m]);
-        }
-        self.ring.absorb_owned(&mut other.ring, shards, shard);
-        self.reads.add(other.reads.get());
-        self.writes.add(other.writes.get());
-        self.local_accesses.add(other.local_accesses.get());
-        self.remote_accesses.add(other.remote_accesses.get());
     }
 }
 

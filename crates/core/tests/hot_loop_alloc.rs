@@ -104,8 +104,8 @@ fn empty_windows() -> KernelWindows {
 
 /// The same windows behind `ACTIVE = false`: the run compiles exactly
 /// as [`Simulator::run`] does (probe hooks gone, request stages chained
-/// inline), and only the kernel-boundary callbacks, which the engines
-/// make regardless, still fire.
+/// inline), and only the kernel-boundary callbacks, which the run loop
+/// makes regardless, still fire.
 struct PassiveWindows(KernelWindows);
 
 impl Probe for PassiveWindows {
@@ -131,25 +131,6 @@ fn serial_steady_state_does_not_allocate(cfg: &SystemConfig, spec: &WorkloadSpec
     let mut passive = PassiveWindows(empty_windows());
     Simulator::run_probed(cfg, spec, &mut passive);
     assert_steady_state_alloc_free(&passive.0, &format!("{case}, passive probe"));
-}
-
-/// The same contract holds per shard under sharded execution: after
-/// warm-up, a steady-state kernel spends zero allocator calls across
-/// ALL shard threads — the epoch mailboxes, sequencer slots, and
-/// per-shard arenas reach capacity during the warm-up kernels and are
-/// recycled thereafter. (The window probe is passive, so it rides the
-/// sharded engine instead of forcing the serial fallback; its
-/// kernel-boundary callbacks are forwarded by the epoch leader.)
-fn sharded_steady_state_does_not_allocate(cfg: &SystemConfig, spec: &WorkloadSpec) {
-    let mut probe = PassiveWindows(empty_windows());
-    let (report, stats) =
-        Simulator::run_faulted_sharded(cfg, spec, &mut probe, &mut mcm_fault::NullFaultPlan, 2);
-    assert!(report.cycles > Cycle::ZERO);
-    assert_eq!(stats.shards, 2, "the run must actually shard");
-    assert_steady_state_alloc_free(
-        &probe.0,
-        &format!("sharded {}, {:?}, {}", cfg.name, cfg.scheduler, spec.name),
-    );
 }
 
 /// The queue's share of the contract, in isolation: a pool pre-sized
@@ -220,13 +201,11 @@ fn steady_state_kernels_do_not_allocate() {
     let uniform = alloc_probe_spec();
     for cfg in [&centralized, &distributed, &l15_ds] {
         serial_steady_state_does_not_allocate(cfg, &uniform);
-        sharded_steady_state_does_not_allocate(cfg, &uniform);
     }
     let mut first_touch = distributed.clone();
     first_touch.placement = PlacementPolicy::FirstTouch;
     first_touch.name = "ds-ft".into();
     let skewed = imbalanced_divergent_spec();
     serial_steady_state_does_not_allocate(&first_touch, &skewed);
-    sharded_steady_state_does_not_allocate(&first_touch, &skewed);
     queue_batches_do_not_allocate();
 }

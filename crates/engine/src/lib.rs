@@ -8,8 +8,7 @@
 //!   one cycle is one nanosecond).
 //! * [`EventQueue`] — a calendar of timestamped events with a
 //!   content-keyed `(time, wave, key)` tie-break, which makes
-//!   whole-system runs bit-reproducible — even when one simulation is
-//!   sharded across threads.
+//!   whole-system runs bit-reproducible.
 //! * [`Resource`] — a bandwidth server implementing the next-free-time
 //!   queuing model. Links, DRAM channels, cache banks and SM issue slots
 //!   are all `Resource`s; saturation and queuing delay emerge from it.

@@ -19,11 +19,9 @@
 //! Equal-time events are ordered by a caller-supplied **content key**
 //! rather than insertion order: the pop order is `(time, wave, key)`,
 //! where `wave` counts same-cycle re-push generations (see the
-//! [`EventQueue`] docs). Content-keyed ordering is what lets a sharded
-//! simulation reproduce the serial engine bit-for-bit: each shard's
-//! local pop order is the restriction of the global `(time, wave, key)`
-//! order to its own events, something no insertion-sequence tie-break
-//! can offer once events arrive through per-shard mailboxes.
+//! [`EventQueue`] docs). The order depends on what the events are, not
+//! on when they were pushed, and it is the order the simulator's golden
+//! cycle counts pin.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -116,12 +114,10 @@ const EMPTY: Bucket = Bucket {
 ///   they would if pushed at a strictly later time. Any push at a
 ///   different (necessarily later) timestamp carries wave 0.
 ///
-/// Because the wave of a push depends only on the entry most recently
-/// popped *from this queue*, a simulation split across several queues
-/// (one per shard) assigns every event the same `(time, wave, key)`
-/// coordinate as the single-queue run, making the global pop order
-/// reproducible by construction. That is the foundation of the sharded
-/// execution mode's bit-exactness (see `mcm-gpu`'s sharded runner).
+/// The wave of a push depends only on the entry most recently popped,
+/// so the pop order is a function of the pushed `(time, key)` pairs and
+/// the pop sequence alone; [`EventQueue::sync_to`] resets it at a
+/// synchronization point.
 ///
 /// A push costs O(1). The pop that makes a timestamp current copies
 /// and sorts that timestamp's pending wave once, O(n log n) in its size
@@ -393,26 +389,17 @@ impl<E: Copy> EventQueue<E> {
         self.last_wave = bucket.wave;
     }
 
-    /// Removes and returns the earliest event together with its full
-    /// `(time, wave, key)` coordinate, or `None` when empty.
-    ///
-    /// The coordinate is the event's global position in the canonical
-    /// order — the sharded runner publishes it as the shard's frontier.
-    pub fn pop_entry(&mut self) -> Option<(Cycle, u32, u64, E)> {
+    /// Removes and returns the earliest event, or `None` when empty.
+    pub fn pop(&mut self) -> Option<(Cycle, E)> {
         if self.ready.is_empty() {
             if self.len == 0 {
                 return None;
             }
             self.load_batch();
         }
-        let (key, event) = self.ready.pop().expect("a loaded batch is nonempty");
+        let (_, event) = self.ready.pop().expect("a loaded batch is nonempty");
         self.len -= 1;
-        Some((self.last_popped, self.last_wave, key, event))
-    }
-
-    /// Removes and returns the earliest event, or `None` when empty.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        self.pop_entry().map(|(at, _, _, event)| (at, event))
+        Some((self.last_popped, event))
     }
 
     /// The timestamp of the next event without removing it.
@@ -447,8 +434,8 @@ impl<E: Copy> EventQueue<E> {
     ///
     /// Callers invoke this at synchronization points where event
     /// streams restart from a known instant (e.g. a kernel launch
-    /// boundary), so that every engine — serial or sharded — assigns
-    /// identical waves to the pushes that follow. The queue must be
+    /// boundary), so that the pushes that follow get the same waves
+    /// whatever the queue's earlier history was. The queue must be
     /// empty and `now` must not precede the current time.
     ///
     /// # Panics
@@ -531,33 +518,6 @@ mod tests {
         assert_eq!(q.pop(), Some((Cycle::new(5), "w2-k0")));
         assert_eq!(q.pop(), Some((Cycle::new(6), "t6")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn wave_depends_only_on_the_popped_entry() {
-        // Two queues holding disjoint halves of one event set assign
-        // the same waves as a single queue holding all of it — the
-        // shard-invariance property in miniature.
-        let mut whole = EventQueue::new();
-        let mut half = EventQueue::new();
-        // Whole queue: keys 1 (shard A) and 2 (shard B) at t=10.
-        whole.push(Cycle::new(10), 1, 1u64);
-        whole.push(Cycle::new(10), 2, 2u64);
-        // Half queue: only shard B's key 2.
-        half.push(Cycle::new(10), 2, 2u64);
-        // Whole: pop key 1, then key 2; a push at t=10 during key 2's
-        // processing gets wave = popped wave + 1 = 1.
-        whole.pop();
-        let (_, w_whole, _, _) = whole.pop_entry().unwrap();
-        whole.push(Cycle::new(10), 3, 3u64);
-        // Half: pop key 2 directly; same push gets the same wave.
-        let (_, w_half, _, _) = half.pop_entry().unwrap();
-        half.push(Cycle::new(10), 3, 3u64);
-        assert_eq!(w_whole, w_half);
-        let (_, a, _, _) = whole.pop_entry().unwrap();
-        let (_, b, _, _) = half.pop_entry().unwrap();
-        assert_eq!(a, b, "continuation waves must match across queues");
-        assert_eq!(a, 1);
     }
 
     #[test]
@@ -724,25 +684,25 @@ mod tests {
         reference.push(at, key);
     }
 
+    /// Pops one event whose payload is its key, returning its `(time,
+    /// wave, key)` coordinate. The wave is the queue's own: a batch
+    /// holds one wave, so `last_wave` is the popped entry's.
+    fn pop_coord(q: &mut EventQueue<u64>) -> Option<(u64, u32, u64)> {
+        q.pop().map(|(t, key)| (t.as_u64(), q.last_wave, key))
+    }
+
     /// Pops one entry from both queues, demanding the same coordinate,
-    /// the key's payload, the same `peek_time` beforehand, and the
-    /// batch invariants afterwards.
+    /// the same `peek_time` beforehand, and the batch invariants
+    /// afterwards.
     fn pop_both(cal: &mut EventQueue<u64>, reference: &mut Reference) -> Option<(u64, u32, u64)> {
         assert_eq!(
             cal.peek_time().map(Cycle::as_u64),
             reference.peek_time(),
             "peek mismatch"
         );
-        let got = cal.pop_entry();
+        let got = pop_coord(cal);
         let want = reference.pop();
-        assert_eq!(
-            got.as_ref().map(|&(t, w, k, _)| (t.as_u64(), w, k)),
-            want,
-            "pop mismatch"
-        );
-        if let Some((_, _, key, ev)) = got {
-            assert_eq!(ev, key, "event payload follows its key");
-        }
+        assert_eq!(got, want, "pop mismatch");
         assert_eq!(cal.len(), reference.pending.len());
         assert_batch_invariants(cal);
         want
@@ -1034,8 +994,8 @@ mod tests {
     fn sync_to_restarts_wave_numbering() {
         // Two queues with different histories, synced to the same
         // instant, order an identical push script identically — the
-        // kernel-boundary contract between the serial and sharded
-        // engines.
+        // kernel-boundary contract: a launch's placement events do not
+        // depend on how the previous kernel's tail drained.
         let mut a = EventQueue::new();
         a.push(Cycle::new(3), 7, 7u64);
         a.pop();
@@ -1052,12 +1012,9 @@ mod tests {
             q.push(Cycle::new(11), 1, 1);
         }
         loop {
-            let x = a.pop_entry();
-            let y = b.pop_entry();
-            assert_eq!(
-                x.map(|(t, w, k, _)| (t, w, k)),
-                y.map(|(t, w, k, _)| (t, w, k))
-            );
+            let x = pop_coord(&mut a);
+            let y = pop_coord(&mut b);
+            assert_eq!(x, y);
             if x.is_none() {
                 break;
             }

@@ -25,9 +25,6 @@
 //!   quarantined into a structured [`pool::TaskFailure`] report while
 //!   the rest of the grid completes. The report is byte-identical at
 //!   every job count.
-//! * [`barrier::ShardBarrier`] + [`barrier::run_shards`] — a reusable,
-//!   abortable epoch barrier for teams of shards co-simulating a
-//!   *single* run (the PDES mode), with panic-safe teardown.
 //! * [`service::ServicePool`] — the long-running counterpart of
 //!   [`pool::run_grid`] for server processes: persistent workers, a
 //!   bounded queue with all-or-nothing batch admission, fair
@@ -51,7 +48,6 @@
 
 #![warn(missing_docs)]
 
-pub mod barrier;
 pub mod pool;
 pub mod queue;
 pub mod service;

@@ -62,8 +62,8 @@ use mcm_telemetry::{global, Class, Counter};
 
 /// Pre-registered per-kind injection counters. The schedule is a pure
 /// function of the seed, so these are deterministic — they count the
-/// same faults in serial and sharded runs — and strictly out-of-band:
-/// timing never reads them.
+/// same faults at every `MCM_JOBS` — and strictly out-of-band: timing
+/// never reads them.
 struct FaultTele {
     link_errors: Counter,
     dram_throttled: Counter,

@@ -141,28 +141,6 @@ impl FullMesh {
         (to, t)
     }
 
-    /// Takes over from `other` (a same-shaped replica) the links whose
-    /// source node belongs to shard `shard` of `shards` (node `a` is
-    /// owned by shard `a % shards`; link `a → b` is charged only by
-    /// hops processed at `a`). See
-    /// [`RingNetwork::absorb_owned`](crate::ring::RingNetwork::absorb_owned).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the meshes differ in size.
-    pub fn absorb_owned(&mut self, other: &mut FullMesh, shards: usize, shard: usize) {
-        assert_eq!(self.nodes, other.nodes, "absorbing a different mesh");
-        let n = usize::from(self.nodes);
-        for a in 0..n {
-            if a % shards != shard {
-                continue;
-            }
-            for b in 0..n {
-                std::mem::swap(&mut self.links[a * n + b], &mut other.links[a * n + b]);
-            }
-        }
-    }
-
     /// Total bytes carried across all links.
     pub fn total_bytes(&self) -> u64 {
         self.links.iter().map(Link::total_bytes).sum()
@@ -303,23 +281,6 @@ impl Fabric {
         match self {
             Fabric::Ring(ring) => ring.hop_faulted(now, node, dir, bytes, probe, plan),
             Fabric::FullyConnected(mesh) => mesh.hop_faulted(now, node, to, bytes, probe, plan),
-        }
-    }
-
-    /// Takes over from `other` the links owned by shard `shard` of
-    /// `shards` — the merge step of a sharded simulation, where every
-    /// link is charged by exactly one node's owner.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fabrics differ in topology or size.
-    pub fn absorb_owned(&mut self, other: &mut Fabric, shards: usize, shard: usize) {
-        match (self, other) {
-            (Fabric::Ring(a), Fabric::Ring(b)) => a.absorb_owned(b, shards, shard),
-            (Fabric::FullyConnected(a), Fabric::FullyConnected(b)) => {
-                a.absorb_owned(b, shards, shard);
-            }
-            _ => panic!("absorbing a different fabric topology"),
         }
     }
 

@@ -254,31 +254,6 @@ impl RingNetwork {
         t
     }
 
-    /// Takes over from `other` (a same-shaped replica) the segments
-    /// whose charging node belongs to shard `shard` of `shards` (node
-    /// `i` is owned by shard `i % shards`). A clockwise hop at node `i`
-    /// charges `cw[i]`; a counter-clockwise hop at node `i + 1` charges
-    /// `ccw[i]` — so each segment is charged by exactly one node, and a
-    /// sharded run where each node's hops are processed by its owner
-    /// touches disjoint segment sets. The merge simply swaps the owned
-    /// segments in (the local copies are pristine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rings differ in size.
-    pub fn absorb_owned(&mut self, other: &mut RingNetwork, shards: usize, shard: usize) {
-        assert_eq!(self.nodes, other.nodes, "absorbing a different ring");
-        let n = usize::from(self.nodes);
-        for i in 0..self.cw.len() {
-            if i % shards == shard {
-                std::mem::swap(&mut self.cw[i], &mut other.cw[i]);
-            }
-            if (i + 1) % n % shards == shard {
-                std::mem::swap(&mut self.ccw[i], &mut other.ccw[i]);
-            }
-        }
-    }
-
     /// Total bytes carried across all segments (multi-hop transfers
     /// count once per segment crossed).
     pub fn total_segment_bytes(&self) -> u64 {

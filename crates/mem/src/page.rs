@@ -136,13 +136,6 @@ impl PageMap {
         self.lookups.get()
     }
 
-    /// Folds in `n` lookups performed against a replica of this map —
-    /// sharded simulations resolve placements through per-shard caches
-    /// and reconcile the counts at merge time.
-    pub fn add_lookups(&mut self, n: u64) {
-        self.lookups.add(n);
-    }
-
     /// How many pages landed on each partition (first-touch and
     /// round-robin policies; empty for interleaved).
     pub fn pages_per_partition(&self) -> Vec<(PartitionId, u64)> {

@@ -3,15 +3,15 @@
 //! The timing model already has first-class observability (`mcm-probe`:
 //! traces, stall attribution). This crate instruments the layers that
 //! *run* the simulations — the `mcm-exec` work-stealing pool, the bench
-//! harness's memo cache, the sharded PDES engine, and the fault
-//! injector — with always-on, out-of-band metrics:
+//! harness's memo cache, the result store, the sweep daemon, and the
+//! fault injector — with always-on, out-of-band metrics:
 //!
 //! * [`Counter`] — a monotonic atomic counter.
 //! * [`Gauge`] — a last-value / high-watermark atomic cell.
 //! * [`Histogram`] — fixed-bucket counts over caller-chosen bounds.
 //!
 //! Metrics live in a [`Registry`] under hierarchical `scope.metric`
-//! names (`exec.steals`, `memo.hits`, `shard.epochs`, …) and carry a
+//! names (`exec.steals`, `memo.hits`, `store.puts`, …) and carry a
 //! determinism [`Class`] that snapshots group by. The analytical fast
 //! path reports under `analytic.*`: the model itself counts scored
 //! predictions and calibration fits (`analytic.scored`,
@@ -22,12 +22,12 @@
 //! [`Class::Deterministic`]. The classes:
 //!
 //! * [`Class::Deterministic`] — identical across runs *and* across
-//!   `MCM_JOBS` / `MCM_SHARDS` settings (grid items executed, cache
-//!   hits, fault events). Two runs of the same work must produce
-//!   byte-identical values; `tests/telemetry_determinism.rs` pins it.
+//!   `MCM_JOBS` settings (grid items executed, cache hits, fault
+//!   events). Two runs of the same work must produce byte-identical
+//!   values; `tests/telemetry_determinism.rs` pins it.
 //! * [`Class::PerConfig`] — deterministic for a fixed knob setting but
-//!   a function of it (epoch counts at a given shard count, worker
-//!   deque depth at a given job count).
+//!   a function of it (pools started and worker deque depth at a given
+//!   job count, store hits at a given `MCM_STORE`).
 //! * [`Class::Volatile`] — scheduling- or wall-clock-dependent (steal
 //!   counts, busy/idle nanoseconds). Quarantined in its own clearly
 //!   marked snapshot section so the reproducible sections can be
@@ -72,7 +72,7 @@ pub use snapshot::{Snapshot, Value};
 /// sections and the determinism suite key on. See the crate docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Class {
-    /// Identical across runs and across `MCM_JOBS`/`MCM_SHARDS`.
+    /// Identical across runs and across `MCM_JOBS`.
     Deterministic,
     /// Deterministic given the knob settings, a function of them.
     PerConfig,

@@ -38,7 +38,7 @@ pub enum Value {
 pub struct Snapshot {
     /// Metrics identical across runs and knob settings.
     pub deterministic: BTreeMap<String, Value>,
-    /// Metrics deterministic for fixed `MCM_JOBS`/`MCM_SHARDS`.
+    /// Metrics deterministic for a fixed `MCM_JOBS`.
     pub per_config: BTreeMap<String, Value>,
     /// Scheduling/wall-clock metrics; never diffed.
     pub volatile: BTreeMap<String, Value>,
@@ -101,7 +101,7 @@ impl Snapshot {
     /// ```json
     /// {"schema":"mcm-telemetry-v1","label":"...",
     ///  "deterministic":{"memo.hits":3, ...},
-    ///  "per_config":{"shard.epochs":41, ...},
+    ///  "per_config":{"exec.pools":1, ...},
     ///  "volatile_not_reproducible":{"exec.busy_ns":..., ...}}
     /// ```
     ///
@@ -227,7 +227,7 @@ mod tests {
         reg.counter("memo.hits", Class::Deterministic).add(3);
         reg.gauge("exec.queue_depth_hw", Class::PerConfig).set(5);
         reg.counter("exec.busy_ns", Class::Volatile).add(123);
-        reg.histogram("shard.epoch_events", Class::PerConfig, &[4, 16])
+        reg.histogram("demo.batch_events", Class::PerConfig, &[4, 16])
             .observe(9);
         reg.snapshot()
     }
@@ -259,7 +259,7 @@ mod tests {
         let hist = doc
             .get("per_config")
             .unwrap()
-            .get("shard.epoch_events")
+            .get("demo.batch_events")
             .unwrap();
         assert_eq!(hist.get("counts").unwrap().as_arr().unwrap().len(), 3);
     }
@@ -272,7 +272,7 @@ mod tests {
         // 3 scalars + 3 histogram buckets.
         assert_eq!(lines.len(), 1 + 3 + 3);
         assert!(lines.contains(&"deterministic,memo.hits,counter,value,3"));
-        assert!(lines.contains(&"per_config,shard.epoch_events,histogram,overflow,0"));
+        assert!(lines.contains(&"per_config,demo.batch_events,histogram,overflow,0"));
     }
 
     #[test]

@@ -21,7 +21,7 @@ unset MCM_TRACE MCM_METRICS MCM_METRICS_BUCKET MCM_SCALE MCM_TELEMETRY \
   MCM_FAULT_SEED MCM_FAULT_RATE MCM_STORE MCM_STORE_CRASH_AFTER \
   MCM_SUPERVISED MCM_RETRIES MCM_FAULT_TASK_PANIC \
   MCM_FAULT_TASK_PANIC_ATTEMPTS 2>/dev/null || true
-export MCM_JOBS=1 MCM_SHARDS=1
+export MCM_JOBS=1
 
 echo "== cargo build --release --offline -p mcm-bench --bin perf =="
 cargo build --release --offline -p mcm-bench --bin perf

@@ -15,29 +15,26 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
 
-# MCM_JOBS=1 / MCM_SHARDS=1 pin the golden-comparison runs to the
-# serial execution path: identical output is *guaranteed* by
-# construction there, so a golden diff can only mean simulated
-# behaviour changed — never thread scheduling. The parallel sweep
-# path's equivalence is under test in
-# crates/bench/tests/parallel_determinism.rs, and the sharded single-
-# simulation path's in tests/shard_determinism.rs — both run as part
-# of this same workspace pass.
-echo "== cargo test --workspace -q --offline (MCM_JOBS=1, MCM_SHARDS=1) =="
-MCM_JOBS=1 MCM_SHARDS=1 cargo test --workspace -q --offline
+# MCM_JOBS=1 pins the golden-comparison runs to the serial execution
+# path: identical output is *guaranteed* by construction there, so a
+# golden diff can only mean simulated behaviour changed — never thread
+# scheduling. The parallel sweep path's equivalence is under test in
+# crates/bench/tests/parallel_determinism.rs, which runs as part of
+# this same workspace pass.
+echo "== cargo test --workspace -q --offline (MCM_JOBS=1) =="
+MCM_JOBS=1 cargo test --workspace -q --offline
 
-# One smoke pass of every harness binary through the parallel executor
-# AND the sharded engine, so both MCM_JOBS>1 and MCM_SHARDS>1 paths
-# stay in the canonical gate end to end.
-echo "== bin_smoke under MCM_JOBS=4, MCM_SHARDS=2 =="
-MCM_JOBS=4 MCM_SHARDS=2 cargo test -p mcm-bench -q --offline --test bin_smoke
+# One smoke pass of every harness binary through the parallel
+# executor, so the MCM_JOBS>1 path stays in the canonical gate end to
+# end.
+echo "== bin_smoke under MCM_JOBS=4 =="
+MCM_JOBS=4 cargo test -p mcm-bench -q --offline --test bin_smoke
 
 # Perf smoke: the engine-overhaul guarantees stay in the gate. The
 # counting-allocator test asserts the run loop makes literally zero
-# allocator calls in steady-state kernels — serial AND per shard under
-# sharded execution (deterministic, so a regression fails exactly, not
-# statistically); the bench targets run once at tiny scale so a future
-# change cannot silently break them.
+# allocator calls in steady-state kernels (deterministic, so a
+# regression fails exactly, not statistically); the bench targets run
+# once at tiny scale so a future change cannot silently break them.
 echo "== perf smoke: hot-loop allocation freedom =="
 cargo test -p mcm-gpu -q --offline --test hot_loop_alloc
 echo "== perf smoke: engine + hotpath benches (tiny MCM_SCALE) =="
@@ -47,14 +44,14 @@ MCM_SCALE=0.01 cargo bench -p mcm-bench -q --offline --bench hotpath
 # Telemetry is strictly out-of-band: a release harness run must print
 # byte-identical stdout and leave a well-formed snapshot behind with
 # MCM_TELEMETRY set, vs nothing different with it unset. Uses the
-# release binary built above; fig09 exercises the memo cache, the
-# sweep executor, and (via MCM_SHARDS) the sharded engine.
+# release binary built above; fig09 exercises the memo cache and the
+# sweep executor.
 echo "== telemetry on/off byte-identity (release fig09, tiny scale) =="
 TELEMETRY_TMP="$(mktemp -d -t mcm-telemetry.XXXXXX)"
 trap 'rm -rf "$TELEMETRY_TMP"' EXIT
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 \
+MCM_SCALE=0.01 MCM_JOBS=1 \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/off.txt"
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 \
+MCM_SCALE=0.01 MCM_JOBS=1 \
   MCM_TELEMETRY="$TELEMETRY_TMP/telemetry.json" \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/on.txt"
 diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/on.txt" \
@@ -73,7 +70,7 @@ test -s "$TELEMETRY_TMP/telemetry.json" \
 echo "== store crash-recovery smoke (torn write, abort, rerun) =="
 STORE_DIR="$TELEMETRY_TMP/store"
 set +e
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 \
+MCM_SCALE=0.01 MCM_JOBS=1 \
   MCM_STORE="$STORE_DIR" MCM_STORE_CRASH_AFTER=2 \
   target/release/fig09_distributed_sched \
   >"$TELEMETRY_TMP/crashed.txt" 2>"$TELEMETRY_TMP/crashed.err"
@@ -85,11 +82,11 @@ if [[ $CRASH_RC -eq 0 ]]; then
 fi
 grep -q "MCM_STORE_CRASH_AFTER tripped" "$TELEMETRY_TMP/crashed.err" \
   || { echo "tier-1: crashed run did not announce the scripted crash" >&2; exit 1; }
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 MCM_STORE="$STORE_DIR" \
+MCM_SCALE=0.01 MCM_JOBS=1 MCM_STORE="$STORE_DIR" \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/recovered.txt"
 diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/recovered.txt" \
   || { echo "tier-1: store recovery changed harness stdout" >&2; exit 1; }
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 MCM_STORE="$STORE_DIR" \
+MCM_SCALE=0.01 MCM_JOBS=1 MCM_STORE="$STORE_DIR" \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/warm.txt"
 diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/warm.txt" \
   || { echo "tier-1: warm-started run changed harness stdout" >&2; exit 1; }
@@ -99,7 +96,7 @@ diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/warm.txt" \
 # results — never corrupt the directory, never deadlock, never panic.
 echo "== store lock-contention smoke (live holder, read-only run) =="
 echo "$$" >"$STORE_DIR/LOCK"
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 MCM_STORE="$STORE_DIR" \
+MCM_SCALE=0.01 MCM_JOBS=1 MCM_STORE="$STORE_DIR" \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/readonly.txt" \
   2>"$TELEMETRY_TMP/readonly.err"
 diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/readonly.txt" \
@@ -113,7 +110,7 @@ rm -f "$STORE_DIR/LOCK"
 # sweep completes with byte-identical stdout and a retry notice on
 # stderr. This is the executor's whole contract in one subprocess run.
 echo "== supervised self-healing smoke (scripted panic + retry) =="
-MCM_SCALE=0.01 MCM_JOBS=4 MCM_SHARDS=1 \
+MCM_SCALE=0.01 MCM_JOBS=4 \
   MCM_SUPERVISED=1 MCM_RETRIES=1 \
   MCM_FAULT_TASK_PANIC=CFD MCM_FAULT_TASK_PANIC_ATTEMPTS=1 \
   target/release/fig09_distributed_sched \
@@ -135,7 +132,7 @@ echo "== sweep service smoke (serve + scripted client, cold vs warm) =="
 SERVE_STORE="$TELEMETRY_TMP/serve-store"
 SERVE_SCRIPT='ping; sweep baseline:NN-Conv; sweep2 baseline:NN-Conv,Stream; stats; shutdown'
 serve_round() { # $1: output tag
-  MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 \
+  MCM_SCALE=0.01 MCM_JOBS=1 \
     MCM_STORE="$SERVE_STORE" MCM_SERVE_ADDR=127.0.0.1:0 MCM_SERVE_WORKERS=2 \
     target/release/serve >"$TELEMETRY_TMP/serve-$1.log" &
   SERVE_PID=$!
@@ -179,9 +176,9 @@ fi
 # on cache state), and the bin exits 1 on any envelope violation.
 echo "== analytic explore smoke (cold vs warm through MCM_STORE) =="
 EXPLORE_STORE="$TELEMETRY_TMP/explore-store"
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 MCM_STORE="$EXPLORE_STORE" \
+MCM_SCALE=0.01 MCM_JOBS=1 MCM_STORE="$EXPLORE_STORE" \
   target/release/explore >"$TELEMETRY_TMP/explore-cold.txt"
-MCM_SCALE=0.01 MCM_JOBS=1 MCM_SHARDS=1 MCM_STORE="$EXPLORE_STORE" \
+MCM_SCALE=0.01 MCM_JOBS=1 MCM_STORE="$EXPLORE_STORE" \
   target/release/explore >"$TELEMETRY_TMP/explore-warm.txt"
 diff "$TELEMETRY_TMP/explore-cold.txt" "$TELEMETRY_TMP/explore-warm.txt" \
   || { echo "tier-1: explore frontier differs cold vs warm" >&2; exit 1; }

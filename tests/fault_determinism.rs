@@ -143,65 +143,6 @@ fn single_gpm_loss_degrades_gracefully() {
     }
 }
 
-/// Sharded execution composes with fault injection: the same seeded
-/// plan yields bit-identical reports whether the simulation runs
-/// serially or split across shards. Exercised for a zero-rate plan, a
-/// noisy transient plan, and in `sharded_gpm_loss_resteals_across_
-/// shard_boundaries` below for hard module loss.
-#[test]
-fn sharded_faulted_runs_match_serial_bit_for_bit() {
-    let cfg = SystemConfig::optimized_mcm();
-    for name in TRIO {
-        let spec = golden_spec(name);
-        for rate in [0.0, 0.05] {
-            let serial = faulted(&cfg, &spec, FaultConfig::with_rate(7, rate));
-            for shards in [2, 4] {
-                let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, rate));
-                let (sharded, stats) =
-                    Simulator::run_faulted_sharded(&cfg, &spec, &mut NullProbe, &mut plan, shards);
-                assert_eq!(
-                    serial, sharded,
-                    "{name} at rate {rate} diverged at {shards} shard(s)"
-                );
-                assert_eq!(stats.shards, shards);
-                assert_eq!(stats.residual_messages, 0);
-            }
-        }
-    }
-}
-
-/// Hard GPM loss under sharding: the dead module's CTAs restealed onto
-/// survivors owned by *other shards* must land identically to the
-/// serial engine — the resteal decision is a global one, taken at a
-/// kernel boundary where all shards are in lockstep. `from_kernel: 1`
-/// makes the loss happen mid-run, so shard ownership is already warm.
-#[test]
-fn sharded_gpm_loss_resteals_across_shard_boundaries() {
-    let cfg = SystemConfig::optimized_mcm();
-    for module in [0, 1] {
-        let lossy = FaultConfig {
-            dead_module: Some(DeadModule {
-                module,
-                from_kernel: 1,
-            }),
-            ..FaultConfig::default()
-        };
-        let mut spec = golden_spec("Stream");
-        spec.kernel_iters = spec.kernel_iters.max(3);
-        let serial = faulted(&cfg, &spec, lossy);
-        assert_instructions(&serial, &spec);
-        for shards in [2, 4] {
-            let mut plan = SeededFaultPlan::new(lossy);
-            let (sharded, _) =
-                Simulator::run_faulted_sharded(&cfg, &spec, &mut NullProbe, &mut plan, shards);
-            assert_eq!(
-                serial, sharded,
-                "dead module {module} diverged at {shards} shard(s)"
-            );
-        }
-    }
-}
-
 /// A GPM dying *between* kernels: kernel 0 runs healthy, later kernels
 /// run degraded, and the whole run still conserves instructions.
 #[test]

@@ -59,36 +59,12 @@ fn artifacts_are_byte_identical_across_runs() {
     assert_eq!(csv_a, csv_b, "metrics CSV differs between runs");
 }
 
-/// An *active* probe demands the serial engine (artifact event order
-/// must be the canonical one), so sharded entry points fall back:
-/// same report, same artifacts, and the stats say one shard ran.
-#[test]
-fn active_probes_force_serial_fallback_and_stay_bit_exact() {
-    use mcm::fault::NullFaultPlan;
-    let cfg = SystemConfig::optimized_mcm();
-    let spec = suite::by_name("Stream")
-        .expect("suite workload")
-        .scaled(0.02);
-    let (serial_report, serial_trace, serial_csv, _) = probed_run(&cfg, "Stream");
-    let mut probe = (
-        ChromeTraceProbe::new(),
-        MetricsProbe::new(1024, cfg.topology.sms_per_module),
-    );
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
-    assert_eq!(stats.shards, 1, "active probes must run serially");
-    assert_eq!(report, serial_report);
-    assert_eq!(probe.0.finish(), serial_trace);
-    assert_eq!(probe.1.to_csv(), serial_csv);
-}
-
 /// An inactive (`ACTIVE = false`) probe costs nothing in the hot loop,
-/// so it rides the sharded engine — and still receives every kernel
-/// boundary callback, exactly once, in order.
+/// yet still receives every kernel boundary callback, exactly once, in
+/// order — and leaves the report untouched.
 #[test]
-fn inactive_probes_ride_the_sharded_engine() {
+fn inactive_probes_receive_every_kernel_boundary() {
     use mcm::engine::Cycle;
-    use mcm::fault::NullFaultPlan;
     use mcm::probe::Probe;
 
     #[derive(Default)]
@@ -109,12 +85,10 @@ fn inactive_probes_ride_the_sharded_engine() {
     let cfg = SystemConfig::optimized_mcm();
     let mut spec = suite::by_name("CoMD").expect("suite workload").scaled(0.02);
     spec.kernel_iters = 3;
-    let serial = Simulator::run(&cfg, &spec);
+    let plain = Simulator::run(&cfg, &spec);
     let mut probe = KernelLog::default();
-    let (report, stats) =
-        Simulator::run_faulted_sharded(&cfg, &spec, &mut probe, &mut NullFaultPlan, 4);
-    assert_eq!(stats.shards, 4, "an inactive probe must not force serial");
-    assert_eq!(report, serial, "probed sharded run diverged");
+    let report = Simulator::run_probed(&cfg, &spec, &mut probe);
+    assert_eq!(report, plain, "an inactive probe perturbed the run");
     assert_eq!(probe.begins, vec![0, 1, 2]);
     assert_eq!(probe.ends, vec![0, 1, 2]);
 }

@@ -11,6 +11,8 @@
 
 use std::sync::{Mutex, MutexGuard};
 
+use mcm::exec::pool::run_grid;
+use mcm::exec::DEFAULT_SEED;
 use mcm::fault::{FaultConfig, SeededFaultPlan};
 use mcm::gpu::{RunReport, Simulator, SystemConfig};
 use mcm::probe::NullProbe;
@@ -32,27 +34,36 @@ fn spec() -> WorkloadSpec {
         .scaled(0.02)
 }
 
-/// Runs `f` and returns its report plus the registry delta it caused.
-fn delta_of<F: FnOnce() -> RunReport>(f: F) -> (RunReport, Snapshot) {
+/// Runs `f` and returns its result plus the registry delta it caused.
+fn delta_of<R, F: FnOnce() -> R>(f: F) -> (R, Snapshot) {
     let before = global().snapshot();
-    let report = f();
-    (report, global().snapshot().delta_since(&before))
+    let result = f();
+    (result, global().snapshot().delta_since(&before))
 }
 
-fn sharded(shards: usize) -> RunReport {
-    let cfg = SystemConfig::baseline_mcm();
-    let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, 0.02));
-    let (report, _) =
-        Simulator::run_faulted_sharded(&cfg, &spec(), &mut NullProbe, &mut plan, shards);
-    report
+/// A two-item sweep of faulted runs through the grid executor at
+/// `jobs` workers: the fault layer and the executor both report.
+fn faulted_grid(jobs: usize) -> Vec<RunReport> {
+    let cfgs = [SystemConfig::baseline_mcm(), SystemConfig::optimized_mcm()];
+    run_grid(&cfgs, jobs, DEFAULT_SEED, |_, cfg| {
+        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, 0.02));
+        Simulator::run_faulted(cfg, &spec(), &mut NullProbe, &mut plan)
+    })
+}
+
+fn per_config_count(d: &Snapshot, name: &str) -> u64 {
+    match d.per_config.get(name) {
+        Some(Value::Counter(n)) => *n,
+        other => panic!("{name} missing or not a counter: {other:?}"),
+    }
 }
 
 #[test]
 fn identical_runs_produce_identical_deterministic_and_per_config_deltas() {
     let _guard = registry_lock();
-    let (report_a, delta_a) = delta_of(|| sharded(2));
-    let (report_b, delta_b) = delta_of(|| sharded(2));
-    assert_eq!(report_a, report_b, "reruns must be bit-identical");
+    let (reports_a, delta_a) = delta_of(|| faulted_grid(2));
+    let (reports_b, delta_b) = delta_of(|| faulted_grid(2));
+    assert_eq!(reports_a, reports_b, "reruns must be bit-identical");
     assert_eq!(
         delta_a.deterministic, delta_b.deterministic,
         "Deterministic-class deltas must reproduce across identical runs"
@@ -61,43 +72,35 @@ fn identical_runs_produce_identical_deterministic_and_per_config_deltas() {
         delta_a.per_config, delta_b.per_config,
         "PerConfig-class deltas must reproduce at fixed knob settings"
     );
-    // The run actually exercised the instrumented layers: fault
-    // injection counters and shard accounting must be non-zero.
-    let count = |d: &Snapshot, name: &str| match d.deterministic.get(name) {
-        Some(Value::Counter(n)) => *n,
-        other => panic!("{name} missing or not a counter: {other:?}"),
-    };
-    assert!(
-        count(&delta_a, "fault.link.errors_injected") > 0,
-        "rate 0.02 over a full run must inject at least one link error"
-    );
-    match delta_a.per_config.get("shard.events") {
-        Some(Value::Counter(n)) => assert!(*n > 0, "sharded run must pop events"),
-        other => panic!("shard.events missing: {other:?}"),
+    // The runs actually exercised the instrumented layers: fault
+    // injection counters and executor accounting must be non-zero.
+    match delta_a.deterministic.get("fault.link.errors_injected") {
+        Some(Value::Counter(n)) => assert!(
+            *n > 0,
+            "rate 0.02 over a full run must inject at least one link error"
+        ),
+        other => panic!("fault.link.errors_injected missing: {other:?}"),
     }
+    assert_eq!(per_config_count(&delta_a, "exec.pools"), 1);
 }
 
 #[test]
-fn deterministic_class_survives_shard_count_changes() {
+fn deterministic_class_survives_job_count_changes() {
     let _guard = registry_lock();
-    let (report2, delta2) = delta_of(|| sharded(2));
-    let (report4, delta4) = delta_of(|| sharded(4));
-    // Sharding is an execution strategy: simulated results and every
-    // Deterministic-class counter are invariant under it...
-    assert_eq!(report2, report4, "shard count must not change the report");
+    let (reports1, delta1) = delta_of(|| faulted_grid(1));
+    let (reports2, delta2) = delta_of(|| faulted_grid(2));
+    // The job count is an execution strategy: simulated results and
+    // every Deterministic-class counter are invariant under it...
+    assert_eq!(reports1, reports2, "job count must not change the reports");
     assert_eq!(
-        delta2.deterministic, delta4.deterministic,
-        "Deterministic-class deltas must be shard-count invariant"
+        delta1.deterministic, delta2.deterministic,
+        "Deterministic-class deltas must be job-count invariant"
     );
-    // ...while PerConfig counters may legitimately move: an event
-    // crossing a shard boundary is re-enqueued on the receiving side,
-    // so pop totals depend on the partition. That drift is exactly why
-    // shard.events is classed PerConfig rather than Deterministic.
-    let events = |d: &Snapshot| match d.per_config.get("shard.events") {
-        Some(Value::Counter(n)) => *n,
-        other => panic!("shard.events missing: {other:?}"),
-    };
-    assert!(events(&delta2) > 0 && events(&delta4) > 0);
+    // ...while PerConfig counters legitimately move with it: one job
+    // runs in the caller's thread, two start a pool. That is exactly
+    // why exec.pools is classed PerConfig rather than Deterministic.
+    assert_eq!(per_config_count(&delta1, "exec.pools"), 0);
+    assert_eq!(per_config_count(&delta2, "exec.pools"), 1);
 }
 
 #[test]
@@ -118,7 +121,7 @@ fn telemetry_does_not_perturb_the_serial_engine() {
 #[test]
 fn snapshot_json_round_trips_with_volatile_quarantined() {
     let _guard = registry_lock();
-    let (_report, delta) = delta_of(|| sharded(2));
+    let (_reports, delta) = delta_of(|| faulted_grid(2));
     let text = delta.to_json("roundtrip");
     let doc = Json::parse(&text).expect("snapshot JSON must parse with the in-repo reader");
     assert_eq!(
@@ -139,8 +142,8 @@ fn snapshot_json_round_trips_with_volatile_quarantined() {
         .and_then(Json::as_obj)
         .expect("volatile section");
     assert!(
-        volatile.contains_key("shard.sequencer_stalls"),
-        "sequencer stalls are scheduling-dependent and must be quarantined"
+        volatile.contains_key("exec.busy_ns"),
+        "worker busy time is wall-clock and must be quarantined"
     );
     for section in ["deterministic", "per_config"] {
         let obj = doc.get(section).and_then(Json::as_obj).expect("section");
@@ -158,7 +161,7 @@ fn snapshot_json_round_trips_with_volatile_quarantined() {
     assert_eq!(lines.next(), Some("section,metric,kind,field,value"));
     assert!(
         csv.lines()
-            .any(|l| l.starts_with("per_config,shard.events,counter,")),
-        "CSV must carry the shard event counter:\n{csv}"
+            .any(|l| l.starts_with("per_config,exec.pools,counter,")),
+        "CSV must carry the executor's pool counter:\n{csv}"
     );
 }
