@@ -11,6 +11,8 @@
 //! Plus the stall profiler's accounting identity: its phase buckets
 //! tile warp lifetimes exactly, so they sum to total warp-cycles.
 
+use mcm::engine::rng::StableHasher;
+use mcm::fault::{DeadModule, FaultConfig, SeededFaultPlan};
 use mcm::gpu::{RunReport, Simulator, SystemConfig};
 use mcm::probe::{ChromeTraceProbe, MetricsProbe, StallProfile, WarpPhase};
 use mcm::workloads::suite;
@@ -104,4 +106,67 @@ fn stall_buckets_sum_to_warp_lifetimes() {
     assert!(stalls.total_warp_cycles() > 0);
     // Warps do real work, so attribution can't be all-drain.
     assert!(stalls.cycles(WarpPhase::Compute) > 0);
+}
+
+fn digest(text: &str) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_str(text);
+    h.finish()
+}
+
+/// Trace and metrics bytes pinned across builds, under a plan that
+/// fires all four fault kinds. `artifacts_are_byte_identical_across_runs`
+/// compares two runs of one build; this pins what the hooks report, so
+/// a refactor of the hook plumbing that dropped, reordered or duplicated
+/// a report fails here.
+#[test]
+fn faulted_artifacts_are_pinned() {
+    let cfg = SystemConfig::baseline_mcm();
+    let mut spec = suite::by_name("DWT").expect("suite workload").scaled(0.02);
+    spec.kernel_iters = spec.kernel_iters.max(2);
+    let mut plan = SeededFaultPlan::new(FaultConfig {
+        dead_module: Some(DeadModule {
+            module: 2,
+            from_kernel: 1,
+        }),
+        dram_throttle_rate: 0.5,
+        dram_window_cycles: 512,
+        ..FaultConfig::with_rate(7, 0.01)
+    });
+    let mut probe = (
+        ChromeTraceProbe::new(),
+        MetricsProbe::new(1024, cfg.topology.sms_per_module),
+    );
+    let report = Simulator::run_faulted(&cfg, &spec, &mut probe, &mut plan);
+    let (mut trace, metrics) = probe;
+    assert_eq!(report.cycles.as_u64(), 2981);
+
+    let mut faults = std::collections::BTreeMap::new();
+    for row in metrics.rows().iter().filter(|r| r.metric == "fault_count") {
+        let n: u64 = row.value.parse().expect("integer fault count");
+        *faults.entry(row.unit.clone()).or_insert(0) += n;
+    }
+    let faults: Vec<(&str, u64)> = faults.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+    assert_eq!(
+        faults,
+        [
+            ("dram-throttle", 690),
+            ("link-retry", 69),
+            ("module-disabled", 2),
+            ("mshr-poison", 35),
+        ]
+    );
+
+    let json = trace.finish();
+    let csv = metrics.to_csv();
+    assert_eq!(
+        (json.len(), digest(&json)),
+        (3_063_229, 0xb502_5c9a_b36e_83c5),
+        "Chrome trace bytes moved"
+    );
+    assert_eq!(
+        (csv.len(), digest(&csv)),
+        (18_124, 0x20eb_65b4_8084_6f86),
+        "metrics CSV bytes moved"
+    );
 }
