@@ -9,11 +9,9 @@
 //! `MCM_FAULT_RATE` / `MCM_FAULT_SEED` (see the Resilience section) —
 //! useful for seeing where a degraded machine's warp-cycles go.
 
-use std::path::PathBuf;
-
 use mcm_bench::harness::{self, TextTable};
 use mcm_gpu::SystemConfig;
-use mcm_probe::{ChromeTraceProbe, MetricsProbe, StallProfile};
+use mcm_probe::StallProfile;
 use mcm_workloads::suite;
 
 const CONFIG_KEYS: &[&str] = &[
@@ -56,31 +54,13 @@ fn main() {
     let _telemetry = harness::telemetry_guard();
     let spec = spec.scaled(harness::scale());
 
-    let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
-    let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
-    let mut probe = (
-        StallProfile::new(),
-        (
-            trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
-            metrics_dir
-                .as_ref()
-                .map(|_| MetricsProbe::new(harness::metrics_bucket(), cfg.topology.sms_per_module)),
-        ),
-    );
-    let report = harness::run_probed_env_faults(&cfg, &spec, &mut probe);
-    let (profile, (mut trace, metrics)) = probe;
-
+    let mut profile = StallProfile::new();
     let stem = harness::artifact_stem(&cfg, &spec);
-    if let (Some(dir), Some(trace)) = (&trace_dir, &mut trace) {
-        std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
-        let path = dir.join(format!("{stem}.trace.json"));
-        trace.save(&path).expect("write Chrome trace");
+    let (report, written) = harness::run_with_env(&cfg, &spec, &mut profile, &stem);
+    if let Some(path) = written.trace {
         println!("trace:   {}", path.display());
     }
-    if let (Some(dir), Some(metrics)) = (&metrics_dir, &metrics) {
-        std::fs::create_dir_all(dir).expect("create MCM_METRICS directory");
-        let path = dir.join(format!("{stem}.metrics.csv"));
-        metrics.save(&path).expect("write metrics CSV");
+    if let Some(path) = written.metrics {
         println!("metrics: {}", path.display());
     }
 

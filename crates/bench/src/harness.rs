@@ -694,123 +694,118 @@ pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
     )
 }
 
-/// Runs one (already scaled) workload on `cfg`, attaching observability
-/// sinks selected by the environment:
+/// Runs one (already scaled) workload on `cfg` the way every harness
+/// sweep does: the scripted worker fault fires first (a no-op unless
+/// `MCM_FAULT_TASK_PANIC` is set; the deterministic crash the
+/// supervised executor is exercised against), then [`run_with_env`]
+/// picks the fault plan and the sinks, naming artifacts by
+/// [`artifact_stem`].
 ///
-/// - `MCM_TRACE=<dir>` — write a Chrome trace-event JSON per run to
-///   `<dir>/<config>__<workload>.trace.json` (load in Perfetto).
-/// - `MCM_METRICS=<dir>` — write a utilization time-series CSV per run
-///   to `<dir>/<config>__<workload>.metrics.csv`; bucket width from
-///   `MCM_METRICS_BUCKET` (cycles).
-///
-/// With neither variable set this is exactly [`Simulator::run`]: the
-/// [`mcm_probe::NullProbe`] path monomorphizes to no instrumentation.
-///
-/// Fault injection is selected by `MCM_FAULT_RATE` (see
-/// [`fault_rate`]): a positive rate runs under a
-/// [`SeededFaultPlan`] seeded from `MCM_FAULT_SEED`; the default 0.0
-/// keeps the zero-overhead [`NullFaultPlan`] path.
+/// With no observability or fault variable set this is exactly
+/// [`Simulator::run`]: the null hooks monomorphize to no
+/// instrumentation.
 ///
 /// # Panics
 ///
 /// Panics if an artifact directory cannot be created or written, or if
 /// one of the environment knobs holds an invalid value.
 pub fn run_instrumented(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-    // The scripted worker fault (a no-op unless MCM_FAULT_TASK_PANIC
-    // is set): the deterministic crash the supervised executor is
-    // exercised against.
     mcm_fault::inject::scripted_task_panic(&cfg.name, spec.name);
-    let rate = fault_rate();
-    if rate > 0.0 {
-        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        run_instrumented_faulted(cfg, spec, &mut plan)
-    } else {
-        run_instrumented_faulted(cfg, spec, &mut NullFaultPlan)
-    }
+    run_with_env(cfg, spec, &mut NullProbe, &artifact_stem(cfg, spec)).0
 }
 
-/// Runs one (already scaled) workload on `cfg` under a caller-supplied
-/// probe, with fault injection selected by the environment exactly as
-/// in [`run_instrumented`]: a positive `MCM_FAULT_RATE` runs under a
-/// [`SeededFaultPlan`] seeded from `MCM_FAULT_SEED`, otherwise the
-/// zero-overhead [`NullFaultPlan`] path. For binaries (like `profile`)
-/// that assemble their own sink stacks instead of using the
-/// `MCM_TRACE`/`MCM_METRICS` plumbing.
+/// The artifact files one [`run_with_sinks`] call wrote.
+#[derive(Debug, Default)]
+pub struct Artifacts {
+    /// The Chrome trace, when `MCM_TRACE` is set.
+    pub trace: Option<PathBuf>,
+    /// The metrics CSV, when `MCM_METRICS` is set.
+    pub metrics: Option<PathBuf>,
+}
+
+/// Runs one (already scaled) workload on `cfg` under `probe`, with the
+/// fault plan the environment picks: a positive `MCM_FAULT_RATE` (see
+/// [`fault_rate`]) runs under a [`SeededFaultPlan`] seeded from
+/// `MCM_FAULT_SEED`, the default 0.0 under the zero-overhead
+/// [`NullFaultPlan`]. Sinks attach as in [`run_with_sinks`].
 ///
 /// # Panics
 ///
-/// Panics if a fault environment knob holds an invalid value.
-pub fn run_probed_env_faults<P: Probe>(
+/// Panics if an artifact directory cannot be created or written, or if
+/// one of the environment knobs holds an invalid value.
+pub fn run_with_env<P: Probe>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
-) -> RunReport {
+    stem: &str,
+) -> (RunReport, Artifacts) {
     let rate = fault_rate();
     if rate > 0.0 {
         let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        Simulator::run_faulted(cfg, spec, probe, &mut plan)
+        run_with_sinks(cfg, spec, probe, &mut plan, stem)
     } else {
-        Simulator::run_faulted(cfg, spec, probe, &mut NullFaultPlan)
+        run_with_sinks(cfg, spec, probe, &mut NullFaultPlan, stem)
     }
 }
 
-/// [`run_instrumented`] under an explicit fault plan (the `resilience`
-/// harness sweeps plans directly; everything else goes through the
-/// environment-selected plan). Trace and metrics sinks attach exactly
-/// as for `run_instrumented`, so fault windows show up in the
-/// artifacts.
+/// Runs one (already scaled) workload on `cfg` under `probe` and
+/// `plan`, attaching the observability sinks the environment selects
+/// next to `probe`:
+///
+/// - `MCM_TRACE=<dir>` — write a Chrome trace-event JSON to
+///   `<dir>/<stem>.trace.json` (load in Perfetto).
+/// - `MCM_METRICS=<dir>` — write a utilization time-series CSV to
+///   `<dir>/<stem>.metrics.csv`; bucket width from
+///   `MCM_METRICS_BUCKET` (cycles).
+///
+/// Fault events reach the sinks, so fault windows show up in the
+/// artifacts. Sweeps that run one `(configuration, workload)` pair
+/// under several fault scenarios (the `resilience` harness) pass a
+/// per-scenario `stem`, so the scenarios never overwrite each other's
+/// files and may run in parallel.
 ///
 /// # Panics
 ///
-/// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted<F: FaultPlan>(
+/// Panics if an artifact directory cannot be created or written, or if
+/// `MCM_METRICS_BUCKET` holds an invalid value.
+pub fn run_with_sinks<P: Probe, F: FaultPlan>(
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
-    plan: &mut F,
-) -> RunReport {
-    let stem = artifact_stem(cfg, spec);
-    run_instrumented_faulted_stemmed(cfg, spec, plan, &stem)
-}
-
-/// [`run_instrumented_faulted`] writing artifacts under an explicit
-/// `stem` instead of the default [`artifact_stem`]. Sweeps that run the
-/// *same* `(configuration, workload)` pair under several fault
-/// scenarios (the `resilience` harness) append a scenario tag so the
-/// scenarios don't overwrite each other's trace/metrics files — which
-/// also makes those writes safe to run in parallel.
-///
-/// # Panics
-///
-/// Panics if an artifact directory cannot be created or written.
-pub fn run_instrumented_faulted_stemmed<F: FaultPlan>(
-    cfg: &SystemConfig,
-    spec: &WorkloadSpec,
+    probe: &mut P,
     plan: &mut F,
     stem: &str,
-) -> RunReport {
+) -> (RunReport, Artifacts) {
     let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
     let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
     if trace_dir.is_none() && metrics_dir.is_none() {
-        return Simulator::run_faulted(cfg, spec, &mut NullProbe, plan);
+        let report = Simulator::run_faulted(cfg, spec, probe, plan);
+        return (report, Artifacts::default());
     }
-    let mut probe = (
-        trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
-        metrics_dir
-            .as_ref()
-            .map(|_| MetricsProbe::new(metrics_bucket(), cfg.topology.sms_per_module)),
+    let mut sinks = (
+        probe,
+        (
+            trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
+            metrics_dir
+                .as_ref()
+                .map(|_| MetricsProbe::new(metrics_bucket(), cfg.topology.sms_per_module)),
+        ),
     );
-    let report = Simulator::run_faulted(cfg, spec, &mut probe, plan);
-    if let (Some(dir), Some(trace)) = (&trace_dir, &mut probe.0) {
-        std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
+    let report = Simulator::run_faulted(cfg, spec, &mut sinks, plan);
+    let (_, (trace, metrics)) = sinks;
+    let mut written = Artifacts::default();
+    if let (Some(dir), Some(mut trace)) = (trace_dir, trace) {
+        std::fs::create_dir_all(&dir).expect("create MCM_TRACE directory");
         let path = dir.join(format!("{stem}.trace.json"));
         trace.save(&path).expect("write Chrome trace");
+        written.trace = Some(path);
     }
-    if let (Some(dir), Some(metrics)) = (&metrics_dir, &probe.1) {
-        std::fs::create_dir_all(dir).expect("create MCM_METRICS directory");
+    if let (Some(dir), Some(metrics)) = (metrics_dir, metrics) {
+        std::fs::create_dir_all(&dir).expect("create MCM_METRICS directory");
         let path = dir.join(format!("{stem}.metrics.csv"));
         metrics.save(&path).expect("write metrics CSV");
+        written.metrics = Some(path);
     }
-    report
+    (report, written)
 }
 
 /// RAII guard that writes a snapshot of the global telemetry registry

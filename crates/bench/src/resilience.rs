@@ -10,8 +10,9 @@
 //! cycle slowdown and inter-module (ring) traffic inflation over the
 //! healthy run.
 
-use mcm_fault::{DeadModule, FaultConfig, SeededFaultPlan};
+use mcm_fault::{DeadModule, FaultConfig, NullFaultPlan, SeededFaultPlan};
 use mcm_gpu::{RunReport, SystemConfig};
+use mcm_probe::NullProbe;
 use mcm_workloads::{suite, WorkloadSpec};
 
 use crate::harness::{self, TextTable};
@@ -77,16 +78,13 @@ impl PlannedRun {
             harness::artifact_stem(cfg, &self.spec),
             self.scenario_tag
         );
-        match self.scenario {
-            "healthy" => harness::run_instrumented_faulted_stemmed(
-                cfg,
-                &self.spec,
-                &mut mcm_fault::NullFaultPlan,
-                &stem,
-            ),
+        let (report, _) = match self.scenario {
+            "healthy" => {
+                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut NullFaultPlan, &stem)
+            }
             "transient" => {
                 let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(seed, self.fault_rate));
-                harness::run_instrumented_faulted_stemmed(cfg, &self.spec, &mut plan, &stem)
+                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut plan, &stem)
             }
             _ => {
                 let mut lossy = FaultConfig {
@@ -98,9 +96,10 @@ impl PlannedRun {
                     from_kernel: 0,
                 });
                 let mut plan = SeededFaultPlan::new(lossy);
-                harness::run_instrumented_faulted_stemmed(cfg, &self.spec, &mut plan, &stem)
+                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut plan, &stem)
             }
-        }
+        };
+        report
     }
 }
 

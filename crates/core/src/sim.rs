@@ -30,7 +30,7 @@
 //! §5.3.
 
 use mcm_engine::{Cycle, EventQueue};
-use mcm_fault::{FaultPlan, NullFaultPlan};
+use mcm_fault::{FaultPlan, Hooks, NullFaultPlan};
 use mcm_mem::addr::{AccessKind, LineAddr, Locality};
 use mcm_mem::cache::CacheOutcome;
 use mcm_mem::mshr::MshrLookup;
@@ -193,8 +193,7 @@ impl Req {
 
 struct RunState<'a, P: Probe, F: FaultPlan> {
     spec: &'a WorkloadSpec,
-    probe: P,
-    plan: F,
+    hooks: Hooks<P, F>,
     sys: McmSystem,
     queue: EventQueue<Ev>,
     warps: Vec<Option<WarpRt>>,
@@ -283,9 +282,9 @@ impl Simulator {
     ) -> RunReport {
         cfg.validate().expect("invalid system configuration");
         spec.validate().expect("invalid workload spec");
-        // The blanket `&mut` forwarding impls let the state own
-        // `probe`/`plan` by value while callers keep their borrows.
-        let mut state: RunState<'_, &mut P, &mut F> = RunState::new(cfg, spec, probe, plan);
+        // The blanket `&mut` forwarding impls let the state own its
+        // hooks by value while callers keep their borrows.
+        let mut state = RunState::new(cfg, spec, Hooks::new(probe, plan));
         let sm_order = module_interleaved_order(state.sys.modules(), state.sys.total_sms());
 
         // One pool for the whole run: later kernels rewind it in place
@@ -295,7 +294,7 @@ impl Simulator {
         let mut now = Cycle::ZERO;
         for kernel in 0..spec.kernel_iters {
             state.start_kernel(kernel, now);
-            state.probe.kernel_begin(kernel, now);
+            state.hooks.probe.kernel_begin(kernel, now);
             if kernel > 0 {
                 pool.reset();
             }
@@ -323,7 +322,7 @@ impl Simulator {
             while let Some((t, ev)) = state.queue.pop() {
                 state.horizon = state.horizon.max(t);
                 if P::ACTIVE {
-                    state.probe.queue_depth(t, state.queue.len());
+                    state.hooks.probe.queue_depth(t, state.queue.len());
                 }
                 match ev {
                     Ev::Warp(widx) => state.advance_warp(&mut pool, widx, t),
@@ -333,7 +332,7 @@ impl Simulator {
 
             debug_assert!(pool.is_exhausted(), "kernel drained with unscheduled CTAs");
             now = state.horizon;
-            state.probe.kernel_end(kernel, now);
+            state.hooks.probe.kernel_end(kernel, now);
             state.sys.flush_private_caches();
         }
 
@@ -388,7 +387,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// proportional to resident warps and may still grow once on a
     /// pathological store storm — after which the arena is at peak and
     /// stays allocation-free.
-    fn new(cfg: &SystemConfig, spec: &'a WorkloadSpec, probe: P, plan: F) -> Self {
+    fn new(cfg: &SystemConfig, spec: &'a WorkloadSpec, hooks: Hooks<P, F>) -> Self {
         let sys = McmSystem::new(cfg);
         let total_sms = sys.total_sms();
         let module_count = sys.modules();
@@ -401,8 +400,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         let req_cap = (total_sms * cfg.sm.mshr_entries + warp_cap).min(1 << 20);
         RunState {
             spec,
-            probe,
-            plan,
+            hooks,
             sys,
             queue: EventQueue::with_capacity(4096),
             warps: Vec::with_capacity(warp_cap),
@@ -454,12 +452,12 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     fn refresh_disabled(&mut self, kernel: u32, now: Cycle) -> bool {
         let mut any_dead = false;
         for m in 0..self.sys.modules() {
-            let dead = self.plan.module_disabled(m, kernel);
+            let dead = self.hooks.plan.module_disabled(m, kernel);
             self.disabled[m] = dead;
             if dead {
                 any_dead = true;
                 if P::ACTIVE {
-                    self.probe.fault(
+                    self.hooks.probe.fault(
                         now,
                         FaultEvent::ModuleDisabled {
                             module: m as u32,
@@ -529,7 +527,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 }
             };
             if P::ACTIVE {
-                self.probe.warp_spawn(widx, sm as u32, now);
+                self.hooks.probe.warp_spawn(widx, sm as u32, now);
             }
             self.queue.push(now, key, Ev::Warp(widx));
         }
@@ -570,7 +568,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         // The wake at `t` closes whatever wait phase the warp parked in
         // (memory, MSHR-full, drain — or the initial issue slice).
         if P::ACTIVE {
-            self.probe.warp_phase(widx, sm, t, WarpPhase::Issue);
+            self.hooks.probe.warp_phase(widx, sm, t, WarpPhase::Issue);
         }
         // Phase the warp is in *locally*, to emit transitions only on
         // change (the probe charges intervals to the phase being left).
@@ -587,7 +585,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     } else {
                         WarpPhase::mem(warp.wait_loc.is_remote())
                     };
-                    self.probe.warp_phase(widx, sm, t, phase);
+                    self.hooks.probe.warp_phase(widx, sm, t, phase);
                 }
                 return None;
             }
@@ -598,14 +596,14 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             match warp.cursor.next_op(&self.stream) {
                 Some(WarpOp::Compute(n)) => {
                     if P::ACTIVE && cur != WarpPhase::Compute {
-                        self.probe.warp_phase(widx, sm, t, WarpPhase::Compute);
+                        self.hooks.probe.warp_phase(widx, sm, t, WarpPhase::Compute);
                         cur = WarpPhase::Compute;
                     }
                     t = self.sys.compute(t, warp.sm as usize, n);
                 }
                 Some(WarpOp::Access { addr, kind }) => {
                     if P::ACTIVE && cur != WarpPhase::Issue {
-                        self.probe.warp_phase(widx, sm, t, WarpPhase::Issue);
+                        self.hooks.probe.warp_phase(widx, sm, t, WarpPhase::Issue);
                         cur = WarpPhase::Issue;
                     }
                     if kind.is_write() {
@@ -615,7 +613,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         if !keep_going {
                             // MSHR full: warp parked on the stall list.
                             if P::ACTIVE {
-                                self.probe.warp_phase(widx, sm, t, WarpPhase::MshrFull);
+                                self.hooks
+                                    .probe
+                                    .warp_phase(widx, sm, t, WarpPhase::MshrFull);
                             }
                             return None;
                         }
@@ -623,7 +623,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                             warp.blocked = true;
                             if P::ACTIVE {
                                 let phase = WarpPhase::mem(warp.wait_loc.is_remote());
-                                self.probe.warp_phase(widx, sm, t, phase);
+                                self.hooks.probe.warp_phase(widx, sm, t, phase);
                             }
                             return None;
                         }
@@ -633,9 +633,13 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                             // resolved loads.
                             if P::ACTIVE && warp.resume_at > t {
                                 let phase = WarpPhase::mem(warp.wait_loc.is_remote());
-                                self.probe.warp_phase(widx, sm, t, phase);
-                                self.probe
-                                    .warp_phase(widx, sm, warp.resume_at, WarpPhase::Issue);
+                                self.hooks.probe.warp_phase(widx, sm, t, phase);
+                                self.hooks.probe.warp_phase(
+                                    widx,
+                                    sm,
+                                    warp.resume_at,
+                                    WarpPhase::Issue,
+                                );
                             }
                             t = t.max(warp.resume_at);
                             reads_since_sync = 0;
@@ -646,7 +650,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     if warp.outstanding > 0 {
                         warp.draining = true;
                         if P::ACTIVE {
-                            self.probe.warp_phase(widx, sm, t, WarpPhase::Drain);
+                            self.hooks.probe.warp_phase(widx, sm, t, WarpPhase::Drain);
                         }
                         return None;
                     }
@@ -655,9 +659,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         if end > t {
                             // The tail wait for already-resolved loads.
                             let phase = WarpPhase::mem(warp.wait_loc.is_remote());
-                            self.probe.warp_phase(widx, sm, t, phase);
+                            self.hooks.probe.warp_phase(widx, sm, t, phase);
                         }
-                        self.probe.warp_retire(widx, sm, end);
+                        self.hooks.probe.warp_retire(widx, sm, end);
                     }
                     self.horizon = self.horizon.max(end);
                     return Some(end);
@@ -692,9 +696,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// only advance the warp's `resume_at`; misses raise `outstanding`.
     fn issue_load(&mut self, warp: &mut WarpRt, widx: u32, t: Cycle, line: LineAddr) -> bool {
         let sm = warp.sm as usize;
-        let (_, outcome) =
-            self.sys
-                .l1_access_probed(t, sm, line, AccessKind::Read, &mut self.probe);
+        let (_, outcome) = self
+            .sys
+            .l1_access(t, sm, line, AccessKind::Read, &mut self.hooks);
         match outcome {
             CacheOutcome::Hit { ready_at } => {
                 warp.resume_at = warp.resume_at.max(ready_at);
@@ -729,18 +733,18 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         replayed: false,
                     });
                     self.waiters[ridx as usize].push(widx);
-                    self.sys.mshr_mut(sm).reserve_probed(
+                    self.sys.mshr_mut(sm).reserve_hooked(
                         line,
                         u64::from(ridx),
                         warp.sm,
                         t,
-                        &mut self.probe,
+                        &mut self.hooks,
                     );
                     if P::ACTIVE {
                         warp.wait_loc = locality;
                         // Stamped at the departure event, so the trace
                         // span opens no later than its first stage.
-                        self.probe.request_issued(
+                        self.hooks.probe.request_issued(
                             id,
                             ready_at,
                             RequestMeta {
@@ -770,9 +774,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
     /// event chain. Returns the time at which the warp may continue.
     fn issue_store(&mut self, warp: &WarpRt, t: Cycle, line: LineAddr) -> Cycle {
         let sm = warp.sm as usize;
-        let (issued, outcome) =
-            self.sys
-                .l1_access_probed(t, sm, line, AccessKind::Write, &mut self.probe);
+        let (issued, outcome) = self
+            .sys
+            .l1_access(t, sm, line, AccessKind::Write, &mut self.hooks);
         let depart = match outcome {
             CacheOutcome::Hit { ready_at } | CacheOutcome::Miss { ready_at, .. } => ready_at,
             CacheOutcome::Bypass => issued,
@@ -793,7 +797,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
             replayed: false,
         });
         if P::ACTIVE {
-            self.probe.request_issued(
+            self.hooks.probe.request_issued(
                 id,
                 depart,
                 RequestMeta {
@@ -847,7 +851,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     Stage::Deliver => None,
                 };
                 if let Some(stage) = stage {
-                    self.probe.request_stage(req.id, now, stage);
+                    self.hooks.probe.request_stage(req.id, now, stage);
                 }
             }
             let t_next = match req.stage {
@@ -859,13 +863,13 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         AccessKind::Write
                     };
                     let mut t = now;
-                    match self.sys.l15_access_probed(
+                    match self.sys.l15_access(
                         now,
                         module,
                         req.line,
                         kind,
                         req.locality,
-                        &mut self.probe,
+                        &mut self.hooks,
                     ) {
                         L15Outcome::Hit { ready_at } => {
                             if req.is_read {
@@ -882,7 +886,7 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                         }
                         L15Outcome::NotPresent => {}
                     }
-                    let out = self.sys.fabric_out_probed(t, module, &mut self.probe);
+                    let out = self.sys.fabric_out(t, module, &mut self.hooks);
                     if module == usize::from(req.home) {
                         req.stage = Stage::AtMem;
                     } else {
@@ -898,14 +902,13 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 }
                 Stage::ToHome { at, dir, left } => {
                     let bytes = req.request_bytes();
-                    let (next, arrival) = self.sys.ring_hop_faulted(
+                    let (next, arrival) = self.sys.ring_hop(
                         now,
                         usize::from(at),
                         usize::from(req.home),
                         dir,
                         bytes,
-                        &mut self.probe,
-                        &mut self.plan,
+                        &mut self.hooks,
                     );
                     req.stage = if left == 1 {
                         debug_assert_eq!(next, usize::from(req.home));
@@ -922,14 +925,9 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                 Stage::AtMem => {
                     let home = usize::from(req.home);
                     if req.is_read {
-                        let ready = self.sys.mem_read_faulted(
-                            now,
-                            home,
-                            req.line,
-                            req.locality,
-                            &mut self.probe,
-                            &mut self.plan,
-                        );
+                        let ready =
+                            self.sys
+                                .mem_read(now, home, req.line, req.locality, &mut self.hooks);
                         if req.locality.is_remote() {
                             let (dir, hops) = self.sys.ring_route(home, usize::from(req.module));
                             debug_assert!(hops > 0);
@@ -944,16 +942,10 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                             return;
                         }
                     } else {
-                        self.sys.mem_write_faulted(
-                            now,
-                            home,
-                            req.line,
-                            req.locality,
-                            &mut self.probe,
-                            &mut self.plan,
-                        );
+                        self.sys
+                            .mem_write(now, home, req.line, req.locality, &mut self.hooks);
                         if P::ACTIVE {
-                            self.probe.request_retired(req.id, now);
+                            self.hooks.probe.request_retired(req.id, now);
                         }
                         self.horizon = self.horizon.max(now);
                         self.free_reqs.push(ridx);
@@ -961,14 +953,13 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
                     }
                 }
                 Stage::ToRequester { at, dir, left } => {
-                    let (next, arrival) = self.sys.ring_hop_faulted(
+                    let (next, arrival) = self.sys.ring_hop(
                         now,
                         usize::from(at),
                         usize::from(req.module),
                         dir,
                         mcm_mem::addr::LINE_BYTES,
-                        &mut self.probe,
-                        &mut self.plan,
+                        &mut self.hooks,
                     );
                     if left == 1 {
                         debug_assert_eq!(next, usize::from(req.module));
@@ -1016,10 +1007,11 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         // The entry stays reserved and the waiters stay attached, so no
         // warp instruction is re-issued — the penalty is exactly one
         // extra memory round trip.
-        if F::ACTIVE && !req.replayed && self.plan.poison_fill(req.id) {
+        if F::ACTIVE && !req.replayed && self.hooks.plan.poison_fill(req.id) {
             req.replayed = true;
             if P::ACTIVE {
-                self.probe
+                self.hooks
+                    .probe
                     .fault(ready, FaultEvent::MshrPoison { request: req.id });
             }
             req.stage = Stage::Access;
@@ -1035,10 +1027,10 @@ impl<'a, P: Probe, F: FaultPlan> RunState<'a, P, F> {
         let released =
             self.sys
                 .mshr_mut(sm)
-                .release_probed(req.line, req.sm, ready, &mut self.probe);
+                .release_hooked(req.line, req.sm, ready, &mut self.hooks);
         debug_assert_eq!(released, Some(u64::from(ridx)));
         if P::ACTIVE {
-            self.probe.request_retired(req.id, ready);
+            self.hooks.probe.request_retired(req.id, ready);
         }
         // Detach the slot's waiter buffer while waking warps (the loop
         // needs `&mut self`), then hand it back drained-but-capacious

@@ -24,6 +24,7 @@
 
 use mcm_engine::stats::{Counter, Ratio};
 use mcm_engine::Cycle;
+use mcm_fault::{FaultPlan, Hooks};
 use mcm_interconnect::energy::EnergyLedger;
 use mcm_interconnect::mesh::Fabric;
 use mcm_interconnect::ring::{NodeId, RingDir};
@@ -33,7 +34,7 @@ use mcm_mem::cache::{AllocFilter, CacheConfig, CacheOutcome, SetAssocCache, Writ
 use mcm_mem::dram::{DramConfig, DramPartition};
 use mcm_mem::mshr::Mshr;
 use mcm_mem::page::PageMap;
-use mcm_probe::{NullProbe, Probe};
+use mcm_probe::Probe;
 use mcm_sm::SmCore;
 
 use crate::config::SystemConfig;
@@ -270,28 +271,17 @@ impl McmSystem {
     // ------------------------------------------------------------------
 
     /// Stage 0 (warp side): issues the memory instruction and probes the
-    /// L1. Returns `(issued, outcome)`: `issued` is when the instruction
+    /// L1, reporting the hit/miss to the hooks (unit = global SM index).
+    /// Returns `(issued, outcome)`: `issued` is when the instruction
     /// has left the SM's issue stage (a store lets its warp continue
     /// then), `outcome` the L1 decision.
-    pub fn l1_access(
+    pub fn l1_access<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         sm: usize,
         line: LineAddr,
         kind: AccessKind,
-    ) -> (Cycle, CacheOutcome) {
-        self.l1_access_probed(now, sm, line, kind, &mut NullProbe)
-    }
-
-    /// [`McmSystem::l1_access`] reporting the L1 hit/miss to `probe`
-    /// (unit = global SM index).
-    pub fn l1_access_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        sm: usize,
-        line: LineAddr,
-        kind: AccessKind,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> (Cycle, CacheOutcome) {
         match kind {
             AccessKind::Read => self.reads.inc(),
@@ -300,7 +290,7 @@ impl McmSystem {
         let t0 = self.sms[sm].issue_mem_op(now);
         (
             t0,
-            self.l1s[sm].access_probed(t0, line, kind, Locality::Local, sm as u32, probe),
+            self.l1s[sm].access_hooked(t0, line, kind, Locality::Local, sm as u32, hooks),
         )
     }
 
@@ -309,34 +299,22 @@ impl McmSystem {
         self.l1s[sm].fill(line, ready, false);
     }
 
-    /// Stage 1 (module side): probes the GPM-side L1.5.
-    pub fn l15_access(
+    /// Stage 1 (module side): probes the GPM-side L1.5, reporting the
+    /// hit/miss to the hooks (unit = module index; filtered and disabled
+    /// accesses are invisible).
+    pub fn l15_access<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         module: usize,
         line: LineAddr,
         kind: AccessKind,
         locality: Locality,
-    ) -> L15Outcome {
-        self.l15_access_probed(now, module, line, kind, locality, &mut NullProbe)
-    }
-
-    /// [`McmSystem::l15_access`] reporting the L1.5 hit/miss to `probe`
-    /// (unit = module index; filtered and disabled accesses are
-    /// invisible).
-    pub fn l15_access_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        module: usize,
-        line: LineAddr,
-        kind: AccessKind,
-        locality: Locality,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> L15Outcome {
         if self.l15s[module].is_disabled() {
             return L15Outcome::NotPresent;
         }
-        match self.l15s[module].access_probed(now, line, kind, locality, module as u32, probe) {
+        match self.l15s[module].access_hooked(now, line, kind, locality, module as u32, hooks) {
             CacheOutcome::Bypass => L15Outcome::NotPresent,
             CacheOutcome::Hit { ready_at } => L15Outcome::Hit { ready_at },
             CacheOutcome::Miss { allocate, ready_at } => L15Outcome::Miss {
@@ -354,21 +332,16 @@ impl McmSystem {
         self.l15s[module].fill(line, ready, false);
     }
 
-    /// Stage 2: crosses the module's crossbar toward the memory side;
-    /// returns when the message leaves the module's fabric.
-    pub fn fabric_out(&mut self, now: Cycle, module: usize) -> Cycle {
-        self.fabric_out_probed(now, module, &mut NullProbe)
-    }
-
-    /// [`McmSystem::fabric_out`] reporting the crossbar traffic to
-    /// `probe`.
-    pub fn fabric_out_probed<P: Probe>(
+    /// Stage 2: crosses the module's crossbar toward the memory side,
+    /// reporting the traffic to the hooks; returns when the message
+    /// leaves the module's fabric.
+    pub fn fabric_out<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         module: usize,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> Cycle {
-        self.xbars[module].transfer_probed(now, LINE_BYTES, module as u32, probe)
+        self.xbars[module].transfer_hooked(now, LINE_BYTES, module as u32, hooks)
     }
 
     /// The shortest ring route between two modules.
@@ -378,124 +351,43 @@ impl McmSystem {
 
     /// One network hop from `node` toward `to` (direction `dir` on a
     /// ring; direct on a fully connected fabric), carrying `bytes`;
-    /// returns `(next_node, arrival)`. Issue exactly one hop per
-    /// simulation event so link queues stay causally ordered.
-    pub fn ring_hop(
+    /// returns `(next_node, arrival)`. The hooks see the traversed link
+    /// and may fault it (CRC retransmit with backoff). Issue exactly
+    /// one hop per simulation event so link queues stay causally
+    /// ordered.
+    pub fn ring_hop<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         node: usize,
         to: usize,
         dir: RingDir,
         bytes: u64,
+        hooks: &mut Hooks<P, F>,
     ) -> (usize, Cycle) {
-        self.ring_hop_probed(now, node, to, dir, bytes, &mut NullProbe)
-    }
-
-    /// [`McmSystem::ring_hop`] reporting the traversed link's identity
-    /// and bytes to `probe`.
-    pub fn ring_hop_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        node: usize,
-        to: usize,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (usize, Cycle) {
-        self.ring_hop_faulted(
-            now,
-            node,
-            to,
-            dir,
-            bytes,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        )
-    }
-
-    /// [`McmSystem::ring_hop_probed`] additionally consulting `plan`
-    /// for transient link errors (CRC retransmit with backoff). With an
-    /// inactive plan this is exactly `ring_hop_probed`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn ring_hop_faulted<P: Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        node: usize,
-        to: usize,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (usize, Cycle) {
-        let (next, t) = self.ring.hop_faulted(
-            now,
-            NodeId(node as u8),
-            NodeId(to as u8),
-            dir,
-            bytes,
-            probe,
-            plan,
-        );
+        let (next, t) = self
+            .ring
+            .hop(now, NodeId(node as u8), NodeId(to as u8), dir, bytes, hooks);
         (next.as_usize(), t)
     }
 
     /// Stage 3 (read): accesses the home memory partition — L2, then
     /// DRAM on a miss — and returns when the line is available at the
-    /// home module.
-    pub fn mem_read(
+    /// home module. The hooks see the L2 hit/miss and any DRAM traffic
+    /// (demand fill and dirty writeback), and may throttle the DRAM.
+    pub fn mem_read<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         home: usize,
         line: LineAddr,
         locality: Locality,
-    ) -> Cycle {
-        self.mem_read_probed(now, home, line, locality, &mut NullProbe)
-    }
-
-    /// [`McmSystem::mem_read`] reporting the L2 hit/miss and any DRAM
-    /// traffic (demand fill and dirty writeback) to `probe`.
-    pub fn mem_read_probed<P: Probe>(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-        probe: &mut P,
-    ) -> Cycle {
-        self.mem_read_faulted(
-            now,
-            home,
-            line,
-            locality,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        )
-    }
-
-    /// [`McmSystem::mem_read_probed`] additionally consulting `plan`
-    /// for DRAM thermal-throttle windows. With an inactive plan this is
-    /// exactly `mem_read_probed`.
-    pub fn mem_read_faulted<P: Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-        probe: &mut P,
-        plan: &mut F,
+        hooks: &mut Hooks<P, F>,
     ) -> Cycle {
         let unit = home as u32;
-        match self.l2s[home].access_probed(now, line, AccessKind::Read, locality, unit, probe) {
+        match self.l2s[home].access_hooked(now, line, AccessKind::Read, locality, unit, hooks) {
             CacheOutcome::Hit { ready_at } => ready_at,
             CacheOutcome::Miss { allocate, ready_at } => {
-                let r = self.drams[home].access_faulted(
-                    ready_at,
-                    line,
-                    AccessKind::Read,
-                    unit,
-                    probe,
-                    plan,
-                );
+                let r =
+                    self.drams[home].access_hooked(ready_at, line, AccessKind::Read, unit, hooks);
                 if allocate {
                     if let Some(ev) = self.l2s[home].fill(line, r, false) {
                         if ev.dirty {
@@ -504,13 +396,12 @@ impl McmSystem {
                             // lands: stamping it at the fill time would
                             // submit a future arrival to the DRAM queue
                             // and ratchet its next-free time.
-                            self.drams[home].access_faulted(
+                            self.drams[home].access_hooked(
                                 ready_at,
                                 ev.line,
                                 AccessKind::Write,
                                 unit,
-                                probe,
-                                plan,
+                                hooks,
                             );
                         }
                     }
@@ -524,68 +415,33 @@ impl McmSystem {
     /// Stage 3 (write): absorbs a store into the home memory partition.
     /// The write-back L2 takes it (allocating without fetch on a miss,
     /// as coalesced full-line stores do); dirty evictions spill to DRAM.
-    pub fn mem_write(&mut self, now: Cycle, home: usize, line: LineAddr, locality: Locality) {
-        self.mem_write_probed(now, home, line, locality, &mut NullProbe);
-    }
-
-    /// [`McmSystem::mem_write`] reporting the L2 hit/miss and any DRAM
-    /// traffic to `probe`.
-    pub fn mem_write_probed<P: Probe>(
+    /// The hooks see the same events as for [`McmSystem::mem_read`].
+    pub fn mem_write<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         home: usize,
         line: LineAddr,
         locality: Locality,
-        probe: &mut P,
-    ) {
-        self.mem_write_faulted(
-            now,
-            home,
-            line,
-            locality,
-            probe,
-            &mut mcm_fault::NullFaultPlan,
-        );
-    }
-
-    /// [`McmSystem::mem_write_probed`] additionally consulting `plan`
-    /// for DRAM thermal-throttle windows. With an inactive plan this is
-    /// exactly `mem_write_probed`.
-    pub fn mem_write_faulted<P: Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        home: usize,
-        line: LineAddr,
-        locality: Locality,
-        probe: &mut P,
-        plan: &mut F,
+        hooks: &mut Hooks<P, F>,
     ) {
         let unit = home as u32;
-        match self.l2s[home].access_probed(now, line, AccessKind::Write, locality, unit, probe) {
+        match self.l2s[home].access_hooked(now, line, AccessKind::Write, locality, unit, hooks) {
             CacheOutcome::Hit { .. } => {}
             CacheOutcome::Miss { allocate, ready_at } => {
                 if allocate {
                     if let Some(ev) = self.l2s[home].fill(line, ready_at, true) {
                         if ev.dirty {
-                            self.drams[home].access_faulted(
+                            self.drams[home].access_hooked(
                                 ready_at,
                                 ev.line,
                                 AccessKind::Write,
                                 unit,
-                                probe,
-                                plan,
+                                hooks,
                             );
                         }
                     }
                 } else {
-                    self.drams[home].access_faulted(
-                        ready_at,
-                        line,
-                        AccessKind::Write,
-                        unit,
-                        probe,
-                        plan,
-                    );
+                    self.drams[home].access_hooked(ready_at, line, AccessKind::Write, unit, hooks);
                 }
             }
             CacheOutcome::Bypass => unreachable!("L2 has no allocation filter"),
@@ -741,15 +597,16 @@ mod tests {
     #[test]
     fn l1_miss_then_fill_then_hit() {
         let mut sys = McmSystem::new(&tiny_mcm());
+        let hooks = &mut Hooks::null();
         let line = LineAddr::new(123);
-        match sys.l1_access(Cycle::ZERO, 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::ZERO, 0, line, AccessKind::Read, hooks) {
             (issued, CacheOutcome::Miss { allocate: true, .. }) => {
                 assert!(issued >= Cycle::ZERO);
             }
             (_, other) => panic!("expected cold miss, got {other:?}"),
         }
         sys.l1_fill(0, line, Cycle::new(300));
-        match sys.l1_access(Cycle::new(400), 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::new(400), 0, line, AccessKind::Read, hooks) {
             (_, CacheOutcome::Hit { ready_at }) => {
                 assert!(ready_at - Cycle::new(400) <= Cycle::new(L1_LATENCY + 2));
             }
@@ -781,7 +638,8 @@ mod tests {
     #[test]
     fn fabric_out_is_xbar_only() {
         let mut sys = McmSystem::new(&tiny_mcm());
-        let t = sys.fabric_out(Cycle::ZERO, 2);
+        let hooks = &mut Hooks::null();
+        let t = sys.fabric_out(Cycle::ZERO, 2, hooks);
         assert_eq!(t, Cycle::new(XBAR_LATENCY + 1));
         assert_eq!(sys.inter_module_bytes(), 0);
     }
@@ -789,17 +647,18 @@ mod tests {
     #[test]
     fn ring_hops_route_and_charge() {
         let mut sys = McmSystem::new(&tiny_mcm());
+        let hooks = &mut Hooks::null();
         // 0 -> 1: one clockwise hop.
         let (dir, hops) = sys.ring_route(0, 1);
         assert_eq!(hops, 1);
-        let (next, t) = sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES);
+        let (next, t) = sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES, hooks);
         assert_eq!(next, 1);
         assert!(t >= Cycle::new(32));
         assert_eq!(sys.inter_module_bytes(), REQUEST_BYTES);
         // Response hop 1 -> 0 carries the full line.
         let (dir_back, hops_back) = sys.ring_route(1, 0);
         assert_eq!(hops_back, 1);
-        let (back, t2) = sys.ring_hop(t, 1, 0, dir_back, LINE_BYTES);
+        let (back, t2) = sys.ring_hop(t, 1, 0, dir_back, LINE_BYTES, hooks);
         assert_eq!(back, 0);
         assert!(t2 >= t + Cycle::new(32));
         assert_eq!(sys.inter_module_bytes(), REQUEST_BYTES + LINE_BYTES);
@@ -808,10 +667,11 @@ mod tests {
     #[test]
     fn mem_read_pays_dram_on_miss_and_l2_on_hit() {
         let mut sys = McmSystem::new(&tiny_mcm());
+        let hooks = &mut Hooks::null();
         let line = LineAddr::new(40);
-        let miss = sys.mem_read(Cycle::ZERO, 0, line, Locality::Local);
+        let miss = sys.mem_read(Cycle::ZERO, 0, line, Locality::Local, hooks);
         assert!(miss >= Cycle::from_ns(100) + Cycle::new(L2_LATENCY));
-        let hit = sys.mem_read(Cycle::new(1000), 0, line, Locality::Local);
+        let hit = sys.mem_read(Cycle::new(1000), 0, line, Locality::Local, hooks);
         assert!(hit - Cycle::new(1000) <= Cycle::new(L2_LATENCY + 2));
         assert_eq!(sys.l2_ratio().hits(), 1);
     }
@@ -821,8 +681,15 @@ mod tests {
         let mut cfg = tiny_mcm();
         cfg.caches.l2_bytes_total = 4 * 32 * 1024;
         let mut sys = McmSystem::new(&cfg);
+        let hooks = &mut Hooks::null();
         for i in 0..4096 {
-            sys.mem_write(Cycle::new(i), 0, LineAddr::new(i * 4), Locality::Local);
+            sys.mem_write(
+                Cycle::new(i),
+                0,
+                LineAddr::new(i * 4),
+                Locality::Local,
+                hooks,
+            );
         }
         assert!(sys.dram_bytes() > 0, "dirty evictions must reach DRAM");
     }
@@ -832,17 +699,39 @@ mod tests {
         let mut cfg = tiny_mcm();
         cfg.caches.l15_bytes_total = 8 << 20;
         let mut sys = McmSystem::new(&cfg);
+        let hooks = &mut Hooks::null();
         let line = LineAddr::new(77);
         assert_eq!(
-            sys.l15_access(Cycle::ZERO, 0, line, AccessKind::Read, Locality::Local),
+            sys.l15_access(
+                Cycle::ZERO,
+                0,
+                line,
+                AccessKind::Read,
+                Locality::Local,
+                hooks
+            ),
             L15Outcome::NotPresent
         );
-        match sys.l15_access(Cycle::ZERO, 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::ZERO,
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            hooks,
+        ) {
             L15Outcome::Miss { fill: true, .. } => {}
             other => panic!("expected filling miss, got {other:?}"),
         }
         sys.l15_fill(0, line, Cycle::new(500));
-        match sys.l15_access(Cycle::new(600), 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::new(600),
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            hooks,
+        ) {
             L15Outcome::Hit { .. } => {}
             other => panic!("expected hit, got {other:?}"),
         }
@@ -852,13 +741,15 @@ mod tests {
     #[test]
     fn l15_disabled_is_not_present() {
         let mut sys = McmSystem::new(&tiny_mcm());
+        let hooks = &mut Hooks::null();
         assert_eq!(
             sys.l15_access(
                 Cycle::ZERO,
                 0,
                 LineAddr::new(1),
                 AccessKind::Read,
-                Locality::Remote
+                Locality::Remote,
+                hooks,
             ),
             L15Outcome::NotPresent
         );
@@ -870,12 +761,14 @@ mod tests {
         let mut cfg = tiny_mcm();
         cfg.caches.l15_bytes_total = 8 << 20;
         let mut sys = McmSystem::new(&cfg);
+        let hooks = &mut Hooks::null();
         match sys.l15_access(
             Cycle::ZERO,
             0,
             LineAddr::new(9),
             AccessKind::Write,
             Locality::Remote,
+            hooks,
         ) {
             L15Outcome::Miss { fill, .. } => assert!(!fill),
             other => panic!("expected miss, got {other:?}"),
@@ -887,15 +780,23 @@ mod tests {
         let mut cfg = tiny_mcm();
         cfg.caches.l15_bytes_total = 8 << 20;
         let mut sys = McmSystem::new(&cfg);
+        let hooks = &mut Hooks::null();
         let line = LineAddr::new(3);
         sys.l1_fill(0, line, Cycle::ZERO);
         sys.l15_fill(0, line, Cycle::ZERO);
         sys.flush_private_caches();
-        match sys.l1_access(Cycle::new(10), 0, line, AccessKind::Read) {
+        match sys.l1_access(Cycle::new(10), 0, line, AccessKind::Read, hooks) {
             (_, CacheOutcome::Miss { .. }) => {}
             (_, other) => panic!("L1 must miss after flush, got {other:?}"),
         }
-        match sys.l15_access(Cycle::new(10), 0, line, AccessKind::Read, Locality::Remote) {
+        match sys.l15_access(
+            Cycle::new(10),
+            0,
+            line,
+            AccessKind::Read,
+            Locality::Remote,
+            hooks,
+        ) {
             L15Outcome::Miss { .. } => {}
             other => panic!("L1.5 must miss after flush, got {other:?}"),
         }
@@ -904,10 +805,11 @@ mod tests {
     #[test]
     fn energy_ledger_reflects_traffic() {
         let mut sys = McmSystem::new(&tiny_mcm());
-        sys.fabric_out(Cycle::ZERO, 0);
+        let hooks = &mut Hooks::null();
+        sys.fabric_out(Cycle::ZERO, 0, hooks);
         let (dir, _) = sys.ring_route(0, 1);
-        sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES);
-        sys.mem_read(Cycle::ZERO, 1, LineAddr::new(1), Locality::Remote);
+        sys.ring_hop(Cycle::ZERO, 0, 1, dir, REQUEST_BYTES, hooks);
+        sys.mem_read(Cycle::ZERO, 1, LineAddr::new(1), Locality::Remote, hooks);
         let ledger = sys.energy_ledger();
         assert!(ledger.bytes(mcm_interconnect::energy::Tier::Package) > 0);
         assert!(ledger.bytes(mcm_interconnect::energy::Tier::Chip) > 0);

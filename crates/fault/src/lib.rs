@@ -1,13 +1,14 @@
 //! Deterministic runtime fault injection for the MCM-GPU simulator.
 //!
-//! The simulator threads a generic [`FaultPlan`] through the same
-//! contended components that carry a `Probe`: inter-module links, DRAM
-//! partitions, the MSHR fill path, and the CTA scheduler. Unlike a
-//! probe, a fault plan *does* influence timing — that is its job — so
-//! the disabled case must vanish completely. [`NullFaultPlan`] declares
-//! `ACTIVE = false` and every call site guards on the const, so a
-//! simulator monomorphized over `NullFaultPlan` compiles to exactly the
-//! fault-free code and reproduces every golden cycle count bit-exactly.
+//! A [`FaultPlan`] rides next to a `Probe` in one [`Hooks`] context,
+//! which the simulator threads through its contended components:
+//! inter-module links, DRAM partitions, the MSHR fill path, and the CTA
+//! scheduler. Unlike a probe, a fault plan *does* influence timing —
+//! that is its job — so the disabled case must vanish completely.
+//! [`NullFaultPlan`] declares `ACTIVE = false` and every call site
+//! guards on the const, so a simulator monomorphized over
+//! `NullFaultPlan` compiles to exactly the fault-free code and
+//! reproduces every golden cycle count bit-exactly.
 //!
 //! [`SeededFaultPlan`] compiles a [`FaultConfig`] into concrete events.
 //! Every decision is a pure function of `(seed, salt, site, counter)`
@@ -57,7 +58,7 @@ use std::sync::OnceLock;
 
 use mcm_engine::rng::Xoshiro256;
 use mcm_engine::Cycle;
-use mcm_probe::LinkId;
+use mcm_probe::{LinkId, NullProbe};
 use mcm_telemetry::{global, Class, Counter};
 
 /// Pre-registered per-kind injection counters. The schedule is a pure
@@ -189,6 +190,49 @@ pub struct NullFaultPlan;
 
 impl FaultPlan for NullFaultPlan {
     const ACTIVE: bool = false;
+}
+
+/// The hooks a contended component's operation takes: a
+/// [`Probe`](mcm_probe::Probe) that observes it and a [`FaultPlan`]
+/// that may perturb it.
+///
+/// One `&mut Hooks<P, F>` is threaded through every link, ring, mesh,
+/// crossbar, cache, MSHR, DRAM and system stage operation that can
+/// report or fault. Each site guards on `P::ACTIVE` or `F::ACTIVE`, so
+/// [`Hooks::null`] compiles every hooked operation down to its plain
+/// form.
+///
+/// # Example
+///
+/// ```
+/// use mcm_fault::{FaultPlan, Hooks};
+/// use mcm_probe::Probe;
+///
+/// fn inert<P: Probe, F: FaultPlan>(_: &mut Hooks<P, F>) -> bool {
+///     !P::ACTIVE && !F::ACTIVE
+/// }
+/// assert!(inert(&mut Hooks::null()));
+/// ```
+#[derive(Debug)]
+pub struct Hooks<P, F> {
+    /// The passive observer.
+    pub probe: P,
+    /// The fault schedule.
+    pub plan: F,
+}
+
+impl<P, F> Hooks<P, F> {
+    /// Pairs `probe` with `plan`.
+    pub const fn new(probe: P, plan: F) -> Self {
+        Hooks { probe, plan }
+    }
+}
+
+impl Hooks<NullProbe, NullFaultPlan> {
+    /// No probe and no faults.
+    pub const fn null() -> Self {
+        Hooks::new(NullProbe, NullFaultPlan)
+    }
 }
 
 /// A hard GPM loss: module `module` stops admitting CTAs from kernel

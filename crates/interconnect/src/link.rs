@@ -1,6 +1,8 @@
 //! Point-to-point links: bandwidth, hop latency, and energy tier.
 
 use mcm_engine::{Cycle, Resource};
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::{FaultEvent, LinkId, Probe};
 
 use crate::energy::Tier;
 
@@ -72,46 +74,33 @@ impl Link {
         self.bandwidth.service(now, bytes) + self.hop_latency
     }
 
-    /// Like [`Link::transfer`], additionally reporting the transfer to
-    /// `probe` under the caller-chosen link identity `id` with its
-    /// computed arrival time.
-    pub fn transfer_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        bytes: u64,
-        id: mcm_probe::LinkId,
-        probe: &mut P,
-    ) -> Cycle {
-        let arrival = self.transfer(now, bytes);
-        if P::ACTIVE {
-            probe.link_transfer(id, now, bytes, arrival);
-        }
-        arrival
-    }
-
-    /// Like [`Link::transfer_probed`], but consults `plan` for
-    /// transient CRC errors: an errored attempt occupies the link (the
-    /// corrupt flits really crossed the wire), then retransmits after a
-    /// capped exponential backoff, up to the plan's retry budget. Each
-    /// retry is reported to `probe` as a [`mcm_probe::FaultEvent`].
+    /// Like [`Link::transfer`], reporting each attempt to the probe
+    /// under the caller-chosen link identity `id` with its arrival
+    /// time, and consulting the plan for transient CRC errors: an
+    /// errored attempt occupies the link (the corrupt flits really
+    /// crossed the wire), then retransmits after a capped exponential
+    /// backoff, up to the plan's retry budget. Each retry is reported
+    /// as a [`mcm_probe::FaultEvent`].
     ///
-    /// With an inactive plan this is exactly `transfer_probed`.
-    pub fn transfer_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
+    /// With an inactive plan the first attempt always lands.
+    pub fn transfer_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         bytes: u64,
-        id: mcm_probe::LinkId,
-        probe: &mut P,
-        plan: &mut F,
+        id: LinkId,
+        hooks: &mut Hooks<P, F>,
     ) -> Cycle {
-        if !F::ACTIVE {
-            return self.transfer_probed(now, bytes, id, probe);
-        }
         let mut t = now;
         let mut attempt = 0;
         loop {
-            let arrival = self.transfer_probed(t, bytes, id, probe);
-            if attempt >= plan.link_max_retries() || !plan.link_error(id, attempt) {
+            let arrival = self.transfer(t, bytes);
+            if P::ACTIVE {
+                hooks.probe.link_transfer(id, t, bytes, arrival);
+            }
+            if !F::ACTIVE
+                || attempt >= hooks.plan.link_max_retries()
+                || !hooks.plan.link_error(id, attempt)
+            {
                 if attempt > 0 {
                     // The transfer errored at least once and still
                     // landed: a recovery, whether by clean retransmit
@@ -121,12 +110,11 @@ impl Link {
                 return arrival;
             }
             if P::ACTIVE {
-                probe.fault(
-                    arrival,
-                    mcm_probe::FaultEvent::LinkRetry { link: id, attempt },
-                );
+                hooks
+                    .probe
+                    .fault(arrival, FaultEvent::LinkRetry { link: id, attempt });
             }
-            t = arrival + plan.link_backoff(attempt);
+            t = arrival + hooks.plan.link_backoff(attempt);
             attempt += 1;
         }
     }
@@ -170,12 +158,6 @@ impl Link {
     pub fn name(&self) -> &'static str {
         self.bandwidth.name()
     }
-
-    /// The cycle at which the link next becomes free (diagnostics).
-    #[doc(hidden)]
-    pub fn debug_next_free(&self) -> Cycle {
-        self.bandwidth.next_free()
-    }
 }
 
 #[cfg(test)]
@@ -210,23 +192,17 @@ mod tests {
     #[test]
     fn probed_transfer_reports_identity_and_arrival() {
         #[derive(Default)]
-        struct Log(Vec<(mcm_probe::LinkId, u64, u64)>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                bytes: u64,
-                arrival: Cycle,
-            ) {
+        struct Log(Vec<(LinkId, u64, u64)>);
+        impl Probe for Log {
+            fn link_transfer(&mut self, link: LinkId, _now: Cycle, bytes: u64, arrival: Cycle) {
                 self.0.push((link, bytes, arrival.as_u64()));
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut l = Link::new("t", 128.0, Cycle::new(32), Tier::Package);
-        let t = l.transfer_probed(Cycle::ZERO, 256, mcm_probe::LinkId::RingCw(1), &mut log);
+        let t = l.transfer_hooked(Cycle::ZERO, 256, LinkId::RingCw(1), &mut hooks);
         assert_eq!(t, Cycle::new(34));
-        assert_eq!(log.0, vec![(mcm_probe::LinkId::RingCw(1), 256, 34)]);
+        assert_eq!(hooks.probe.0, vec![(LinkId::RingCw(1), 256, 34)]);
     }
 
     #[test]
@@ -239,31 +215,23 @@ mod tests {
     }
 
     #[test]
-    fn faulted_transfer_with_null_plan_is_plain_transfer() {
+    fn hooked_transfer_with_null_hooks_is_plain_transfer() {
         let mut a = Link::new("a", 128.0, Cycle::new(32), Tier::Package);
         let mut b = Link::new("b", 128.0, Cycle::new(32), Tier::Package);
-        let x = a.transfer_probed(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-        );
-        let y = b.transfer_faulted(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-            &mut mcm_fault::NullFaultPlan,
-        );
-        assert_eq!(x, y);
+        for i in 0..8 {
+            let x = a.transfer(Cycle::new(i), 256);
+            let y = b.transfer_hooked(Cycle::new(i), 256, LinkId::RingCw(0), &mut Hooks::null());
+            assert_eq!(x, y);
+        }
+        assert_eq!(a.total_bytes(), b.total_bytes());
     }
 
     #[test]
     fn link_errors_retransmit_with_backoff() {
         /// Always errors until the budget is spent.
         struct AlwaysError;
-        impl mcm_fault::FaultPlan for AlwaysError {
-            fn link_error(&mut self, _link: mcm_probe::LinkId, _attempt: u32) -> bool {
+        impl FaultPlan for AlwaysError {
+            fn link_error(&mut self, _link: LinkId, _attempt: u32) -> bool {
                 true
             }
             fn link_backoff(&self, _attempt: u32) -> Cycle {
@@ -274,13 +242,8 @@ mod tests {
             }
         }
         let mut l = Link::new("t", 128.0, Cycle::new(32), Tier::Package);
-        let done = l.transfer_faulted(
-            Cycle::ZERO,
-            256,
-            mcm_probe::LinkId::RingCw(0),
-            &mut mcm_probe::NullProbe,
-            &mut AlwaysError,
-        );
+        let mut hooks = Hooks::new(mcm_probe::NullProbe, AlwaysError);
+        let done = l.transfer_hooked(Cycle::ZERO, 256, LinkId::RingCw(0), &mut hooks);
         // Three attempts (2 retries), each 2 cycles serialization + 32
         // hop, with a 100-cycle backoff between them:
         // 34 → +100+2+32 = 168 → +100+2+32 = 302. The third attempt is

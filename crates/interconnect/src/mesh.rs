@@ -10,6 +10,8 @@
 //! `n(n-1)/2` links instead of `n`) for hop count.
 
 use mcm_engine::Cycle;
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::{LinkId, Probe};
 
 use crate::energy::Tier;
 use crate::link::Link;
@@ -87,19 +89,20 @@ impl FullMesh {
     /// Moves `bytes` from `from` directly to `to`; returns
     /// `(destination, arrival)`. A self-transfer is free.
     pub fn hop(&mut self, now: Cycle, from: NodeId, to: NodeId, bytes: u64) -> (NodeId, Cycle) {
-        self.hop_probed(now, from, to, bytes, &mut mcm_probe::NullProbe)
+        self.hop_hooked(now, from, to, bytes, &mut Hooks::null())
     }
 
-    /// Like [`FullMesh::hop`], additionally reporting the link crossed
-    /// ([`mcm_probe::LinkId::Mesh`]) to `probe`. Free self-transfers are
-    /// not reported.
-    pub fn hop_probed<P: mcm_probe::Probe>(
+    /// Like [`FullMesh::hop`], crossing the link with
+    /// [`Link::transfer_hooked`]: the probe sees the link
+    /// ([`LinkId::Mesh`]) and the plan may fault it. Free
+    /// self-transfers cross no link and reach neither hook.
+    pub fn hop_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         from: NodeId,
         to: NodeId,
         bytes: u64,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> (NodeId, Cycle) {
         let n = usize::from(self.nodes);
         let a = from.as_usize() % n;
@@ -107,37 +110,11 @@ impl FullMesh {
         if a == b {
             return (to, now);
         }
-        let id = mcm_probe::LinkId::Mesh {
+        let id = LinkId::Mesh {
             from: a as u8,
             to: b as u8,
         };
-        let t = self.links[a * n + b].transfer_probed(now, bytes, id, probe);
-        (to, t)
-    }
-
-    /// Like [`FullMesh::hop_probed`], additionally consulting `plan`
-    /// for transient link errors (see
-    /// [`Link::transfer_faulted`](crate::link::Link::transfer_faulted)).
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        from: NodeId,
-        to: NodeId,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        let n = usize::from(self.nodes);
-        let a = from.as_usize() % n;
-        let b = to.as_usize() % n;
-        if a == b {
-            return (to, now);
-        }
-        let id = mcm_probe::LinkId::Mesh {
-            from: a as u8,
-            to: b as u8,
-        };
-        let t = self.links[a * n + b].transfer_faulted(now, bytes, id, probe, plan);
+        let t = self.links[a * n + b].transfer_hooked(now, bytes, id, hooks);
         (to, t)
     }
 
@@ -233,54 +210,21 @@ impl Fabric {
         }
     }
 
-    /// One hop toward `to`; returns `(next_node, arrival)`.
-    pub fn hop(
+    /// One hop toward `to`; returns `(next_node, arrival)`. The hooks
+    /// see the traversed link and may fault it (see
+    /// [`Link::transfer_hooked`]).
+    pub fn hop<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         node: NodeId,
         to: NodeId,
         dir: RingDir,
         bytes: u64,
+        hooks: &mut Hooks<P, F>,
     ) -> (NodeId, Cycle) {
         match self {
-            Fabric::Ring(ring) => ring.hop(now, node, dir, bytes),
-            Fabric::FullyConnected(mesh) => mesh.hop(now, node, to, bytes),
-        }
-    }
-
-    /// Like [`Fabric::hop`], forwarding the traversed link's identity
-    /// to `probe`.
-    pub fn hop_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        to: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-    ) -> (NodeId, Cycle) {
-        match self {
-            Fabric::Ring(ring) => ring.hop_probed(now, node, dir, bytes, probe),
-            Fabric::FullyConnected(mesh) => mesh.hop_probed(now, node, to, bytes, probe),
-        }
-    }
-
-    /// Like [`Fabric::hop_probed`], additionally consulting `plan` for
-    /// transient link errors.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        to: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        match self {
-            Fabric::Ring(ring) => ring.hop_faulted(now, node, dir, bytes, probe, plan),
-            Fabric::FullyConnected(mesh) => mesh.hop_faulted(now, node, to, bytes, probe, plan),
+            Fabric::Ring(ring) => ring.hop_hooked(now, node, dir, bytes, hooks),
+            Fabric::FullyConnected(mesh) => mesh.hop_hooked(now, node, to, bytes, hooks),
         }
     }
 
@@ -387,7 +331,14 @@ mod tests {
         let mut fabric = Fabric::new(NetworkKind::Ring, 4, 768.0, Cycle::new(32), Tier::Package);
         let (dir, hops) = fabric.route(NodeId(0), NodeId(3));
         assert_eq!(hops, 1);
-        let (next, t) = fabric.hop(Cycle::ZERO, NodeId(0), NodeId(3), dir, 128);
+        let (next, t) = fabric.hop(
+            Cycle::ZERO,
+            NodeId(0),
+            NodeId(3),
+            dir,
+            128,
+            &mut Hooks::null(),
+        );
         assert_eq!(next, NodeId(3));
         assert!(t >= Cycle::new(32));
         assert_eq!(fabric.total_bytes(), 128);
@@ -403,22 +354,16 @@ mod tests {
     fn probed_mesh_hop_names_the_pair() {
         #[derive(Default)]
         struct Log(Vec<String>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                _bytes: u64,
-                _arrival: Cycle,
-            ) {
+        impl Probe for Log {
+            fn link_transfer(&mut self, link: LinkId, _now: Cycle, _bytes: u64, _arrival: Cycle) {
                 self.0.push(link.to_string());
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut mesh = FullMesh::new(4, 512.0, Cycle::new(32));
-        mesh.hop_probed(Cycle::ZERO, NodeId(1), NodeId(3), 128, &mut log);
+        mesh.hop_hooked(Cycle::ZERO, NodeId(1), NodeId(3), 128, &mut hooks);
         // Free self-transfers cross no link and are not reported.
-        mesh.hop_probed(Cycle::ZERO, NodeId(2), NodeId(2), 128, &mut log);
-        assert_eq!(log.0, vec!["mesh1-3"]);
+        mesh.hop_hooked(Cycle::ZERO, NodeId(2), NodeId(2), 128, &mut hooks);
+        assert_eq!(hooks.probe.0, vec!["mesh1-3"]);
     }
 }

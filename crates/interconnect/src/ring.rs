@@ -3,6 +3,8 @@
 //! network").
 
 use mcm_engine::Cycle;
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::{LinkId, Probe};
 
 use crate::energy::Tier;
 use crate::link::Link;
@@ -165,71 +167,38 @@ impl RingNetwork {
     /// Panics on a single-node ring (no segments to hop).
     #[inline]
     pub fn hop(&mut self, now: Cycle, node: NodeId, dir: RingDir, bytes: u64) -> (NodeId, Cycle) {
-        self.hop_probed(now, node, dir, bytes, &mut mcm_probe::NullProbe)
+        self.hop_hooked(now, node, dir, bytes, &mut Hooks::null())
     }
 
-    /// Like [`RingNetwork::hop`], additionally reporting the segment
-    /// crossed ([`mcm_probe::LinkId::RingCw`] carrying node `i` to
-    /// `i + 1`, [`mcm_probe::LinkId::RingCcw`] the reverse) to `probe`.
+    /// Like [`RingNetwork::hop`], crossing the segment with
+    /// [`Link::transfer_hooked`]: the probe sees the segment
+    /// ([`LinkId::RingCw`] carrying node `i` to `i + 1`,
+    /// [`LinkId::RingCcw`] the reverse) and the plan may fault it.
     ///
     /// # Panics
     ///
     /// Panics on a single-node ring (no segments to hop).
-    pub fn hop_probed<P: mcm_probe::Probe>(
+    pub fn hop_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         node: NodeId,
         dir: RingDir,
         bytes: u64,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> (NodeId, Cycle) {
         let n = u32::from(self.nodes);
         assert!(n > 1, "cannot hop on a single-node ring");
         let a = u32::from(node.0) % n;
         match dir {
             RingDir::Clockwise => {
-                let id = mcm_probe::LinkId::RingCw(a as u8);
-                let t = self.cw[a as usize].transfer_probed(now, bytes, id, probe);
+                let id = LinkId::RingCw(a as u8);
+                let t = self.cw[a as usize].transfer_hooked(now, bytes, id, hooks);
                 (NodeId(((a + 1) % n) as u8), t)
             }
             RingDir::CounterClockwise => {
                 let prev = (a + n - 1) % n;
-                let id = mcm_probe::LinkId::RingCcw(prev as u8);
-                let t = self.ccw[prev as usize].transfer_probed(now, bytes, id, probe);
-                (NodeId(prev as u8), t)
-            }
-        }
-    }
-
-    /// Like [`RingNetwork::hop_probed`], additionally consulting `plan`
-    /// for transient link errors (see
-    /// [`Link::transfer_faulted`](crate::link::Link::transfer_faulted)).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a single-node ring (no segments to hop).
-    pub fn hop_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        node: NodeId,
-        dir: RingDir,
-        bytes: u64,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> (NodeId, Cycle) {
-        let n = u32::from(self.nodes);
-        assert!(n > 1, "cannot hop on a single-node ring");
-        let a = u32::from(node.0) % n;
-        match dir {
-            RingDir::Clockwise => {
-                let id = mcm_probe::LinkId::RingCw(a as u8);
-                let t = self.cw[a as usize].transfer_faulted(now, bytes, id, probe, plan);
-                (NodeId(((a + 1) % n) as u8), t)
-            }
-            RingDir::CounterClockwise => {
-                let prev = (a + n - 1) % n;
-                let id = mcm_probe::LinkId::RingCcw(prev as u8);
-                let t = self.ccw[prev as usize].transfer_faulted(now, bytes, id, probe, plan);
+                let id = LinkId::RingCcw(prev as u8);
+                let t = self.ccw[prev as usize].transfer_hooked(now, bytes, id, hooks);
                 (NodeId(prev as u8), t)
             }
         }
@@ -292,26 +261,6 @@ impl RingNetwork {
             .chain(self.ccw.iter())
             .map(Link::joules)
             .sum()
-    }
-
-    /// Per-segment `(cw, ccw)` next-free cycles (diagnostics).
-    #[doc(hidden)]
-    pub fn debug_segment_next_free(&self) -> Vec<(u64, u64)> {
-        self.cw
-            .iter()
-            .zip(&self.ccw)
-            .map(|(a, b)| (a.debug_next_free().as_u64(), b.debug_next_free().as_u64()))
-            .collect()
-    }
-
-    /// Per-segment `(cw_bytes, ccw_bytes)` totals (diagnostics).
-    #[doc(hidden)]
-    pub fn debug_segment_bytes(&self) -> Vec<(u64, u64)> {
-        self.cw
-            .iter()
-            .zip(&self.ccw)
-            .map(|(a, b)| (a.total_bytes(), b.total_bytes()))
-            .collect()
     }
 }
 
@@ -416,29 +365,23 @@ mod tests {
     fn probed_hops_name_the_segments() {
         #[derive(Default)]
         struct Log(Vec<String>);
-        impl mcm_probe::Probe for Log {
-            fn link_transfer(
-                &mut self,
-                link: mcm_probe::LinkId,
-                _now: Cycle,
-                _bytes: u64,
-                _arrival: Cycle,
-            ) {
+        impl Probe for Log {
+            fn link_transfer(&mut self, link: LinkId, _now: Cycle, _bytes: u64, _arrival: Cycle) {
                 self.0.push(link.to_string());
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut ring = RingNetwork::new(4, 768.0, Cycle::new(32));
-        ring.hop_probed(Cycle::ZERO, NodeId(0), RingDir::Clockwise, 128, &mut log);
+        ring.hop_hooked(Cycle::ZERO, NodeId(0), RingDir::Clockwise, 128, &mut hooks);
         // Counter-clockwise from node 0 crosses the segment owned by
         // node 3 (ccw[3] carries traffic from node 0 to node 3).
-        ring.hop_probed(
+        ring.hop_hooked(
             Cycle::ZERO,
             NodeId(0),
             RingDir::CounterClockwise,
             128,
-            &mut log,
+            &mut hooks,
         );
-        assert_eq!(log.0, vec!["cw0", "ccw3"]);
+        assert_eq!(hooks.probe.0, vec!["cw0", "ccw3"]);
     }
 }

@@ -2,6 +2,8 @@
 //! (the "GPM-Xbar" of Fig. 3).
 
 use mcm_engine::{Cycle, Resource};
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::Probe;
 
 use crate::energy::Tier;
 
@@ -50,17 +52,17 @@ impl Crossbar {
     }
 
     /// Like [`Crossbar::transfer`], additionally reporting the traffic
-    /// on `module`'s crossbar to `probe`.
-    pub fn transfer_probed<P: mcm_probe::Probe>(
+    /// on `module`'s crossbar to the probe. The crossbar never faults.
+    pub fn transfer_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         bytes: u64,
         module: u32,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> Cycle {
         let done = self.transfer(now, bytes);
         if P::ACTIVE {
-            probe.xbar_transfer(module, now, bytes);
+            hooks.probe.xbar_transfer(module, now, bytes);
         }
         done
     }
@@ -106,18 +108,18 @@ mod tests {
     fn probed_transfer_reports_module_bytes() {
         #[derive(Default)]
         struct Log(Vec<(u32, u64)>);
-        impl mcm_probe::Probe for Log {
+        impl Probe for Log {
             fn xbar_transfer(&mut self, module: u32, _now: Cycle, bytes: u64) {
                 self.0.push((module, bytes));
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut x = Crossbar::new("x", 128.0, Cycle::new(4));
         assert_eq!(
-            x.transfer_probed(Cycle::ZERO, 128, 2, &mut log),
+            x.transfer_hooked(Cycle::ZERO, 128, 2, &mut hooks),
             Cycle::new(5)
         );
-        assert_eq!(log.0, vec![(2, 128)]);
+        assert_eq!(hooks.probe.0, vec![(2, 128)]);
     }
 
     #[test]

@@ -5,6 +5,8 @@ use std::fmt;
 
 use mcm_engine::stats::{Counter, Ratio};
 use mcm_engine::{Cycle, Resource};
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::Probe;
 
 use crate::addr::{AccessKind, LineAddr, Locality};
 
@@ -441,24 +443,25 @@ impl SetAssocCache {
     }
 
     /// Like [`SetAssocCache::access`], additionally reporting the
-    /// hit/miss decision to `probe` under this cache's configured name
+    /// hit/miss decision to the probe under this cache's configured name
     /// and the caller-chosen `unit` index (SM for private caches,
-    /// module for shared ones).
+    /// module for shared ones). Caches never fault.
     ///
     /// Bypasses and disabled-cache accesses never touch the tag array,
-    /// carry no hit-rate signal, and are not reported. When `P` is the
-    /// no-op probe this compiles down to a plain `access` call.
-    pub fn access_probed<P: mcm_probe::Probe>(
+    /// carry no hit-rate signal, and are not reported. With an inactive
+    /// probe this compiles down to a plain `access` call.
+    pub fn access_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         now: Cycle,
         line: LineAddr,
         kind: AccessKind,
         locality: Locality,
         unit: u32,
-        probe: &mut P,
+        hooks: &mut Hooks<P, F>,
     ) -> CacheOutcome {
         let outcome = self.access(now, line, kind, locality);
         if P::ACTIVE && !self.is_disabled() {
+            let probe = &mut hooks.probe;
             match outcome {
                 CacheOutcome::Hit { .. } => probe.cache_access(self.config.name, unit, now, true),
                 CacheOutcome::Miss { .. } => probe.cache_access(self.config.name, unit, now, false),
@@ -625,48 +628,48 @@ mod tests {
     fn probed_access_reports_hits_and_misses_not_bypasses() {
         #[derive(Default)]
         struct Log(Vec<(&'static str, u32, bool)>);
-        impl mcm_probe::Probe for Log {
+        impl Probe for Log {
             fn cache_access(&mut self, cache: &'static str, unit: u32, _now: Cycle, hit: bool) {
                 self.0.push((cache, unit, hit));
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut c = small(4, 16);
         let line = LineAddr::new(7);
-        c.access_probed(
+        c.access_hooked(
             Cycle::ZERO,
             line,
             AccessKind::Read,
             Locality::Local,
             3,
-            &mut log,
+            &mut hooks,
         );
         c.fill(line, Cycle::ZERO, false);
-        c.access_probed(
+        c.access_hooked(
             Cycle::new(10),
             line,
             AccessKind::Read,
             Locality::Local,
             3,
-            &mut log,
+            &mut hooks,
         );
-        assert_eq!(log.0, vec![("t", 3, false), ("t", 3, true)]);
+        assert_eq!(hooks.probe.0, vec![("t", 3, false), ("t", 3, true)]);
 
         // A filter-rejected access never touches the tags and stays
         // invisible to the probe.
         let mut cfg = CacheConfig::new("ro", 4 * 16 * 128);
         cfg.alloc_filter = AllocFilter::RemoteOnly;
         let mut ro = SetAssocCache::new(cfg);
-        let out = ro.access_probed(
+        let out = ro.access_hooked(
             Cycle::ZERO,
             line,
             AccessKind::Read,
             Locality::Local,
             0,
-            &mut log,
+            &mut hooks,
         );
         assert!(matches!(out, CacheOutcome::Bypass));
-        assert_eq!(log.0.len(), 2);
+        assert_eq!(hooks.probe.0.len(), 2);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 
 use mcm_engine::stats::Counter;
 use mcm_engine::{Cycle, Resource};
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::{FaultEvent, Probe};
 
 use crate::addr::{AccessKind, LineAddr, LINE_BYTES};
 
@@ -98,11 +100,42 @@ impl DramPartition {
         self.access_stretched(now, line, kind, 1.0)
     }
 
+    /// Like [`DramPartition::access`], additionally reporting the
+    /// line's worth of DRAM traffic on `partition` to the probe and
+    /// consulting the plan for a thermal-throttle stretch at `now`.
+    /// Throttled accesses are reported as
+    /// [`mcm_probe::FaultEvent::DramThrottle`].
+    pub fn access_hooked<P: Probe, F: FaultPlan>(
+        &mut self,
+        now: Cycle,
+        line: LineAddr,
+        kind: AccessKind,
+        partition: u32,
+        hooks: &mut Hooks<P, F>,
+    ) -> Cycle {
+        let stretch = if F::ACTIVE {
+            hooks.plan.dram_stretch(partition, now)
+        } else {
+            1.0
+        };
+        if P::ACTIVE {
+            if stretch > 1.0 {
+                let throttle = FaultEvent::DramThrottle {
+                    module: partition,
+                    stretch,
+                };
+                hooks.probe.fault(now, throttle);
+            }
+            hooks.probe.dram_access(partition, now, LINE_BYTES);
+        }
+        self.access_stretched(now, line, kind, stretch)
+    }
+
     /// Like [`DramPartition::access`] with the channel occupancy
     /// multiplied by `stretch` — how the fault layer models a thermally
     /// throttled stack (`stretch > 1.0` halves/quarters the effective
     /// bandwidth without touching the configured one).
-    pub fn access_stretched(
+    fn access_stretched(
         &mut self,
         now: Cycle,
         line: LineAddr,
@@ -118,57 +151,6 @@ impl DramPartition {
             AccessKind::Write => self.writes.inc(),
         }
         served + self.config.latency
-    }
-
-    /// Like [`DramPartition::access`], additionally reporting the
-    /// line's worth of DRAM traffic on `partition` to `probe`.
-    pub fn access_probed<P: mcm_probe::Probe>(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        kind: AccessKind,
-        partition: u32,
-        probe: &mut P,
-    ) -> Cycle {
-        let done = self.access(now, line, kind);
-        if P::ACTIVE {
-            probe.dram_access(partition, now, LINE_BYTES);
-        }
-        done
-    }
-
-    /// Like [`DramPartition::access_probed`], additionally consulting
-    /// `plan` for a thermal-throttle stretch at `now`. Throttled
-    /// accesses are reported to `probe` as
-    /// [`mcm_probe::FaultEvent::DramThrottle`].
-    ///
-    /// With an inactive plan this is exactly `access_probed`.
-    pub fn access_faulted<P: mcm_probe::Probe, F: mcm_fault::FaultPlan>(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        kind: AccessKind,
-        partition: u32,
-        probe: &mut P,
-        plan: &mut F,
-    ) -> Cycle {
-        if !F::ACTIVE {
-            return self.access_probed(now, line, kind, partition, probe);
-        }
-        let stretch = plan.dram_stretch(partition, now);
-        if P::ACTIVE {
-            if stretch > 1.0 {
-                probe.fault(
-                    now,
-                    mcm_probe::FaultEvent::DramThrottle {
-                        module: partition,
-                        stretch,
-                    },
-                );
-            }
-            probe.dram_access(partition, now, LINE_BYTES);
-        }
-        self.access_stretched(now, line, kind, stretch)
     }
 
     /// Total bytes moved in or out of the partition.
@@ -318,25 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn faulted_access_with_null_plan_matches_probed() {
+    fn hooked_access_with_null_hooks_is_plain_access() {
         let mut a = partition(768.0, 8);
         let mut b = partition(768.0, 8);
         for i in 0..32u64 {
-            let x = a.access_probed(
-                Cycle::new(i),
-                LineAddr::new(i * 3),
-                AccessKind::Read,
-                0,
-                &mut mcm_probe::NullProbe,
-            );
-            let y = b.access_faulted(
-                Cycle::new(i),
-                LineAddr::new(i * 3),
-                AccessKind::Read,
-                0,
-                &mut mcm_probe::NullProbe,
-                &mut mcm_fault::NullFaultPlan,
-            );
+            let line = LineAddr::new(i * 3);
+            let x = a.access(Cycle::new(i), line, AccessKind::Read);
+            let y = b.access_hooked(Cycle::new(i), line, AccessKind::Read, 0, &mut Hooks::null());
             assert_eq!(x, y);
         }
     }
@@ -345,15 +315,21 @@ mod tests {
     fn probed_access_reports_line_traffic() {
         #[derive(Default)]
         struct Log(Vec<(u32, u64)>);
-        impl mcm_probe::Probe for Log {
+        impl Probe for Log {
             fn dram_access(&mut self, partition: u32, _now: Cycle, bytes: u64) {
                 self.0.push((partition, bytes));
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut mp = partition(128.0, 1);
-        let done = mp.access_probed(Cycle::ZERO, LineAddr::new(0), AccessKind::Read, 2, &mut log);
+        let done = mp.access_hooked(
+            Cycle::ZERO,
+            LineAddr::new(0),
+            AccessKind::Read,
+            2,
+            &mut hooks,
+        );
         assert_eq!(done, Cycle::new(101));
-        assert_eq!(log.0, vec![(2, LINE_BYTES)]);
+        assert_eq!(hooks.probe.0, vec![(2, LINE_BYTES)]);
     }
 }

@@ -15,6 +15,9 @@
 //! both arrays are sized once, at construction.
 
 use mcm_engine::stats::Counter;
+use mcm_engine::Cycle;
+use mcm_fault::{FaultPlan, Hooks};
+use mcm_probe::Probe;
 
 use crate::addr::LineAddr;
 
@@ -125,37 +128,41 @@ impl Mshr {
     }
 
     /// Like [`Mshr::reserve`], additionally reporting the table's new
-    /// occupancy for `sm` to `probe`.
+    /// occupancy for `sm` to the probe.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as [`Mshr::reserve`].
-    pub fn reserve_probed<P: mcm_probe::Probe>(
+    pub fn reserve_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         line: LineAddr,
         request: u64,
         sm: u32,
-        now: mcm_engine::Cycle,
-        probe: &mut P,
+        now: Cycle,
+        hooks: &mut Hooks<P, F>,
     ) {
         self.reserve(line, request);
         if P::ACTIVE {
-            probe.mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
+            hooks
+                .probe
+                .mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
         }
     }
 
     /// Like [`Mshr::release`], additionally reporting the table's new
-    /// occupancy for `sm` to `probe` when an entry was actually freed.
-    pub fn release_probed<P: mcm_probe::Probe>(
+    /// occupancy for `sm` to the probe when an entry was actually freed.
+    pub fn release_hooked<P: Probe, F: FaultPlan>(
         &mut self,
         line: LineAddr,
         sm: u32,
-        now: mcm_engine::Cycle,
-        probe: &mut P,
+        now: Cycle,
+        hooks: &mut Hooks<P, F>,
     ) -> Option<u64> {
         let released = self.release(line);
         if P::ACTIVE && released.is_some() {
-            probe.mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
+            hooks
+                .probe
+                .mshr_occupancy(sm, now, self.lines.len() as u32, self.capacity as u32);
         }
         released
     }
@@ -264,28 +271,26 @@ mod tests {
 
     #[test]
     fn probed_reserve_and_release_report_occupancy() {
-        use mcm_engine::Cycle;
-
         #[derive(Default)]
         struct Log(Vec<(u32, u32, u32)>);
-        impl mcm_probe::Probe for Log {
+        impl Probe for Log {
             fn mshr_occupancy(&mut self, sm: u32, _now: Cycle, outstanding: u32, capacity: u32) {
                 self.0.push((sm, outstanding, capacity));
             }
         }
-        let mut log = Log::default();
+        let mut hooks = Hooks::new(Log::default(), mcm_fault::NullFaultPlan);
         let mut m = Mshr::new(2);
-        m.reserve_probed(LineAddr::new(1), 0, 5, Cycle::ZERO, &mut log);
-        m.reserve_probed(LineAddr::new(2), 1, 5, Cycle::new(3), &mut log);
+        m.reserve_hooked(LineAddr::new(1), 0, 5, Cycle::ZERO, &mut hooks);
+        m.reserve_hooked(LineAddr::new(2), 1, 5, Cycle::new(3), &mut hooks);
         assert_eq!(
-            m.release_probed(LineAddr::new(1), 5, Cycle::new(9), &mut log),
+            m.release_hooked(LineAddr::new(1), 5, Cycle::new(9), &mut hooks),
             Some(0)
         );
         // Releasing a line with no entry reports nothing.
         assert_eq!(
-            m.release_probed(LineAddr::new(7), 5, Cycle::new(10), &mut log),
+            m.release_hooked(LineAddr::new(7), 5, Cycle::new(10), &mut hooks),
             None
         );
-        assert_eq!(log.0, vec![(5, 1, 2), (5, 2, 2), (5, 1, 2)]);
+        assert_eq!(hooks.probe.0, vec![(5, 1, 2), (5, 2, 2), (5, 1, 2)]);
     }
 }

@@ -33,8 +33,9 @@ pub enum PlacementPolicy {
 /// access.
 ///
 /// For [`PlacementPolicy::Interleaved`] no state is kept; for the
-/// page-granular policies a map from [`PageId`] to [`PartitionId`] is
-/// built as pages are touched.
+/// page-granular policies a map from
+/// [`PageId`](crate::addr::PageId) to [`PartitionId`] is built as
+/// pages are touched.
 ///
 /// # Example
 ///

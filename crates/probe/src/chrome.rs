@@ -18,11 +18,51 @@
 //! byte-identical.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 use mcm_engine::Cycle;
+use mcm_telemetry::json::push_escaped;
 
-use crate::json::{push_str_escaped, Obj};
 use crate::{FaultEvent, Probe, ReqStage, RequestMeta, WarpPhase};
+
+/// Builds one JSON object by appending `"key":value` pairs to a buffer.
+/// Numbers are written as integers (trace timestamps are whole cycles).
+struct Obj<'a> {
+    buf: &'a mut String,
+    first: bool,
+}
+
+impl<'a> Obj<'a> {
+    fn open(buf: &'a mut String) -> Self {
+        buf.push('{');
+        Obj { buf, first: true }
+    }
+
+    fn key(&mut self, key: &str) {
+        if !self.first {
+            self.buf.push(',');
+        }
+        self.first = false;
+        push_escaped(self.buf, key);
+        self.buf.push(':');
+    }
+
+    fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        push_escaped(self.buf, value);
+        self
+    }
+
+    fn num(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.buf, "{value}");
+        self
+    }
+
+    fn close(self) {
+        self.buf.push('}');
+    }
+}
 
 /// Records a Chrome trace of the run; call
 /// [`finish`](ChromeTraceProbe::finish) afterwards for the JSON.
@@ -102,7 +142,7 @@ impl ChromeTraceProbe {
         self.buf.push_str(&format!(
             "{{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":{pid},\"args\":{{\"name\":"
         ));
-        push_str_escaped(&mut self.buf, name);
+        push_escaped(&mut self.buf, name);
         self.buf.push_str("}}");
     }
 
@@ -244,6 +284,20 @@ mod tests {
             remote: true,
             is_read: true,
         }
+    }
+
+    #[test]
+    fn object_builds_in_order() {
+        let mut buf = String::new();
+        Obj::open(&mut buf)
+            .str("name", "req 1")
+            .num("id", 7)
+            .num("ts", 0)
+            .close();
+        assert_eq!(buf, r#"{"name":"req 1","id":7,"ts":0}"#);
+        let mut empty = String::new();
+        Obj::open(&mut empty).close();
+        assert_eq!(empty, "{}");
     }
 
     #[test]

@@ -1,29 +1,31 @@
 //! Zero-overhead instrumentation for the MCM-GPU simulator.
 //!
-//! The simulator's run loop and every contended component accept a
-//! generic [`Probe`] parameter. A probe is a passive observer: hooks
-//! fire at interesting moments (a request enters a hierarchy stage, a
-//! warp changes state, bytes cross a link) and the probe may record
-//! them, but it can never influence timing — instrumented and
-//! uninstrumented runs are cycle-identical by construction.
+//! The simulator's run loop owns one [`Probe`], and every contended
+//! component operation receives it as the `probe` half of an
+//! `mcm_fault::Hooks` context, next to the fault plan. A probe is a
+//! passive observer: hooks fire at interesting moments (a request
+//! enters a hierarchy stage, a warp changes state, bytes cross a link)
+//! and the probe may record them, but it can never influence timing —
+//! instrumented and uninstrumented runs are cycle-identical by
+//! construction.
 //!
 //! The default [`NullProbe`] implements every hook as an empty inlined
 //! default method, so the monomorphized uninstrumented simulator
 //! contains no probe code at all: observability is free when off.
 //!
-//! Three concrete sinks ship here, all hermetic (hand-rolled JSON, no
-//! external crates):
+//! Three concrete sinks ship here, all hermetic (JSON through
+//! `mcm_telemetry::json`, no external crates):
 //!
-//! * [`ChromeTraceProbe`](chrome::ChromeTraceProbe) — Chrome
-//!   trace-event JSON of per-request lifecycles and warp phases,
-//!   viewable in Perfetto (<https://ui.perfetto.dev>).
-//! * [`MetricsProbe`](metrics::MetricsProbe) — fixed-bucket time
-//!   series (link bytes, DRAM bandwidth, MSHR occupancy, cache hit
-//!   rates, per-GPM warp-state breakdown) exported as tidy CSV through
-//!   the workspace's `Tabular`/`ToCsv` machinery.
-//! * [`StallProfile`](stall::StallProfile) — attributes every
-//!   warp-cycle to issue/compute/local-mem/remote-mem/MSHR-full/drain,
-//!   the measured analogue of the paper's Fig. 16 decomposition.
+//! * [`ChromeTraceProbe`] — Chrome trace-event JSON of per-request
+//!   lifecycles and warp phases, viewable in Perfetto
+//!   (<https://ui.perfetto.dev>).
+//! * [`MetricsProbe`] — fixed-bucket time series (link bytes, DRAM
+//!   bandwidth, MSHR occupancy, cache hit rates, per-GPM warp-state
+//!   breakdown) exported as tidy CSV through the workspace's
+//!   `Tabular`/`ToCsv` machinery.
+//! * [`StallProfile`] — attributes every warp-cycle to
+//!   issue/compute/local-mem/remote-mem/MSHR-full/drain, the measured
+//!   analogue of the paper's Fig. 16 decomposition.
 //!
 //! # Example
 //!
@@ -50,7 +52,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod chrome;
-pub mod json;
 pub mod metrics;
 pub mod stall;
 

@@ -1,5 +1,6 @@
 //! Fixed-bucket time-series sink: utilization over time, exported as
-//! tidy CSV through the workspace's [`Tabular`]/[`ToCsv`] machinery.
+//! tidy CSV through the workspace's [`Tabular`]/
+//! [`ToCsv`](mcm_engine::stats::ToCsv) machinery.
 //!
 //! Simulated time is divided into fixed-width buckets. Each hook folds
 //! its observation into the owning bucket:

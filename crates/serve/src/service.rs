@@ -24,7 +24,7 @@
 //!
 //! Misses are submitted as one all-or-nothing batch on the
 //! connection's own lane of the bounded
-//! [`ServicePool`](mcm_exec::service::ServicePool): a request that
+//! [`mcm_exec::service::ServicePool`]: a request that
 //! does not fit is answered with a single error line — no ack, no
 //! partial grid — and lanes are drained round-robin so a giant sweep
 //! cannot starve a one-pair query from another connection.

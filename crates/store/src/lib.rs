@@ -10,7 +10,7 @@
 //!   everything that determines a result (config fingerprint, scaled
 //!   instruction count, fault knobs), so a stale hit is structurally
 //!   impossible — a different simulation is a different key.
-//! * **Hermetic record format** (`mcm-store-v1`, [`format`]): per-record
+//! * **Hermetic record format** (`mcm-store-v1`, [`format`](mod@format)): per-record
 //!   FNV-1a checksums over header and body, a file magic that doubles
 //!   as a schema gate, and hard plausibility bounds.
 //! * **Atomic commits.** Every put writes a fresh immutable segment

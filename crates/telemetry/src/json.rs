@@ -339,6 +339,21 @@ mod tests {
     }
 
     #[test]
+    fn escapes_specials() {
+        let escaped = |s: &str| {
+            let mut out = String::new();
+            push_escaped(&mut out, s);
+            out
+        };
+        assert_eq!(escaped("plain"), "\"plain\"");
+        assert_eq!(escaped("a\"b"), "\"a\\\"b\"");
+        assert_eq!(escaped("back\\slash"), "\"back\\\\slash\"");
+        assert_eq!(escaped("nl\ntab\t"), "\"nl\\ntab\\t\"");
+        assert_eq!(escaped("\u{1}"), "\"\\u0001\"");
+        assert_eq!(escaped("unicode ✓"), "\"unicode ✓\"");
+    }
+
+    #[test]
     fn writer_output_round_trips() {
         let mut buf = String::new();
         buf.push('{');

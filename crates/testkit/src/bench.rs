@@ -44,7 +44,7 @@ impl Measurement {
     /// # Panics
     ///
     /// Panics if `median_ns` is not a positive finite number — the
-    /// runner clamps zero-duration samples (see [`nonzero_ns`]), so a
+    /// runner clamps zero-duration samples to one nanosecond, so a
     /// non-positive median means the measurement was constructed by
     /// hand or corrupted, and any ratio built on it would be
     /// meaningless (a silent `inf`/`NaN` poisons every downstream

@@ -8,7 +8,7 @@
 //!   SplitMix64/xoshiro256** RNG, failures are greedily shrunk, and
 //!   the failure report prints a seed that replays the exact case
 //!   (`MCM_PROP_SEED=0x... cargo test <name>`).
-//! * [`bench`] — a wall-clock bench runner (warmup + N timed samples,
+//! * [`bench`](mod@bench) — a wall-clock bench runner (warmup + N timed samples,
 //!   median/p95) for the workspace's `harness = false` bench targets.
 //! * [`alloc`] — a counting [`std::alloc::System`] wrapper for
 //!   allocation-freedom assertions over deterministic hot loops.

@@ -2,7 +2,7 @@
 //!
 //! The paper's evaluation is *trace-driven*: the authors replay memory
 //! traces of real CUDA applications through their simulator. The
-//! synthetic [`WarpStream`](crate::stream::WarpStream) substitutes for
+//! synthetic [`crate::stream::WarpStream`] substitutes for
 //! those proprietary traces, but the simulator itself is agnostic —
 //! this module lets a user capture any stream into a concrete
 //! [`Trace`], inspect or transform it, serialize it, and replay it as a

@@ -12,6 +12,11 @@ cargo fmt --all --check
 echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+# Intra-doc links name methods and types; a rename or deletion that
+# leaves a link dangling fails here instead of rotting silently.
+echo "== RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps --offline =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
 

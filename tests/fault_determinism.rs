@@ -164,10 +164,12 @@ fn mid_run_gpm_loss_completes() {
 /// Faulted cycle counts pinned across builds. The tests above compare
 /// two runs of one build, and the goldens cover only fault-free runs,
 /// so a change that shifted every faulted run alike would pass both.
-/// (label, fault config, Stream/Hotspot/DWT cycles on `optimized_mcm`
-/// at 2 % scale).
+/// Cycles are `[Stream, Hotspot, DWT]` on `optimized_mcm` at 2 % scale.
 #[test]
 fn faulted_cycle_counts_are_pinned() {
+    let cfg = SystemConfig::optimized_mcm();
+    let cycles =
+        |config| TRIO.map(|name| faulted(&cfg, &golden_spec(name), config).cycles.as_u64());
     let lossy = FaultConfig {
         dead_module: Some(DeadModule {
             module: 1,
@@ -175,34 +177,11 @@ fn faulted_cycle_counts_are_pinned() {
         }),
         ..FaultConfig::default()
     };
-    let table = [
-        (
-            "rate 0.01",
-            FaultConfig::with_rate(7, 0.01),
-            [1842, 1524, 1864],
-        ),
-        (
-            "rate 0.05",
-            FaultConfig::with_rate(7, 0.05),
-            [1881, 2976, 1995],
-        ),
-        ("GPM 1 lost", lossy, [3855, 1616, 2096]),
-    ];
-    let cfg = SystemConfig::optimized_mcm();
-    let mut failures = Vec::new();
-    for (label, config, cycles) in table {
-        for (name, want) in TRIO.into_iter().zip(cycles) {
-            let got = faulted(&cfg, &golden_spec(name), config).cycles.as_u64();
-            if got != want {
-                failures.push(format!(
-                    "{name} under {label}: got {got} cycles, pinned {want}"
-                ));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "faulted cycle mismatches:\n{}",
-        failures.join("\n")
+    let (low, high) = (
+        FaultConfig::with_rate(7, 0.01),
+        FaultConfig::with_rate(7, 0.05),
     );
+    assert_eq!(cycles(low), [1842, 1524, 1864], "rate 0.01");
+    assert_eq!(cycles(high), [1881, 2976, 1995], "rate 0.05");
+    assert_eq!(cycles(lossy), [3855, 1616, 2096], "GPM 1 lost");
 }

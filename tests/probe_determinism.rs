@@ -11,6 +11,8 @@
 //! Plus the stall profiler's accounting identity: its phase buckets
 //! tile warp lifetimes exactly, so they sum to total warp-cycles.
 
+use std::collections::BTreeMap;
+
 use mcm::engine::rng::StableHasher;
 use mcm::fault::{DeadModule, FaultConfig, SeededFaultPlan};
 use mcm::gpu::{RunReport, Simulator, SystemConfig};
@@ -141,32 +143,30 @@ fn faulted_artifacts_are_pinned() {
     let (mut trace, metrics) = probe;
     assert_eq!(report.cycles.as_u64(), 2981);
 
-    let mut faults = std::collections::BTreeMap::new();
-    for row in metrics.rows().iter().filter(|r| r.metric == "fault_count") {
-        let n: u64 = row.value.parse().expect("integer fault count");
-        *faults.entry(row.unit.clone()).or_insert(0) += n;
+    let mut faults = BTreeMap::<String, u64>::new();
+    for row in metrics.rows() {
+        if row.metric == "fault_count" {
+            *faults.entry(row.unit).or_default() += row.value.parse::<u64>().expect("count");
+        }
     }
-    let faults: Vec<(&str, u64)> = faults.iter().map(|(k, &n)| (k.as_str(), n)).collect();
-    assert_eq!(
-        faults,
-        [
-            ("dram-throttle", 690),
-            ("link-retry", 69),
-            ("module-disabled", 2),
-            ("mshr-poison", 35),
-        ]
-    );
+    let want = [
+        ("dram-throttle", 690),
+        ("link-retry", 69),
+        ("module-disabled", 2),
+        ("mshr-poison", 35),
+    ];
+    assert_eq!(faults, want.map(|(kind, n)| (kind.to_string(), n)).into());
 
     let json = trace.finish();
     let csv = metrics.to_csv();
     assert_eq!(
         (json.len(), digest(&json)),
         (3_063_229, 0xb502_5c9a_b36e_83c5),
-        "Chrome trace bytes moved"
+        "trace"
     );
     assert_eq!(
         (csv.len(), digest(&csv)),
         (18_124, 0x20eb_65b4_8084_6f86),
-        "metrics CSV bytes moved"
+        "metrics CSV"
     );
 }
