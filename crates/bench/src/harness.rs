@@ -2,13 +2,12 @@
 //! memoized simulation runs and plain-text table rendering.
 
 use std::collections::{HashMap, HashSet};
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use mcm_engine::rng::StableHasher;
 use mcm_engine::stats::geomean;
-use mcm_exec::pool::{panic_message, TaskFailure};
+use mcm_exec::pool::TaskFailure;
 use mcm_fault::{FaultConfig, FaultPlan, NullFaultPlan, SeededFaultPlan};
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_probe::{ChromeTraceProbe, MetricsProbe, NullProbe, Probe};
@@ -115,11 +114,11 @@ pub fn fault_rate() -> f64 {
 /// in any parameter are simulated (and cached) separately.
 ///
 /// Independent runs can execute in parallel: [`Memo::warm`] (and the
-/// [`Memo::run_grid`] / [`Memo::run_suite_parallel`] wrappers) plan the
-/// unique uncached pairs of a grid up front and dispatch them across
-/// `MCM_JOBS` worker threads via [`mcm_exec`], merging results back in
-/// grid order so every figure, table, and artifact is byte-identical
-/// regardless of the job count.
+/// [`Memo::run_grid_with_jobs`] wrapper) plans the unique uncached
+/// pairs of a grid up front and dispatches them across `MCM_JOBS`
+/// worker threads via [`mcm_exec`], merging results back in grid order
+/// so every figure, table, and artifact is byte-identical regardless of
+/// the job count.
 ///
 /// With a persistent [`Store`] attached (`MCM_STORE=<dir>`, see
 /// [`Memo::from_env`]), the cache additionally survives the process:
@@ -347,18 +346,16 @@ impl Memo {
     /// collisions (see [`artifact_stem`]), and results are merged back
     /// in plan order — output never depends on thread scheduling.
     ///
-    /// With `MCM_SUPERVISED=1` the grid runs under the supervised
-    /// executor instead: a panicking pair is retried (`MCM_RETRIES`,
-    /// default 1) and then quarantined — reported on stderr, left
-    /// uncached — while every other pair completes. See
+    /// With `MCM_SUPERVISED=1` a panicking pair is retried
+    /// (`MCM_RETRIES`, default 1) and then quarantined — reported on
+    /// stderr, left uncached — while every other pair completes. See
     /// [`Memo::warm_supervised_with_jobs`].
     ///
     /// # Panics
     ///
     /// Panics if two planned pairs would write the same artifact stem,
-    /// or (unsupervised) if a worker task panics — the propagated panic
-    /// names the `(configuration, workload)` pair and its grid index
-    /// and carries the original message.
+    /// or (unsupervised) if a simulation panicked; see
+    /// [`Memo::warm_with_jobs`].
     pub fn warm(&mut self, pairs: &[(&SystemConfig, &WorkloadSpec)]) {
         if mcm_exec::supervised() {
             let failures =
@@ -436,58 +433,24 @@ impl Memo {
         planned
     }
 
-    /// [`Memo::warm`] with an explicit worker count (tests compare
-    /// job counts in-process without touching the `MCM_JOBS`
-    /// environment variable, which would race across test threads).
+    /// [`Memo::warm`] with an explicit worker count and no retries
+    /// (tests compare job counts in-process without touching the
+    /// `MCM_JOBS` environment variable, which would race across test
+    /// threads).
+    ///
+    /// # Panics
+    ///
+    /// Panics if two planned pairs would write the same artifact stem,
+    /// or if a simulation panicked. The grid finishes (and, with a
+    /// store attached, persists) every other pair first; the panic then
+    /// names the lowest failing grid index and its `(configuration,
+    /// workload)` pair and carries the original message.
     pub fn warm_with_jobs(&mut self, jobs: usize, pairs: &[(&SystemConfig, &WorkloadSpec)]) {
-        self.warm_with_jobs_runner(jobs, pairs, run_instrumented);
+        let failures = self.warm_runner(jobs, 0, pairs, run_instrumented);
+        fail_fast(&failures);
     }
 
-    /// [`Memo::warm_with_jobs`] with an injectable simulation function
-    /// (tests exercise the panic-enrichment and persistence plumbing
-    /// with scripted faults, no environment required).
-    fn warm_with_jobs_runner<G>(
-        &mut self,
-        jobs: usize,
-        pairs: &[(&SystemConfig, &WorkloadSpec)],
-        sim: G,
-    ) where
-        G: Fn(&SystemConfig, &WorkloadSpec) -> RunReport + Sync,
-    {
-        let planned = self.plan(pairs);
-        let store = self.store.as_ref();
-        let reports = mcm_exec::pool::run_grid(
-            &planned,
-            jobs,
-            mcm_exec::DEFAULT_SEED,
-            |_, (cfg, scaled, store_fp)| {
-                // Attach the pair's identity to any panic before the
-                // pool's own enrichment adds the grid index: a poisoned
-                // sweep names ("config", "workload"), not just a slot.
-                let report =
-                    catch_unwind(AssertUnwindSafe(|| sim(cfg, scaled))).unwrap_or_else(|payload| {
-                        resume_unwind(Box::new(format!(
-                            "({:?}, {:?}): {}",
-                            cfg.name,
-                            scaled.name,
-                            panic_message(payload.as_ref())
-                        )))
-                    });
-                // Committed from the worker, not after the merge: a
-                // crash mid-sweep keeps every already-finished result.
-                if let Some(store) = store {
-                    store.put(*store_fp, scaled.name, &report);
-                }
-                report
-            },
-        );
-        for ((cfg, scaled, _), report) in planned.iter().zip(reports) {
-            self.cache.insert(Memo::key(cfg, scaled), report);
-        }
-    }
-
-    /// The supervised counterpart of [`Memo::warm`]: runs the planned
-    /// grid under [`mcm_exec::pool::run_grid_supervised`], so a
+    /// The supervised counterpart of [`Memo::warm_with_jobs`]: a
     /// panicking pair is retried up to `retries` more times and then
     /// quarantined — named in the returned report — while every other
     /// pair completes (and persists, when a store is attached).
@@ -502,14 +465,14 @@ impl Memo {
         retries: u32,
         pairs: &[(&SystemConfig, &WorkloadSpec)],
     ) -> Vec<PairFailure> {
-        self.warm_supervised_runner(jobs, retries, pairs, |cfg, scaled| {
-            run_instrumented(cfg, scaled)
-        })
+        self.warm_runner(jobs, retries, pairs, run_instrumented)
     }
 
-    /// [`Memo::warm_supervised_with_jobs`] with an injectable
-    /// simulation function (tests inject scripted faults env-free).
-    fn warm_supervised_runner<G>(
+    /// The one warm runner: plans `pairs`, runs the planned grid under
+    /// [`mcm_exec::pool::run_grid_supervised`] with `sim` (tests inject
+    /// scripted faults, no environment required), caches every result,
+    /// and names each quarantined pair.
+    fn warm_runner<G>(
         &mut self,
         jobs: usize,
         retries: u32,
@@ -524,10 +487,11 @@ impl Memo {
         let grid = mcm_exec::pool::run_grid_supervised(
             &planned,
             jobs,
-            mcm_exec::DEFAULT_SEED,
             retries,
             |_, (cfg, scaled, store_fp)| {
                 let report = sim(cfg, scaled);
+                // Committed from the worker, not after the merge: a
+                // crash mid-sweep keeps every already-finished result.
                 if let Some(store) = store {
                     store.put(*store_fp, scaled.name, &report);
                 }
@@ -553,13 +517,8 @@ impl Memo {
     }
 
     /// Runs every pair of `pairs` (scaled, memoized), executing the
-    /// uncached ones in parallel across `MCM_JOBS` workers, and returns
-    /// the reports in grid order.
-    pub fn run_grid(&mut self, pairs: &[(&SystemConfig, &WorkloadSpec)]) -> Vec<RunReport> {
-        self.run_grid_with_jobs(mcm_exec::jobs(), pairs)
-    }
-
-    /// [`Memo::run_grid`] with an explicit worker count.
+    /// uncached ones across `jobs` workers, and returns the reports in
+    /// grid order.
     pub fn run_grid_with_jobs(
         &mut self,
         jobs: usize,
@@ -570,17 +529,6 @@ impl Memo {
             .iter()
             .map(|(cfg, spec)| self.run(cfg, spec))
             .collect()
-    }
-
-    /// Runs every workload in `suite` on `cfg`, the uncached ones in
-    /// parallel; results come back in suite order.
-    pub fn run_suite_parallel(
-        &mut self,
-        cfg: &SystemConfig,
-        suite: &[WorkloadSpec],
-    ) -> Vec<RunReport> {
-        let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = suite.iter().map(|w| (cfg, w)).collect();
-        self.run_grid(&pairs)
     }
 
     /// This instance's hit/miss/warm accounting.
@@ -622,10 +570,26 @@ impl std::fmt::Display for PairFailure {
 }
 
 /// Prints a supervised warm's quarantine report to stderr, one line
-/// per poisoned pair, in grid order. No output when nothing failed.
+/// per failed pair, in grid order. No output when nothing failed.
 pub fn report_quarantined(failures: &[PairFailure]) {
     for f in failures {
         eprintln!("mcm: exec: {f}");
+    }
+}
+
+/// The fail-fast end of an unsupervised warm: panics naming the first
+/// (lowest-index) failed pair, if any.
+fn fail_fast(failures: &[PairFailure]) {
+    if let Some(PairFailure {
+        config,
+        workload,
+        failure,
+    }) = failures.first()
+    {
+        panic!(
+            "grid worker panicked at grid index {}: ({config:?}, {workload:?}): {}",
+            failure.index, failure.message
+        );
     }
 }
 
@@ -1201,7 +1165,7 @@ mod tests {
     }
 
     #[test]
-    fn run_suite_parallel_matches_run_suite() {
+    fn parallel_warm_matches_run_suite() {
         let cfg = SystemConfig::baseline_mcm();
         let subset: Vec<WorkloadSpec> = ["CFD", "Stream", "Hotspot"]
             .iter()
@@ -1404,7 +1368,7 @@ mod tests {
         let pairs = [(&cfg, &w1), (&opt, &w1), (&cfg, &w2), (&opt, &w2)];
         let check = |jobs: usize| -> Vec<PairFailure> {
             let mut memo = Memo::new(0.01);
-            memo.warm_supervised_runner(jobs, 1, &pairs, |cfg, scaled| {
+            memo.warm_runner(jobs, 1, &pairs, |cfg, scaled| {
                 assert!(
                     !(cfg.name == opt.name && scaled.name == "CFD"),
                     "injected fault"
@@ -1432,7 +1396,7 @@ mod tests {
         let w2 = suite::by_name("Stream").unwrap();
         let pairs = [(&cfg, &w1), (&cfg, &w2)];
         let mut memo = Memo::new(0.01);
-        let failures = memo.warm_supervised_runner(2, 0, &pairs, |cfg, scaled| {
+        let failures = memo.warm_runner(2, 0, &pairs, |cfg, scaled| {
             assert!(scaled.name != "Stream", "bad workload");
             run_instrumented(cfg, scaled)
         });
@@ -1452,16 +1416,19 @@ mod tests {
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let mut memo = Memo::new(0.01);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            memo.warm_with_jobs_runner(1, &[(&cfg, &w1)], |_, _| -> RunReport {
-                panic!("sim exploded")
-            });
-        }))
-        .expect_err("warm must propagate the panic");
-        let msg = panic_message(caught.as_ref());
-        assert!(msg.contains("grid worker panicked"), "{msg:?}");
-        assert!(msg.contains(&format!("{:?}", cfg.name)), "{msg:?}");
-        assert!(msg.contains("\"CFD\""), "{msg:?}");
-        assert!(msg.contains("sim exploded"), "{msg:?}");
+        let failures = memo.warm_runner(1, 0, &[(&cfg, &w1)], |_, _| -> RunReport {
+            panic!("sim exploded")
+        });
+        let caught = std::panic::catch_unwind(|| fail_fast(&failures))
+            .expect_err("a failed warm must panic");
+        let msg = mcm_exec::pool::panic_message(caught.as_ref());
+        assert_eq!(
+            msg,
+            format!(
+                "grid worker panicked at grid index 0: ({:?}, \"CFD\"): sim exploded",
+                cfg.name
+            )
+        );
+        fail_fast(&[]);
     }
 }

@@ -144,9 +144,7 @@ pub fn sweep_with_jobs(jobs: usize, scale: f64, seed: u64) -> Vec<CurvePoint> {
             scenario_tag: "gpm-loss".to_string(),
         });
     }
-    let reports = mcm_exec::pool::run_grid(&planned, jobs, mcm_exec::DEFAULT_SEED, |_, run| {
-        run.execute(&cfg, seed)
-    });
+    let reports = mcm_exec::pool::run_grid(&planned, jobs, |_, run| run.execute(&cfg, seed));
     // Slowdowns are relative to each workload's healthy run, which
     // leads its block of the grid.
     let runs_per_spec = RATES.len() + 1;

@@ -85,12 +85,6 @@ impl LinkSizing {
         f64::from(self.gpms - 1) / f64::from(self.gpms)
     }
 
-    /// Total bandwidth crossing the package: supply × remote fraction,
-    /// summed over partitions.
-    pub fn total_cross_package_gbps(&self) -> f64 {
-        self.supply_per_partition_gbps() * self.remote_fraction() * f64::from(self.gpms)
-    }
-
     /// The per-GPM link bandwidth required so links never throttle the
     /// DRAM: each GPM both imports and exports its share of the
     /// cross-package traffic. This is the paper's "link bandwidth of 4b
@@ -196,7 +190,7 @@ mod tests {
             l2_hit_rate: 0.5,
         };
         assert_eq!(two.remote_fraction(), 0.5);
-        assert_eq!(two.total_cross_package_gbps(), 3072.0);
+        assert_eq!(two.required_link_gbps(), 3072.0);
     }
 
     #[test]

@@ -23,7 +23,8 @@
 //! * [`Simulator`] — runs a workload on a configuration, returning a
 //!   [`RunReport`] with cycles, cache hit rates, NUMA locality,
 //!   inter-GPM bandwidth, and the Table 2 energy ledger.
-//! * [`experiments`] — the aggregations the paper's figures report.
+//! * [`analysis`] — the §3.3 link-sizing argument in closed form
+//!   ([`LinkSizing`](analysis::LinkSizing)).
 //! * [`analytic`] — the calibrated analytical fast path: closed-form
 //!   IPC / hit-rate / traffic predictions in microseconds for
 //!   design-space exploration ([`AnalyticModel`], [`Calibration`]).
@@ -53,7 +54,6 @@ mod system;
 
 pub mod analysis;
 pub mod analytic;
-pub mod experiments;
 pub mod reference;
 
 pub use analytic::{AnalyticModel, Calibration, Observation, Prediction};

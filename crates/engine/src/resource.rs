@@ -61,8 +61,9 @@ pub struct Resource {
 impl Resource {
     /// Creates a server with the given capacity in bytes per cycle.
     ///
-    /// Use [`Resource::unlimited`] for a facility whose bandwidth should
-    /// never constrain the simulation.
+    /// An infinite capacity gives a facility whose bandwidth never
+    /// constrains the simulation: requests complete instantly and
+    /// never queue, but traffic is still counted.
     ///
     /// # Panics
     ///
@@ -81,12 +82,6 @@ impl Resource {
             requests: 0,
             queued_cycles: 0.0,
         }
-    }
-
-    /// Creates a server with effectively infinite bandwidth: requests
-    /// complete instantly and never queue, but traffic is still counted.
-    pub fn unlimited(name: &'static str) -> Self {
-        Resource::new(name, f64::INFINITY)
     }
 
     /// Creates a server from a bandwidth expressed in GB/s at the 1 GHz
@@ -236,7 +231,7 @@ mod tests {
 
     #[test]
     fn unlimited_resource_is_instant_but_counts() {
-        let mut r = Resource::unlimited("xbar");
+        let mut r = Resource::new("xbar", f64::INFINITY);
         assert_eq!(r.service(Cycle::new(7), 1 << 30), Cycle::new(7));
         assert_eq!(r.service(Cycle::new(7), 128), Cycle::new(7));
         assert_eq!(r.total_bytes(), (1 << 30) + 128);

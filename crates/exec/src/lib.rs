@@ -6,25 +6,20 @@
 //! wall-clock time — never results. This crate makes that contract
 //! structural:
 //!
-//! * [`queue::GridQueue`] — a chunked work-stealing queue over grid
-//!   indices. Workers drain their own chunk deque front-to-back and
-//!   steal whole chunks from the back of a victim's deque when they run
-//!   dry. Any interleaving of pops and steals yields every index
-//!   exactly once.
-//! * [`pool::run_grid`] — a seeded, bounded thread pool (scoped
-//!   threads, no detached workers) that executes one closure per grid
-//!   item and merges the results **in grid order**, regardless of which
-//!   worker ran what when. The merge asserts that no index was dropped
-//!   or duplicated. A task panic fails the whole grid fast, and the
-//!   propagated panic names the poisoned grid index and carries the
-//!   original message.
-//! * [`pool::run_grid_supervised`] — the self-healing variant
-//!   ([`supervised`], `MCM_SUPERVISED=1`): task panics are isolated,
-//!   failing items are retried a bounded number of times
-//!   ([`retries`], `MCM_RETRIES`), and items that still fail are
-//!   quarantined into a structured [`pool::TaskFailure`] report while
-//!   the rest of the grid completes. The report is byte-identical at
-//!   every job count.
+//! * [`pool::run_grid_supervised`] — a bounded scoped thread pool
+//!   that runs one closure per grid item. Workers claim the next grid
+//!   index from one shared atomic counter, so every index runs exactly
+//!   once, and the results merge back **in grid order**, regardless of
+//!   which worker ran what when. Each task runs under `catch_unwind`:
+//!   a failing item is retried a bounded number of times ([`retries`],
+//!   `MCM_RETRIES`) and then quarantined into a structured
+//!   [`pool::TaskFailure`] report while the rest of the grid completes.
+//!   The report is byte-identical at every job count. Harnesses select
+//!   it with [`supervised`] (`MCM_SUPERVISED=1`).
+//! * [`pool::run_grid`] — the same loop with zero retries, for callers
+//!   that want every result or none. Once the grid has finished it
+//!   panics if any item failed, naming the lowest failing grid index
+//!   and carrying that item's original message.
 //! * [`service::ServicePool`] — the long-running counterpart of
 //!   [`pool::run_grid`] for server processes: persistent workers, a
 //!   bounded queue with all-or-nothing batch admission, fair
@@ -32,30 +27,23 @@
 //!   panic isolation.
 //!
 //! The worker count comes from [`jobs`] (`MCM_JOBS`, default: available
-//! parallelism); `MCM_JOBS=1` degenerates to an in-caller-thread serial
-//! loop that is observably identical to never having used the executor.
-//! Steal-victim selection is seeded ([`DEFAULT_SEED`]) so even the
-//! scheduling noise is reproducible for a fixed interleaving.
+//! parallelism); `MCM_JOBS=1` runs the same worker loop in the caller's
+//! thread, with no pool, so it is observably identical to never having
+//! used the executor.
 //!
-//! Hermetic per the workspace rule: `std` plus `mcm-engine`'s RNG only.
+//! Hermetic per the workspace rule: `std` plus `mcm-telemetry` only.
 //!
 //! # Example
 //!
 //! ```
-//! let squares = mcm_exec::pool::run_grid(&[1u64, 2, 3, 4], 2, mcm_exec::DEFAULT_SEED, |_, &x| x * x);
+//! let squares = mcm_exec::pool::run_grid(&[1u64, 2, 3, 4], 2, |_, &x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16]);
 //! ```
 
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod queue;
 pub mod service;
-
-/// The default steal-order seed used by harnesses that don't need a
-/// specific one. Results never depend on it; only which victim a
-/// starving worker tries first does.
-pub const DEFAULT_SEED: u64 = 0x4D43_4D5F_4A4F_4253; // "MCM_JOBS"
 
 /// The worker count for parallel sweeps, read from `MCM_JOBS`.
 /// Unset defaults to the machine's available parallelism (1 when that
@@ -81,9 +69,10 @@ pub fn jobs() -> usize {
 }
 
 /// Whether sweep harnesses should run under the supervised executor
-/// ([`pool::run_grid_supervised`]), read from `MCM_SUPERVISED`. `1`
-/// enables supervision; `0` or unset keeps the fail-fast default, so
-/// every golden-output gate is untouched.
+/// ([`pool::run_grid_supervised`] with [`retries`]), read from
+/// `MCM_SUPERVISED`. `1` enables supervision; `0` or unset keeps the
+/// fail-fast default, supervision with zero retries followed by a
+/// panic naming the lowest failing grid index.
 ///
 /// # Panics
 ///

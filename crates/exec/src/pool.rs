@@ -1,15 +1,14 @@
-//! The bounded scoped thread pool, the grid-order merge, and the
-//! supervised (panic-isolating, retrying, quarantining) runner.
+//! The bounded scoped thread pool: one worker loop that claims grid
+//! indices from a shared counter, isolates and retries panicking
+//! tasks, and merges the results in grid order.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-use mcm_telemetry::{global, Class, Counter, Gauge, Histogram};
-
-use crate::queue::{GridQueue, WorkerState};
+use mcm_telemetry::{global, Class, Counter, Histogram};
 
 /// Pre-registered executor telemetry handles. Resolved once per
 /// process so the per-grid cost is a handful of relaxed atomic adds;
@@ -19,20 +18,16 @@ struct ExecTele {
     tasks: Counter,
     pools: Counter,
     workers: Counter,
-    queue_depth_hw: Gauge,
-    steals: Counter,
-    steal_failures: Counter,
     busy_ns: Counter,
     idle_ns: Counter,
     task_ns: Histogram,
-    /// Panics caught inside workers. Volatile: in the *unsupervised*
-    /// fail-fast path, how many tasks ran before the poison flag
-    /// stopped the grid depends on thread scheduling.
+    /// Panics caught inside tasks. Deterministic: every grid item runs
+    /// to completion at any job count, so a failing item makes the
+    /// same `1 + retries` attempts wherever it runs.
     task_panics: Counter,
-    /// Supervised re-attempts. Deterministic: every failing task is
-    /// retried exactly the configured count at any job count.
+    /// Re-attempts after a panic. Deterministic for the same reason.
     retries: Counter,
-    /// Supervised tasks quarantined after exhausting their retries.
+    /// Tasks that still failed after exhausting their retries.
     quarantined: Counter,
 }
 
@@ -56,13 +51,10 @@ fn tele() -> &'static ExecTele {
             tasks: reg.counter("exec.tasks", Class::Deterministic),
             pools: reg.counter("exec.pools", Class::PerConfig),
             workers: reg.counter("exec.workers_spawned", Class::PerConfig),
-            queue_depth_hw: reg.gauge("exec.queue_depth_hw", Class::PerConfig),
-            steals: reg.counter("exec.steals", Class::Volatile),
-            steal_failures: reg.counter("exec.steal_failures", Class::Volatile),
             busy_ns: reg.counter("exec.busy_ns", Class::Volatile),
             idle_ns: reg.counter("exec.idle_ns", Class::Volatile),
             task_ns: reg.histogram("exec.task_ns", Class::Volatile, &TASK_NS_BOUNDS),
-            task_panics: reg.counter("exec.task_panics", Class::Volatile),
+            task_panics: reg.counter("exec.task_panics", Class::Deterministic),
             retries: reg.counter("exec.retries", Class::Deterministic),
             quarantined: reg.counter("exec.quarantined", Class::Deterministic),
         }
@@ -73,9 +65,9 @@ fn tele() -> &'static ExecTele {
 /// `panic!("...")` yields `&str` or `String`; a `panic_any` with a
 /// common scalar payload is rendered with its type and value; anything
 /// else is named by its `TypeId` rather than dropped — the cause of a
-/// failure must never degrade to an empty placeholder.  Public so
-/// harnesses that wrap task closures in their own `catch_unwind` (to
-/// attach context before re-raising) render payloads the same way.
+/// failure must never degrade to an empty placeholder.  Public so code
+/// that catches panics itself (the sweep daemon's jobs) renders
+/// payloads the same way.
 pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         return (*s).to_string();
@@ -94,7 +86,7 @@ pub fn panic_message(payload: &(dyn Any + Send)) -> String {
     format!("<opaque panic payload: {:?}>", payload.type_id())
 }
 
-/// One quarantined grid item: the exact identity of the poisoned work,
+/// One quarantined grid item: the exact identity of the failed work,
 /// how often it was attempted, and the last panic message. The
 /// supervised runner returns these sorted by grid index, so the report
 /// is byte-identical at every job count.
@@ -169,131 +161,65 @@ where
     })
 }
 
-/// Runs `f` once per grid item across at most `jobs` worker threads and
-/// returns the results **in grid order** — element `i` of the returned
-/// vector is `f(i, &items[i])` no matter which worker computed it or
-/// when. `jobs <= 1` (or a grid of at most one item) runs serially in
-/// the caller's thread with no pool at all, so `MCM_JOBS=1` is
-/// bit-identical to the pre-parallel code path by construction.
-///
-/// `seed` drives steal-victim selection only; see [`crate::DEFAULT_SEED`].
-///
-/// # Panics
-///
-/// Panics if a worker closure panics. The propagated panic names the
-/// poisoned grid index *and* carries the original message (`"grid
-/// worker panicked at grid index 13: unlucky"`) — the payload used to
-/// be discarded by a bare `join().expect`, leaving no way to tell
-/// which item of a thousand-pair sweep was poisoned. Also panics if
-/// the merge finds a dropped or duplicated grid index — the queue
-/// makes that impossible, and the assert keeps it that way.
-pub fn run_grid<T, R, F>(items: &[T], jobs: usize, seed: u64, f: F) -> Vec<R>
+/// The one worker loop: claims the next unclaimed grid index from
+/// `next` until the grid is exhausted, runs each item through
+/// [`attempt_task`], and returns this worker's `(index, outcome)`
+/// bucket. Every index is claimed by exactly one `fetch_add`, so the
+/// workers' buckets cover the grid exactly once between them.
+/// `Relaxed` suffices: the counter publishes no other data — the items
+/// are shared read-only before the workers start, and results come
+/// back through `join` — and a read-modify-write is atomic at any
+/// ordering.
+fn drain<T, R, F>(
+    items: &[T],
+    next: &AtomicUsize,
+    retries: u32,
+    f: &F,
+) -> Vec<(usize, Result<R, TaskFailure>)>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    F: Fn(usize, &T) -> R,
 {
     let t = tele();
-    t.grids.inc();
-    t.tasks.add(items.len() as u64);
-    let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, item)| {
-                catch_unwind(AssertUnwindSafe(|| f(i, item))).unwrap_or_else(|payload| {
-                    t.task_panics.inc();
-                    panic!(
-                        "grid worker panicked at grid index {i}: {}",
-                        panic_message(payload.as_ref())
-                    )
-                })
-            })
-            .collect();
+    let spawned = Instant::now();
+    let mut busy_ns = 0u64;
+    let mut out = Vec::new();
+    loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(item) = items.get(i) else {
+            break;
+        };
+        let began = Instant::now();
+        out.push((i, attempt_task(f, i, item, retries)));
+        let took = began.elapsed().as_nanos() as u64;
+        busy_ns += took;
+        t.task_ns.observe(took);
     }
-    t.pools.inc();
-    t.workers.add(jobs as u64);
-    let queue = GridQueue::new_balanced(items.len(), jobs);
-    let initial_depth = queue.deck_depths().into_iter().max().unwrap_or(0);
-    t.queue_depth_hw.record_max(initial_depth as u64);
-    // Fail-fast poison flag: after any task panics, workers stop
-    // drawing new items so the doomed grid winds down promptly.
-    let poisoned = AtomicBool::new(false);
-    // Per-worker results, and the first panic each worker observed
-    // (grid index + rendered message), if any.
-    type WorkerYield<R> = (Vec<Vec<(usize, R)>>, Vec<Option<(usize, String)>>);
-    let (buckets, failures): WorkerYield<R> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                let poisoned = &poisoned;
-                scope.spawn(move || {
-                    let spawned = Instant::now();
-                    let mut busy_ns = 0u64;
-                    let mut state = WorkerState::seeded(seed, w);
-                    let mut out = Vec::new();
-                    let mut failure = None;
-                    while !poisoned.load(Ordering::Relaxed) {
-                        let Some(i) = queue.next_item(w, &mut state) else {
-                            break;
-                        };
-                        let began = Instant::now();
-                        match catch_unwind(AssertUnwindSafe(|| f(i, &items[i]))) {
-                            Ok(r) => out.push((i, r)),
-                            Err(payload) => {
-                                t.task_panics.inc();
-                                failure = Some((i, panic_message(payload.as_ref())));
-                                poisoned.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                        let took = began.elapsed().as_nanos() as u64;
-                        busy_ns += took;
-                        t.task_ns.observe(took);
-                    }
-                    let stats = state.stats();
-                    t.steals.add(stats.steals);
-                    t.steal_failures.add(stats.steal_failures);
-                    t.busy_ns.add(busy_ns);
-                    t.idle_ns
-                        .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
-                    (out, failure)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("grid worker thread died outside a task"))
-            .unzip()
-    });
-    // Several workers may each have caught a panic before observing the
-    // flag; report the lowest grid index for a stable message.
-    if let Some((i, message)) = failures.into_iter().flatten().min() {
-        panic!("grid worker panicked at grid index {i}: {message}");
-    }
-    merge_grid(buckets, items.len())
+    t.busy_ns.add(busy_ns);
+    t.idle_ns
+        .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
+    out
 }
 
-/// The supervised variant of [`run_grid`]: task panics are isolated
-/// with `catch_unwind` instead of aborting the sweep, each failing item
-/// is retried a bounded `retries` more times, and items that still fail
-/// are quarantined into the returned [`SupervisedGrid::failures`]
-/// report — while every other grid item completes normally.
+/// Runs `f` once per grid item across at most `jobs` worker threads,
+/// isolating panics: each failing item is retried a bounded `retries`
+/// more times, and items that still fail are quarantined into the
+/// returned [`SupervisedGrid::failures`] report while every other item
+/// completes normally. `jobs <= 1` (or a grid of at most one item)
+/// runs the same worker loop in the caller's thread, with no pool.
 ///
-/// Determinism: each item's attempt sequence runs on a single worker,
-/// back to back, so the failure report (indices, attempt counts,
-/// messages) is identical at every job count; the report is sorted by
-/// grid index.
+/// Results come back **in grid order** — `results[i]` is
+/// `f(i, &items[i])` no matter which worker computed it or when.
+/// Each item's attempts run back to back on one worker, so the failure
+/// report (indices, attempt counts, messages) is identical at every
+/// job count; it is sorted by grid index.
 ///
 /// # Panics
 ///
-/// Panics only if the merge finds a dropped or duplicated grid index.
+/// Panics only if the merge finds a dropped or duplicated grid index —
+/// the index claim makes that impossible, and the assert keeps it so.
 pub fn run_grid_supervised<T, R, F>(
     items: &[T],
     jobs: usize,
-    seed: u64,
     retries: u32,
     f: F,
 ) -> SupervisedGrid<R>
@@ -306,74 +232,26 @@ where
     t.grids.inc();
     t.tasks.add(items.len() as u64);
     let jobs = jobs.max(1).min(items.len().max(1));
-    if jobs <= 1 {
-        let mut results = Vec::with_capacity(items.len());
-        let mut failures = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            match attempt_task(&f, i, item, retries) {
-                Ok(r) => results.push(Some(r)),
-                Err(fail) => {
-                    results.push(None);
-                    failures.push(fail);
-                }
-            }
-        }
-        return SupervisedGrid { results, failures };
-    }
-    t.pools.inc();
-    t.workers.add(jobs as u64);
-    let queue = GridQueue::new_balanced(items.len(), jobs);
-    let initial_depth = queue.deck_depths().into_iter().max().unwrap_or(0);
-    t.queue_depth_hw.record_max(initial_depth as u64);
-    let buckets: Vec<Vec<(usize, Result<R, TaskFailure>)>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let queue = &queue;
-                let f = &f;
-                scope.spawn(move || {
-                    let spawned = Instant::now();
-                    let mut busy_ns = 0u64;
-                    let mut state = WorkerState::seeded(seed, w);
-                    let mut out = Vec::new();
-                    while let Some(i) = queue.next_item(w, &mut state) {
-                        let began = Instant::now();
-                        out.push((i, attempt_task(f, i, &items[i], retries)));
-                        let took = began.elapsed().as_nanos() as u64;
-                        busy_ns += took;
-                        t.task_ns.observe(took);
-                    }
-                    let stats = state.stats();
-                    t.steals.add(stats.steals);
-                    t.steal_failures.add(stats.steal_failures);
-                    t.busy_ns.add(busy_ns);
-                    t.idle_ns
-                        .add((spawned.elapsed().as_nanos() as u64).saturating_sub(busy_ns));
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("grid worker thread died outside a task"))
-            .collect()
-    });
-    let mut merged: Vec<(usize, Result<R, TaskFailure>)> = buckets.into_iter().flatten().collect();
-    merged.sort_by_key(|&(i, _)| i);
-    assert_eq!(
-        merged.len(),
-        items.len(),
-        "supervised executor completed {} of {} grid items — dropped or duplicated work",
-        merged.len(),
-        items.len()
-    );
+    let next = AtomicUsize::new(0);
+    let buckets = if jobs <= 1 {
+        vec![drain(items, &next, retries, &f)]
+    } else {
+        t.pools.inc();
+        t.workers.add(jobs as u64);
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..jobs)
+                .map(|_| scope.spawn(|| drain(items, &next, retries, &f)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("grid worker thread died outside a task"))
+                .collect()
+        })
+    };
     let mut results = Vec::with_capacity(items.len());
     let mut failures = Vec::new();
-    for (pos, (i, r)) in merged.into_iter().enumerate() {
-        assert_eq!(
-            pos, i,
-            "grid index {i} appears out of place (duplicate or gap)"
-        );
-        match r {
+    for outcome in merge_grid(buckets, items.len()) {
+        match outcome {
             Ok(r) => results.push(Some(r)),
             Err(fail) => {
                 results.push(None);
@@ -382,6 +260,33 @@ where
         }
     }
     SupervisedGrid { results, failures }
+}
+
+/// [`run_grid_supervised`] with zero retries, for callers that want
+/// every result or none: returns `f(i, &items[i])` for every `i`, in
+/// grid order.
+///
+/// # Panics
+///
+/// Panics when any task panicked, after the rest of the grid has
+/// finished. The panic names the lowest failing grid index and carries
+/// that task's original message (`"grid worker panicked at grid index
+/// 13: unlucky"`), so it is the same at every job count.
+pub fn run_grid<T, R, F>(items: &[T], jobs: usize, f: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(usize, &T) -> R + Sync,
+{
+    let grid = run_grid_supervised(items, jobs, 0, f);
+    if let Some(fail) = grid.failures.first() {
+        panic!(
+            "grid worker panicked at grid index {}: {}",
+            fail.index, fail.message
+        );
+    }
+    // No failures, so every slot holds a result.
+    grid.results.into_iter().flatten().collect()
 }
 
 /// Merges per-worker `(index, result)` buckets into grid order,
@@ -412,7 +317,7 @@ mod tests {
     fn results_come_back_in_grid_order() {
         let items: Vec<u64> = (0..100).collect();
         for jobs in [1, 2, 3, 8] {
-            let out = run_grid(&items, jobs, crate::DEFAULT_SEED, |i, &x| {
+            let out = run_grid(&items, jobs, |i, &x| {
                 assert_eq!(i as u64, x);
                 x * 3 + 1
             });
@@ -423,23 +328,23 @@ mod tests {
     #[test]
     fn serial_and_parallel_agree() {
         let items: Vec<u64> = (0..57).collect();
-        let serial = run_grid(&items, 1, 7, |_, &x| x.wrapping_mul(0x9E37_79B9));
-        let parallel = run_grid(&items, 8, 7, |_, &x| x.wrapping_mul(0x9E37_79B9));
+        let serial = run_grid(&items, 1, |_, &x| x.wrapping_mul(0x9E37_79B9));
+        let parallel = run_grid(&items, 8, |_, &x| x.wrapping_mul(0x9E37_79B9));
         assert_eq!(serial, parallel);
     }
 
     #[test]
     fn empty_and_singleton_grids() {
         let none: Vec<u32> = Vec::new();
-        assert!(run_grid(&none, 8, 1, |_, &x| x).is_empty());
-        assert_eq!(run_grid(&[9u32], 8, 1, |_, &x| x + 1), vec![10]);
+        assert!(run_grid(&none, 8, |_, &x| x).is_empty());
+        assert_eq!(run_grid(&[9u32], 8, |_, &x| x + 1), vec![10]);
     }
 
     #[test]
     #[should_panic(expected = "grid worker panicked")]
     fn worker_panics_propagate() {
         let items: Vec<u32> = (0..64).collect();
-        let _ = run_grid(&items, 4, 1, |_, &x| {
+        let _ = run_grid(&items, 4, |_, &x| {
             assert!(x != 13, "unlucky");
             x
         });
@@ -459,8 +364,8 @@ mod tests {
         let grids = reg.counter("exec.grids", mcm_telemetry::Class::Deterministic);
         let (t0, g0) = (tasks.get(), grids.get());
         let items: Vec<u64> = (0..40).collect();
-        let _ = run_grid(&items, 4, 1, |_, &x| x);
-        let _ = run_grid(&items, 1, 1, |_, &x| x);
+        let _ = run_grid(&items, 4, |_, &x| x);
+        let _ = run_grid(&items, 1, |_, &x| x);
         // Other tests share the global registry, so assert lower bounds.
         assert!(tasks.get() - t0 >= 80, "both paths count tasks");
         assert!(grids.get() - g0 >= 2);
@@ -473,28 +378,28 @@ mod tests {
     }
 
     /// Regression for the panic-context loss: the propagated panic must
-    /// name the poisoned grid index and carry the original message, in
-    /// both the serial and the pooled path.
+    /// name the lowest failing grid index and carry its original
+    /// message, at every job count — and it comes only after every
+    /// other item has run.
     #[test]
     fn worker_panics_carry_index_and_message() {
         for jobs in [1, 4] {
+            let ran = AtomicUsize::new(0);
             let items: Vec<u32> = (0..64).collect();
             let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                run_grid(&items, jobs, 1, |_, &x| {
-                    assert!(x != 13, "unlucky");
+                run_grid(&items, jobs, |_, &x| {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                    assert!(x % 17 != 13, "unlucky {x}");
                     x
                 })
             }))
             .expect_err("grid must panic");
             let msg = panic_message(caught.as_ref());
-            assert!(
-                msg.contains("grid index 13"),
-                "jobs={jobs}: poisoned index missing from {msg:?}"
+            assert_eq!(
+                msg, "grid worker panicked at grid index 13: unlucky 13",
+                "jobs={jobs}"
             );
-            assert!(
-                msg.contains("unlucky"),
-                "jobs={jobs}: original payload missing from {msg:?}"
-            );
+            assert_eq!(ran.load(Ordering::Relaxed), 64, "jobs={jobs}");
         }
     }
 
@@ -529,7 +434,7 @@ mod tests {
     #[test]
     fn supervised_failure_reports_non_string_payloads() {
         let items: Vec<u32> = (0..4).collect();
-        let grid = run_grid_supervised(&items, 1, 1, 0, |_, &x| {
+        let grid = run_grid_supervised(&items, 1, 0, |_, &x| {
             if x == 2 {
                 std::panic::panic_any(x as i64);
             }
@@ -544,7 +449,7 @@ mod tests {
     fn supervised_quarantines_failures_and_completes_the_rest() {
         let items: Vec<u32> = (0..64).collect();
         for jobs in [1, 4] {
-            let grid = run_grid_supervised(&items, jobs, 1, 0, |_, &x| {
+            let grid = run_grid_supervised(&items, jobs, 0, |_, &x| {
                 assert!(x % 17 != 13, "cursed");
                 x * 2
             });
@@ -570,7 +475,7 @@ mod tests {
     fn supervised_report_is_job_count_invariant() {
         let items: Vec<u32> = (0..48).collect();
         let run = |jobs| {
-            run_grid_supervised(&items, jobs, 1, 2, |i, &x| {
+            run_grid_supervised(&items, jobs, 2, |i, &x| {
                 assert!(x % 11 != 7, "bad item {i}");
                 x
             })
@@ -591,7 +496,7 @@ mod tests {
         use std::sync::atomic::AtomicU32;
         let attempts = AtomicU32::new(0);
         let items = [5u32];
-        let grid = run_grid_supervised(&items, 1, 1, 2, |_, &x| {
+        let grid = run_grid_supervised(&items, 1, 2, |_, &x| {
             if attempts.fetch_add(1, Ordering::SeqCst) < 2 {
                 panic!("transient");
             }
@@ -605,7 +510,7 @@ mod tests {
     #[test]
     fn supervised_empty_grid_is_complete() {
         let none: Vec<u32> = Vec::new();
-        let grid = run_grid_supervised(&none, 8, 1, 1, |_, &x| x);
+        let grid = run_grid_supervised(&none, 8, 1, |_, &x| x);
         assert!(grid.is_complete());
         assert!(grid.results.is_empty());
     }

@@ -137,20 +137,6 @@ impl PageMap {
         self.lookups.get()
     }
 
-    /// How many pages landed on each partition (first-touch and
-    /// round-robin policies; empty for interleaved).
-    pub fn pages_per_partition(&self) -> Vec<(PartitionId, u64)> {
-        let mut counts = vec![0u64; usize::from(self.partitions)];
-        for &mp in self.table.values() {
-            counts[mp.as_usize()] += 1;
-        }
-        counts
-            .into_iter()
-            .enumerate()
-            .map(|(i, n)| (PartitionId(i as u8), n))
-            .collect()
-    }
-
     /// Clears the page table (a fresh memory allocation), keeping the
     /// policy. Note that §5.3's cross-kernel locality depends on *not*
     /// calling this between kernel launches of the same application.
@@ -213,9 +199,6 @@ mod tests {
             );
         }
         assert_eq!(map.mapped_pages(), 2);
-        let per = map.pages_per_partition();
-        assert_eq!(per[1].1, 1);
-        assert_eq!(per[2].1, 1);
     }
 
     #[test]

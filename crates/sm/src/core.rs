@@ -155,11 +155,6 @@ impl SmCore {
     pub fn mem_ops(&self) -> u64 {
         self.mem_ops.get()
     }
-
-    /// Issue-slot utilization over `elapsed`.
-    pub fn issue_utilization(&self, elapsed: Cycle) -> f64 {
-        self.issue.utilization(elapsed)
-    }
 }
 
 #[cfg(test)]
@@ -228,6 +223,6 @@ mod tests {
         let mut sm = SmCore::new(SmConfig::pascal_like());
         sm.try_admit(1);
         sm.issue(Cycle::ZERO, 100); // busy 50 cycles
-        assert!((sm.issue_utilization(Cycle::new(100)) - 0.5).abs() < 1e-9);
+        assert!((sm.issue.utilization(Cycle::new(100)) - 0.5).abs() < 1e-9);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The timing model already has first-class observability (`mcm-probe`:
 //! traces, stall attribution). This crate instruments the layers that
-//! *run* the simulations — the `mcm-exec` work-stealing pool, the bench
+//! *run* the simulations — the `mcm-exec` grid pool, the bench
 //! harness's memo cache, the result store, the sweep daemon, and the
 //! fault injector — with always-on, out-of-band metrics:
 //!
@@ -11,7 +11,7 @@
 //! * [`Histogram`] — fixed-bucket counts over caller-chosen bounds.
 //!
 //! Metrics live in a [`Registry`] under hierarchical `scope.metric`
-//! names (`exec.steals`, `memo.hits`, `store.puts`, …) and carry a
+//! names (`exec.tasks`, `memo.hits`, `store.puts`, …) and carry a
 //! determinism [`Class`] that snapshots group by. The analytical fast
 //! path reports under `analytic.*`: the model itself counts scored
 //! predictions and calibration fits (`analytic.scored`,
@@ -22,16 +22,17 @@
 //! [`Class::Deterministic`]. The classes:
 //!
 //! * [`Class::Deterministic`] — identical across runs *and* across
-//!   `MCM_JOBS` settings (grid items executed, cache hits, fault
-//!   events). Two runs of the same work must produce byte-identical
-//!   values; `tests/telemetry_determinism.rs` pins it.
+//!   `MCM_JOBS` settings (grid items executed, task panics and
+//!   retries, cache hits, fault events). Two runs of the same work
+//!   must produce byte-identical values;
+//!   `tests/telemetry_determinism.rs` pins it.
 //! * [`Class::PerConfig`] — deterministic for a fixed knob setting but
-//!   a function of it (pools started and worker deque depth at a given
+//!   a function of it (pools started and workers spawned at a given
 //!   job count, store hits at a given `MCM_STORE`).
-//! * [`Class::Volatile`] — scheduling- or wall-clock-dependent (steal
-//!   counts, busy/idle nanoseconds). Quarantined in its own clearly
-//!   marked snapshot section so the reproducible sections can be
-//!   diffed byte-for-byte.
+//! * [`Class::Volatile`] — scheduling- or wall-clock-dependent
+//!   (busy/idle nanoseconds, per-task latencies). Quarantined in its
+//!   own clearly marked snapshot section so the reproducible sections
+//!   can be diffed byte-for-byte.
 //!
 //! **Out-of-band contract.** Nothing in the simulator ever *reads* a
 //! metric, so telemetry cannot perturb simulated time: every golden

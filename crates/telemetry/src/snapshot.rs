@@ -225,7 +225,7 @@ mod tests {
     fn sample() -> Snapshot {
         let reg = Registry::new();
         reg.counter("memo.hits", Class::Deterministic).add(3);
-        reg.gauge("exec.queue_depth_hw", Class::PerConfig).set(5);
+        reg.gauge("demo.depth_hw", Class::PerConfig).set(5);
         reg.counter("exec.busy_ns", Class::Volatile).add(123);
         reg.histogram("demo.batch_events", Class::PerConfig, &[4, 16])
             .observe(9);
@@ -249,7 +249,7 @@ mod tests {
         assert_eq!(
             doc.get("per_config")
                 .unwrap()
-                .get("exec.queue_depth_hw")
+                .get("demo.depth_hw")
                 .unwrap()
                 .as_u64(),
             Some(5)

@@ -125,6 +125,29 @@ diff "$TELEMETRY_TMP/off.txt" "$TELEMETRY_TMP/healed.txt" \
 grep -q "retrying" "$TELEMETRY_TMP/healed.err" \
   || { echo "tier-1: supervised run did not report the retry" >&2; exit 1; }
 
+# Fail-fast default: the same scripted panic on every attempt, without
+# supervision, must fail the sweep at any job count, and the panic must
+# name the same lowest failing grid index and pair serially and pooled.
+echo "== fail-fast smoke (scripted panic, MCM_JOBS=1 vs 4) =="
+FAILED_LINE='grid worker panicked at grid index 15: ("MCM-GPU baseline (768 GB/s)", "CFD")'
+for jobs in 1 4; do
+  set +e
+  MCM_SCALE=0.01 MCM_JOBS=$jobs MCM_FAULT_TASK_PANIC=CFD \
+    target/release/fig09_distributed_sched \
+    >/dev/null 2>"$TELEMETRY_TMP/failfast-$jobs.err"
+  FAIL_RC=$?
+  set -e
+  if [[ $FAIL_RC -eq 0 ]]; then
+    echo "tier-1: fail-fast run at MCM_JOBS=$jobs exited 0 despite a panic" >&2
+    exit 1
+  fi
+  grep -F "$FAILED_LINE" "$TELEMETRY_TMP/failfast-$jobs.err" \
+    >"$TELEMETRY_TMP/failfast-$jobs.line" \
+    || { echo "tier-1: fail-fast run at MCM_JOBS=$jobs did not name index 15" >&2; exit 1; }
+done
+diff "$TELEMETRY_TMP/failfast-1.line" "$TELEMETRY_TMP/failfast-4.line" \
+  || { echo "tier-1: fail-fast panic differs between MCM_JOBS=1 and 4" >&2; exit 1; }
+
 # Sweep-service smoke: a cold server run (misses + an in-flight
 # duplicate via sweep2's concurrent twin connection) and a warm run
 # over the same store (all hits) must print byte-identical pair

@@ -7,7 +7,8 @@
 //!
 //! * [`engine`] ([`mcm_engine`]) — discrete-event kernel.
 //! * [`exec`] ([`mcm_exec`]) — deterministic parallel sweep executor:
-//!   seeded bounded thread pool over a chunked work-stealing queue.
+//!   a bounded thread pool whose workers claim grid items from one
+//!   atomic index, with bounded retries and quarantine.
 //! * [`mem`] ([`mcm_mem`]) — caches, MSHRs, DRAM, page placement.
 //! * [`interconnect`] ([`mcm_interconnect`]) — links, ring, crossbar,
 //!   energy tiers.
@@ -27,8 +28,8 @@
 //!   commits, torn-tail recovery, lock-file exclusion.
 //! * [`workloads`] ([`mcm_workloads`]) — the 48-benchmark synthetic
 //!   suite.
-//! * [`gpu`] ([`mcm_gpu`]) — the assembled MCM-GPU system, presets, and
-//!   experiment helpers.
+//! * [`gpu`] ([`mcm_gpu`]) — the assembled MCM-GPU system, presets,
+//!   the link-sizing analysis, and the analytical fast path.
 //!
 //! # Example
 //!

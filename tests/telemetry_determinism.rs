@@ -9,10 +9,10 @@
 //! on vs off is the other half of this contract, enforced end-to-end
 //! in `scripts/tier1.sh`.)
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
-use mcm::exec::pool::run_grid;
-use mcm::exec::DEFAULT_SEED;
+use mcm::exec::pool::{run_grid, run_grid_supervised, SupervisedGrid};
 use mcm::fault::{FaultConfig, SeededFaultPlan};
 use mcm::gpu::{RunReport, Simulator, SystemConfig};
 use mcm::probe::NullProbe;
@@ -45,14 +45,24 @@ fn delta_of<R, F: FnOnce() -> R>(f: F) -> (R, Snapshot) {
 /// `jobs` workers: the fault layer and the executor both report.
 fn faulted_grid(jobs: usize) -> Vec<RunReport> {
     let cfgs = [SystemConfig::baseline_mcm(), SystemConfig::optimized_mcm()];
-    run_grid(&cfgs, jobs, DEFAULT_SEED, |_, cfg| {
+    run_grid(&cfgs, jobs, |_, cfg| {
         let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(7, 0.02));
         Simulator::run_faulted(cfg, &spec(), &mut NullProbe, &mut plan)
     })
 }
 
-fn per_config_count(d: &Snapshot, name: &str) -> u64 {
-    match d.per_config.get(name) {
+/// An eight-item supervised grid at `jobs` workers whose item 5
+/// panics on every attempt, with two retries.
+fn panicking_grid(jobs: usize) -> SupervisedGrid<u64> {
+    let items: Vec<u64> = (0..8).collect();
+    run_grid_supervised(&items, jobs, 2, |_, &x| {
+        assert!(x != 5, "item 5 always panics");
+        x * x
+    })
+}
+
+fn count(section: &BTreeMap<String, Value>, name: &str) -> u64 {
+    match section.get(name) {
         Some(Value::Counter(n)) => *n,
         other => panic!("{name} missing or not a counter: {other:?}"),
     }
@@ -81,7 +91,7 @@ fn identical_runs_produce_identical_deterministic_and_per_config_deltas() {
         ),
         other => panic!("fault.link.errors_injected missing: {other:?}"),
     }
-    assert_eq!(per_config_count(&delta_a, "exec.pools"), 1);
+    assert_eq!(count(&delta_a.per_config, "exec.pools"), 1);
 }
 
 #[test]
@@ -99,8 +109,32 @@ fn deterministic_class_survives_job_count_changes() {
     // ...while PerConfig counters legitimately move with it: one job
     // runs in the caller's thread, two start a pool. That is exactly
     // why exec.pools is classed PerConfig rather than Deterministic.
-    assert_eq!(per_config_count(&delta1, "exec.pools"), 0);
-    assert_eq!(per_config_count(&delta2, "exec.pools"), 1);
+    assert_eq!(count(&delta1.per_config, "exec.pools"), 0);
+    assert_eq!(count(&delta2.per_config, "exec.pools"), 1);
+}
+
+#[test]
+fn supervised_panic_counts_survive_job_count_changes() {
+    let _guard = registry_lock();
+    let (grid1, delta1) = delta_of(|| panicking_grid(1));
+    let (grid2, delta2) = delta_of(|| panicking_grid(2));
+    assert_eq!(grid1.results, grid2.results);
+    assert_eq!(grid1.failures, grid2.failures);
+    // Every item runs at any job count, so the failing item makes the
+    // same three attempts wherever it lands: one panic per attempt, two
+    // retries, one quarantine.
+    for (name, want) in [
+        ("exec.task_panics", 3),
+        ("exec.retries", 2),
+        ("exec.quarantined", 1),
+    ] {
+        assert_eq!(count(&delta1.deterministic, name), want, "{name} at jobs 1");
+        assert_eq!(count(&delta2.deterministic, name), want, "{name} at jobs 2");
+    }
+    assert_eq!(
+        delta1.deterministic, delta2.deterministic,
+        "Deterministic-class deltas must be job-count invariant"
+    );
 }
 
 #[test]
