@@ -55,20 +55,6 @@ struct Entry {
     cycles: Option<u64>,
 }
 
-/// Times `reps` calls of `f`, returning `(median, min)` wall
-/// nanoseconds (both clamped to >= 1, so ratios never divide by zero).
-fn time_reps<F: FnMut()>(reps: u32, mut f: F) -> (u64, u64) {
-    let mut ns: Vec<u64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            (t.elapsed().as_nanos() as u64).max(1)
-        })
-        .collect();
-    ns.sort_unstable();
-    (ns[ns.len() / 2], ns[0])
-}
-
 /// The pinned suite parameters for one mode.
 struct Mode {
     smoke: bool,
@@ -97,59 +83,87 @@ impl Mode {
     }
 }
 
-/// Micro: the steady-state event-queue hold pattern (pop one, push one
-/// near-future) for a fixed op count — the simulator's hottest loop.
-fn micro_queue_hold(mode: &Mode) -> Entry {
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(512);
-    let mut rng = Xoshiro256::new(0xBE7C);
-    let now = q.now();
-    for i in 0..256u64 {
-        q.push(now + Cycle::new(rng.next_range(900)), i, i);
-    }
-    // One warm pass before timing.
-    let mut hold = |ops: u64| {
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, v) = q.pop().expect("queue is held non-empty");
-            q.push(t + Cycle::new(1 + rng.next_range(900)), v, v);
-            acc = acc.wrapping_add(t.as_u64());
-        }
-        std::hint::black_box(acc)
-    };
-    hold(mode.queue_ops / 10);
-    let (median, min) = time_reps(mode.reps, || {
-        hold(mode.queue_ops);
-    });
+/// Times `mode.reps` calls of `f` as entry `name`, doing `ops`
+/// operations per rep. Median and min wall nanoseconds are both clamped
+/// to >= 1, so ratios never divide by zero.
+fn timed<F: FnMut()>(name: &'static str, mode: &Mode, ops: Option<u64>, mut f: F) -> Entry {
+    let mut ns: Vec<u64> = (0..mode.reps)
+        .map(|_| {
+            let t = Instant::now();
+            f();
+            (t.elapsed().as_nanos() as u64).max(1)
+        })
+        .collect();
+    ns.sort_unstable();
     Entry {
-        name: "micro.queue_hold256",
-        wall_ns_median: median,
-        wall_ns_min: min,
+        name,
+        wall_ns_median: ns[ns.len() / 2],
+        wall_ns_min: ns[0],
         reps: mode.reps,
-        ops: Some(mode.queue_ops),
+        ops,
         cycles: None,
     }
 }
 
-/// Micro: one distributed-scheduler launch's placement burst — 8192
-/// warps pushed at one timestamp in the order DS admission visits them
-/// (SMs module-interleaved, each module drawing CTAs from its own
-/// contiguous chunk, so consecutive keys jump between chunks), then
-/// drained. The hold micro above keeps buckets sparse, so its pushes
-/// stay on the O(1) list paths; this one drives the queue's
-/// out-of-order path at launch scale.
-fn micro_queue_same_cycle_burst(mode: &Mode) -> Entry {
-    const BURST: u64 = 8192;
+/// Micro: the steady-state event-queue hold pattern for a fixed op
+/// count — the simulator's hottest loop. 256 events stay in flight; each
+/// pop pushes its event back `latency` cycles later. The initial fill
+/// lands one cycle before a drawn latency.
+fn micro_queue_hold(
+    name: &'static str,
+    seed: u64,
+    mut latency: impl FnMut(&mut Xoshiro256) -> u64,
+    mode: &Mode,
+) -> Entry {
+    let mut q: EventQueue<u64> = EventQueue::with_capacity(512);
+    let mut rng = Xoshiro256::new(seed);
+    let now = q.now();
+    for i in 0..256u64 {
+        q.push(now + Cycle::new(latency(&mut rng) - 1), i, i);
+    }
+    let mut hold = |ops: u64| {
+        let mut acc = 0u64;
+        for _ in 0..ops {
+            let (t, v) = q.pop().expect("queue is held non-empty");
+            q.push(t + Cycle::new(latency(&mut rng)), v, v);
+            acc = acc.wrapping_add(t.as_u64());
+        }
+        std::hint::black_box(acc)
+    };
+    hold(mode.queue_ops / 10); // warm
+    timed(name, mode, Some(mode.queue_ops), || {
+        hold(mode.queue_ops);
+    })
+}
+
+/// Warps in one launch of the burst micros: 1024 CTAs of 8.
+const LAUNCH_WARPS: u64 = 8192;
+
+/// The keys of one distributed-scheduler launch in the order DS
+/// admission visits them: SMs module-interleaved, each module drawing
+/// CTAs from its own contiguous chunk, so consecutive keys jump between
+/// chunks.
+fn ds_launch_keys() -> Vec<u64> {
     const MODULES: u64 = 4;
     const WARPS_PER_CTA: u64 = 8;
-    let chunk = BURST / WARPS_PER_CTA / MODULES;
-    let keys: Vec<u64> = (0..chunk)
+    let chunk = LAUNCH_WARPS / WARPS_PER_CTA / MODULES;
+    (0..chunk)
         .flat_map(|round| (0..MODULES).map(move |m| m * chunk + round))
         .flat_map(|cta| (0..WARPS_PER_CTA).map(move |w| cta * WARPS_PER_CTA + w))
-        .collect();
-    let mut q: EventQueue<u64> = EventQueue::with_capacity(BURST as usize);
+        .collect()
+}
+
+/// Micro: one launch's placement burst — `keys` pushed at one timestamp
+/// in the given order, then drained. The hold micros keep buckets
+/// sparse, so their pushes stay on the O(1) list paths; a burst in DS
+/// admission order drives the queue's out-of-order path at launch
+/// scale, and one in ascending key order is a centralized-scheduler
+/// launch (admission pushes each CTA's warps in CTA order).
+fn micro_queue_same_cycle_burst(name: &'static str, keys: &[u64], mode: &Mode) -> Entry {
+    let mut q: EventQueue<u64> = EventQueue::with_capacity(keys.len());
     let mut burst = || {
         let at = q.now() + Cycle::new(1);
-        for &key in &keys {
+        for &key in keys {
             q.push(at, key, key);
         }
         let mut acc = 0u64;
@@ -159,17 +173,9 @@ fn micro_queue_same_cycle_burst(mode: &Mode) -> Entry {
         std::hint::black_box(acc)
     };
     burst(); // warm
-    let (median, min) = time_reps(mode.reps, || {
+    timed(name, mode, Some(keys.len() as u64), || {
         burst();
-    });
-    Entry {
-        name: "micro.queue_same_cycle_burst",
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(BURST),
-        cycles: None,
-    }
+    })
 }
 
 /// Micro: the stream side of one distributed-scheduler launch — 8192
@@ -208,17 +214,10 @@ fn micro_warp_launch(mode: &Mode) -> Entry {
         std::hint::black_box(acc)
     };
     launches(); // warm
-    let (median, min) = time_reps(mode.reps, || {
+    let ops = LAUNCHES * u64::from(spec.ctas * spec.warps_per_cta);
+    timed("micro.warp_launch", mode, Some(ops), || {
         launches();
-    });
-    Entry {
-        name: "micro.warp_launch",
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(LAUNCHES * u64::from(spec.ctas * spec.warps_per_cta)),
-        cycles: None,
-    }
+    })
 }
 
 /// Micro: one SM's 64-entry MSHR table through full cycles of its
@@ -259,17 +258,9 @@ fn micro_mshr_churn(mode: &Mode) -> Entry {
         std::hint::black_box(acc)
     };
     churn(rounds / 10); // warm
-    let (median, min) = time_reps(mode.reps, || {
+    timed("micro.mshr_churn", mode, Some(rounds * ENTRIES), || {
         churn(rounds);
-    });
-    Entry {
-        name: "micro.mshr_churn",
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(rounds * ENTRIES),
-        cycles: None,
-    }
+    })
 }
 
 /// Micro: persistent-store hit latency — a warm index lookup plus a
@@ -290,7 +281,7 @@ fn micro_store_hit(mode: &Mode) -> Entry {
     }
     let ops = mode.queue_ops / 10;
     let mut rng = Xoshiro256::new(0x5709E);
-    let (median, min) = time_reps(mode.reps, || {
+    let entry = timed("micro.store_hit", mode, Some(ops), || {
         let mut acc = 0u64;
         for _ in 0..ops {
             let r = store
@@ -302,14 +293,7 @@ fn micro_store_hit(mode: &Mode) -> Entry {
     });
     drop(store);
     let _ = std::fs::remove_dir_all(&dir);
-    Entry {
-        name: "micro.store_hit",
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(ops),
-        cycles: None,
-    }
+    entry
 }
 
 /// Micro: one analytical fast-path prediction — the per-point price the
@@ -333,17 +317,9 @@ fn micro_analytic_point(mode: &Mode) -> Entry {
         std::hint::black_box(acc)
     };
     score(ops / 10); // warm
-    let (median, min) = time_reps(mode.reps, || {
+    timed("micro.analytic_point", mode, Some(ops), || {
         score(ops);
-    });
-    Entry {
-        name: "micro.analytic_point",
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(ops),
-        cycles: None,
-    }
+    })
 }
 
 /// Micro: building and dropping one whole machine — the fixed cost
@@ -357,15 +333,7 @@ fn micro_machine_build(name: &'static str, cfg: &SystemConfig, mode: &Mode) -> E
         }
     };
     build(); // warm
-    let (median, min) = time_reps(mode.reps, build);
-    Entry {
-        name,
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: Some(BUILDS),
-        cycles: None,
-    }
+    timed(name, mode, Some(BUILDS), build)
 }
 
 /// Fills `sys`'s L1s and remote-only L1.5s with the lines kernel 0 of
@@ -417,25 +385,58 @@ fn micro_kernel_flush(mode: &Mode) -> Entry {
     }
 }
 
-/// Macro: one full serial simulation of `cfg` on the pinned workload.
-fn macro_run(name: &'static str, cfg: &SystemConfig, mode: &Mode) -> Entry {
-    let spec = suite::by_name("Stream")
-        .expect("Stream workload in suite")
+/// A `SystemConfig` preset constructor.
+type Preset = fn() -> SystemConfig;
+
+/// The macro entries, `(name, preset, workload)`: the Fig. 9 pair on
+/// the pinned workload, then one pair per further preset and workload
+/// class, so each category (memory-intensive Stream and CFD,
+/// compute-intensive Hotspot, limited-parallelism DWT) and each machine
+/// shape (an MCM-GPU, a monolithic die, a two-GPU board) is timed
+/// whole.
+const MACROS: [(&str, Preset, &str); 7] = [
+    (
+        "macro.fig09_pair_base",
+        SystemConfig::baseline_mcm,
+        "Stream",
+    ),
+    ("macro.fig09_pair_ds", SystemConfig::mcm_l15_ds, "Stream"),
+    (
+        "macro.optimized_stream",
+        SystemConfig::optimized_mcm,
+        "Stream",
+    ),
+    (
+        "macro.baseline_hotspot",
+        SystemConfig::baseline_mcm,
+        "Hotspot",
+    ),
+    ("macro.baseline_dwt", SystemConfig::baseline_mcm, "DWT"),
+    (
+        "macro.monolithic256_cfd",
+        SystemConfig::hypothetical_monolithic_256,
+        "CFD",
+    ),
+    (
+        "macro.multi_gpu_cfd",
+        SystemConfig::multi_gpu_baseline,
+        "CFD",
+    ),
+];
+
+/// Macro: one full serial simulation of `cfg` on `workload`.
+fn macro_run(name: &'static str, cfg: &SystemConfig, workload: &str, mode: &Mode) -> Entry {
+    let spec = suite::by_name(workload)
+        .expect("macro workload in suite")
         .scaled(mode.scale);
-    let warm = Simulator::run(cfg, &spec);
-    let mut cycles = warm.cycles.as_u64();
-    let (median, min) = time_reps(mode.reps, || {
+    let cycles = Simulator::run(cfg, &spec).cycles.as_u64(); // warm
+    let entry = timed(name, mode, None, || {
         let r = Simulator::run(cfg, &spec);
         assert_eq!(r.cycles.as_u64(), cycles, "{name}: nondeterministic rerun");
-        cycles = r.cycles.as_u64();
     });
     Entry {
-        name,
-        wall_ns_median: median,
-        wall_ns_min: min,
-        reps: mode.reps,
-        ops: None,
         cycles: Some(cycles),
+        ..entry
     }
 }
 
@@ -553,9 +554,18 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
         mode.smoke
     );
     let before = mcm_telemetry::global().snapshot();
-    let entries = vec![
-        micro_queue_hold(mode),
-        micro_queue_same_cycle_burst(mode),
+    // Entries run in the order they joined the suite, so a new one goes
+    // last, in the macro table too: `micro.machine_build.*` reads the
+    // heap state the entries before it leave behind, and an entry
+    // inserted earlier would move its numbers between snapshots.
+    let mut entries = vec![
+        micro_queue_hold(
+            "micro.queue_hold256",
+            0xBE7C,
+            |rng| 1 + rng.next_range(900),
+            mode,
+        ),
+        micro_queue_same_cycle_burst("micro.queue_same_cycle_burst", &ds_launch_keys(), mode),
         micro_warp_launch(mode),
         micro_mshr_churn(mode),
         micro_store_hit(mode),
@@ -571,9 +581,37 @@ fn run_suite(label: &str, mode: &Mode, out_path: &PathBuf) {
             mode,
         ),
         micro_kernel_flush(mode),
-        macro_run("macro.fig09_pair_base", &SystemConfig::baseline_mcm(), mode),
-        macro_run("macro.fig09_pair_ds", &SystemConfig::mcm_l15_ds(), mode),
     ];
+    entries.extend(
+        MACROS
+            .iter()
+            .map(|&(name, preset, workload)| macro_run(name, &preset(), workload, mode)),
+    );
+    entries.extend([
+        micro_queue_hold(
+            "micro.queue_hold256_far",
+            0xFA2F,
+            |rng| 2000 + rng.next_range(50_000),
+            mode,
+        ),
+        micro_queue_hold(
+            "micro.queue_hold256_mixed",
+            0x517E,
+            |rng| {
+                if rng.chance(0.05) {
+                    1500 + rng.next_range(3000)
+                } else {
+                    1 + rng.next_range(64)
+                }
+            },
+            mode,
+        ),
+        micro_queue_same_cycle_burst(
+            "micro.queue_burst_key_order",
+            &(0..LAUNCH_WARPS).collect::<Vec<_>>(),
+            mode,
+        ),
+    ]);
     let telemetry = mcm_telemetry::global()
         .snapshot()
         .delta_since(&before)

@@ -209,10 +209,48 @@ fn add_entry(text: &str, name: &str) -> String {
     )
 }
 
+/// Every `perf` entry, in run order. Dropping or renaming one makes
+/// every later `--compare` against an older snapshot fail on it.
+const PERF_ENTRIES: [&str; 19] = [
+    "micro.queue_hold256",
+    "micro.queue_same_cycle_burst",
+    "micro.warp_launch",
+    "micro.mshr_churn",
+    "micro.store_hit",
+    "micro.analytic_point",
+    "micro.machine_build.baseline",
+    "micro.machine_build.l15-ds",
+    "micro.kernel_flush",
+    "macro.fig09_pair_base",
+    "macro.fig09_pair_ds",
+    "macro.optimized_stream",
+    "macro.baseline_hotspot",
+    "macro.baseline_dwt",
+    "macro.monolithic256_cfd",
+    "macro.multi_gpu_cfd",
+    "micro.queue_hold256_far",
+    "micro.queue_hold256_mixed",
+    "micro.queue_burst_key_order",
+];
+
+/// Each `perf` macro entry's simulated cycles in smoke mode (scale
+/// 0.01). The goldens pin only `baseline_mcm` and `optimized_mcm`, so
+/// these are the gate's exact pins on `mcm_l15_ds`,
+/// `hypothetical_monolithic_256` and `multi_gpu_baseline`.
+const PERF_SMOKE_CYCLES: [(&str, u64); 7] = [
+    ("macro.fig09_pair_base", 4628),
+    ("macro.fig09_pair_ds", 6278),
+    ("macro.optimized_stream", 1305),
+    ("macro.baseline_hotspot", 1234),
+    ("macro.baseline_dwt", 2169),
+    ("macro.monolithic256_cfd", 1688),
+    ("macro.multi_gpu_cfd", 3541),
+];
+
 /// The `perf` bin's `BENCH_*.json` snapshot is machine-readable: it
-/// parses with the in-repo JSON reader, carries the schema tag, and
-/// every duration is a positive integer (never NaN, never negative —
-/// `Json::as_u64` rejects both).
+/// parses with the in-repo JSON reader, carries the schema tag, lists
+/// exactly the pinned entries, and every duration is a positive integer
+/// (never NaN, never negative — `Json::as_u64` rejects both).
 #[test]
 fn perf_snapshot_is_well_formed_and_comparator_catches_regressions() {
     let exe = env!("CARGO_BIN_EXE_perf");
@@ -241,7 +279,20 @@ fn perf_snapshot_is_well_formed_and_comparator_catches_regressions() {
         .get("entries")
         .and_then(Json::as_obj)
         .expect("entries object");
-    assert!(!entries.is_empty(), "snapshot has no benchmark entries");
+    let mut pinned = PERF_ENTRIES;
+    pinned.sort_unstable();
+    assert!(
+        entries.keys().map(String::as_str).eq(pinned),
+        "snapshot entries {:?} differ from the pinned suite {pinned:?}",
+        entries.keys().collect::<Vec<_>>()
+    );
+    for (name, cycles) in PERF_SMOKE_CYCLES {
+        assert_eq!(
+            entries[name].get("cycles").and_then(Json::as_u64),
+            Some(cycles),
+            "{name}: smoke-mode cycles"
+        );
+    }
     for (name, entry) in entries {
         for field in ["wall_ns_median", "wall_ns_min", "reps"] {
             let v = entry

@@ -232,18 +232,16 @@ impl Simulator {
     /// Panics if either the configuration or the workload fails
     /// validation.
     pub fn run(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-        Simulator::run_probed(cfg, spec, &mut NullProbe)
+        Simulator::run_faulted(cfg, spec, &mut NullProbe, &mut NullFaultPlan)
     }
 
     /// Runs `spec` to completion on `cfg`, streaming fine-grained
-    /// events to `probe`.
+    /// events to `probe`: [`Simulator::run_faulted`] with
+    /// [`NullFaultPlan`].
     ///
-    /// Probes are passive observers: the timing model never consults
-    /// them, so an instrumented run is cycle-identical to
-    /// [`Simulator::run`]. With [`NullProbe`] (whose
-    /// [`Probe::ACTIVE`] is `false`) every hook call and every
-    /// argument-preparation branch monomorphizes away, so `run` pays
-    /// nothing for the instrumentation points.
+    /// Only perfbench calls this (`layers.rs` and `tests/bench.rs`);
+    /// nothing in the workspace does. ROADMAP item 1 moves those calls
+    /// to `run_faulted`, and item 4 then deletes this entry point.
     ///
     /// # Panics
     ///
@@ -259,6 +257,13 @@ impl Simulator {
 
     /// Runs `spec` to completion on `cfg` under a fault plan, streaming
     /// fine-grained events (including [`FaultEvent`]s) to `probe`.
+    ///
+    /// Probes are passive observers: the timing model never consults
+    /// them, so attaching one never changes the run's cycles. With
+    /// [`NullProbe`] (whose [`Probe::ACTIVE`] is `false`) every hook
+    /// call and every argument-preparation branch monomorphizes away,
+    /// so [`Simulator::run`] pays nothing for the instrumentation
+    /// points.
     ///
     /// The plan is consulted at every link traversal (transient CRC
     /// errors → retransmit with backoff), every DRAM access (thermal

@@ -10,6 +10,7 @@
 //! this test reproducibly, not statistically.
 
 use mcm_engine::{Cycle, EventQueue};
+use mcm_fault::NullFaultPlan;
 use mcm_gpu::{Simulator, SystemConfig};
 use mcm_mem::page::PlacementPolicy;
 use mcm_probe::Probe;
@@ -124,12 +125,12 @@ impl Probe for PassiveWindows {
 fn serial_steady_state_does_not_allocate(cfg: &SystemConfig, spec: &WorkloadSpec) {
     let case = format!("serial {}, {:?}, {}", cfg.name, cfg.scheduler, spec.name);
     let mut probe = empty_windows();
-    let report = Simulator::run_probed(cfg, spec, &mut probe);
+    let report = Simulator::run_faulted(cfg, spec, &mut probe, &mut NullFaultPlan);
     assert!(report.cycles > Cycle::ZERO);
     assert_steady_state_alloc_free(&probe, &format!("{case}, active probe"));
 
     let mut passive = PassiveWindows(empty_windows());
-    Simulator::run_probed(cfg, spec, &mut passive);
+    Simulator::run_faulted(cfg, spec, &mut passive, &mut NullFaultPlan);
     assert_steady_state_alloc_free(&passive.0, &format!("{case}, passive probe"));
 }
 

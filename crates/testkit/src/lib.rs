@@ -1,6 +1,6 @@
 //! `mcm-testkit`: the workspace's own correctness tooling.
 //!
-//! Two independent pieces, both dependency-free beyond `mcm-engine`:
+//! Independent pieces, dependency-free beyond `mcm-engine`:
 //!
 //! * [`gen`] + [`runner`] — a deterministic property-testing
 //!   mini-harness. Generators compose structurally (tuples, vectors,
@@ -8,8 +8,6 @@
 //!   SplitMix64/xoshiro256** RNG, failures are greedily shrunk, and
 //!   the failure report prints a seed that replays the exact case
 //!   (`MCM_PROP_SEED=0x... cargo test <name>`).
-//! * [`bench`](mod@bench) — a wall-clock bench runner (warmup + N timed samples,
-//!   median/p95) for the workspace's `harness = false` bench targets.
 //! * [`alloc`] — a counting [`std::alloc::System`] wrapper for
 //!   allocation-freedom assertions over deterministic hot loops.
 //! * [`tempdir`] — an RAII unique temp directory for
@@ -40,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod alloc;
-pub mod bench;
 pub mod gen;
 pub mod runner;
 pub mod tempdir;

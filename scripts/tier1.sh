@@ -38,13 +38,11 @@ MCM_JOBS=4 cargo test -p mcm-bench -q --offline --test bin_smoke
 # Perf smoke: the engine-overhaul guarantees stay in the gate. The
 # counting-allocator test asserts the run loop makes literally zero
 # allocator calls in steady-state kernels (deterministic, so a
-# regression fails exactly, not statistically); the bench targets run
-# once at tiny scale so a future change cannot silently break them.
+# regression fails exactly, not statistically). Every timed pattern
+# (queue holds and bursts, whole runs per preset and workload class)
+# runs in the `scripts/perf.sh --smoke` step at the end.
 echo "== perf smoke: hot-loop allocation freedom =="
 cargo test -p mcm-gpu -q --offline --test hot_loop_alloc
-echo "== perf smoke: engine + hotpath benches (tiny MCM_SCALE) =="
-cargo bench -p mcm-engine -q --offline --bench queue
-MCM_SCALE=0.01 cargo bench -p mcm-bench -q --offline --bench hotpath
 
 # Telemetry is strictly out-of-band: a release harness run must print
 # byte-identical stdout and leave a well-formed snapshot behind with

@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use mcm::engine::rng::StableHasher;
-use mcm::fault::{DeadModule, FaultConfig, SeededFaultPlan};
+use mcm::fault::{DeadModule, FaultConfig, NullFaultPlan, SeededFaultPlan};
 use mcm::gpu::{RunReport, Simulator, SystemConfig};
 use mcm::probe::{ChromeTraceProbe, MetricsProbe, StallProfile, WarpPhase};
 use mcm::workloads::suite;
@@ -30,7 +30,7 @@ fn probed_run(cfg: &SystemConfig, workload: &str) -> (RunReport, String, String,
             StallProfile::new(),
         ),
     );
-    let report = Simulator::run_probed(cfg, &spec, &mut probe);
+    let report = Simulator::run_faulted(cfg, &spec, &mut probe, &mut NullFaultPlan);
     let (mut trace, (metrics, stalls)) = probe;
     (report, trace.finish(), metrics.to_csv(), stalls)
 }
@@ -91,7 +91,7 @@ fn inactive_probes_receive_every_kernel_boundary() {
     spec.kernel_iters = 3;
     let plain = Simulator::run(&cfg, &spec);
     let mut probe = KernelLog::default();
-    let report = Simulator::run_probed(&cfg, &spec, &mut probe);
+    let report = Simulator::run_faulted(&cfg, &spec, &mut probe, &mut NullFaultPlan);
     assert_eq!(report, plain, "an inactive probe perturbed the run");
     assert_eq!(probe.begins, vec![0, 1, 2]);
     assert_eq!(probe.ends, vec![0, 1, 2]);
