@@ -20,7 +20,7 @@ use mcm_bench::serve_backend::MemoBackend;
 use mcm_serve::service::{ServeOptions, SweepService};
 
 fn main() {
-    let addr = std::env::var("MCM_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_string());
+    let addr: String = env_parsed("MCM_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let opts = ServeOptions {
         workers: env_parsed("MCM_SERVE_WORKERS").unwrap_or_else(mcm_exec::jobs),
         queue_capacity: env_parsed("MCM_SERVE_QUEUE").unwrap_or(1024),

@@ -25,6 +25,7 @@ use std::net::TcpStream;
 use std::process::exit;
 use std::time::Duration;
 
+use mcm_bench::harness::env_parsed;
 use mcm_serve::protocol::report_slice;
 
 struct Conn {
@@ -135,10 +136,10 @@ fn print_pairs(pairs: &[(u64, String, String, String)]) {
 }
 
 fn main() {
-    let addr =
-        std::env::var("MCM_SERVE_ADDR").unwrap_or_else(|_| fail("MCM_SERVE_ADDR is required"));
-    let script =
-        std::env::var("MCM_SERVE_SCRIPT").unwrap_or_else(|_| fail("MCM_SERVE_SCRIPT is required"));
+    let addr: String =
+        env_parsed("MCM_SERVE_ADDR").unwrap_or_else(|| fail("MCM_SERVE_ADDR is required"));
+    let script: String =
+        env_parsed("MCM_SERVE_SCRIPT").unwrap_or_else(|| fail("MCM_SERVE_SCRIPT is required"));
     let mut conn = Conn::open(&addr);
     let mut next_id = 0u64;
     for stmt in script.split(';').map(str::trim).filter(|s| !s.is_empty()) {

@@ -5,6 +5,12 @@
 //! (nearly all share the baseline) reuse each other's runs within one
 //! process — `reproduce` exploits this to regenerate everything in a
 //! single pass.
+//!
+//! Most exhibits are one of two tables: a configuration's speedup over
+//! a reference per workload (`speedup_table`), or its geomean speedup
+//! per §4 category (`geomean_table`). Each builder warms `[reference]
+//! ++ configurations` over the workloads it reads before it reads a
+//! report, so an exhibit names its design points once.
 
 use mcm_engine::stats::geomean;
 use mcm_gpu::reference::{GPU_GENERATIONS, MAX_BUILDABLE_SMS};
@@ -25,9 +31,10 @@ fn full_suite() -> Vec<WorkloadSpec> {
 
 /// Warms the memo with the whole `configs x workloads` grid across
 /// `MCM_JOBS` worker threads, so the serial reporting loops below run
-/// entirely from cache. Every figure calls this first: the figure text
-/// itself is assembled in a fixed order from memoized reports, which is
-/// what keeps the output byte-identical at any job count.
+/// entirely from cache. Every figure calls this first, directly or
+/// through a table builder: the figure text itself is assembled in a
+/// fixed order from memoized reports, which is what keeps the output
+/// byte-identical at any job count.
 fn warm_grid(memo: &mut Memo, configs: &[SystemConfig], workloads: &[WorkloadSpec]) {
     let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = configs
         .iter()
@@ -36,52 +43,101 @@ fn warm_grid(memo: &mut Memo, configs: &[SystemConfig], workloads: &[WorkloadSpe
     memo.warm(&pairs);
 }
 
+/// The geomean-speedup columns of the ablations: one per §4 category,
+/// then all 48 workloads. Fig. 4 takes the first three.
+const CATEGORY_COLUMNS: [(&str, Option<Category>); 4] = [
+    ("M-Intensive", Some(Category::MemoryIntensive)),
+    ("C-Intensive", Some(Category::ComputeIntensive)),
+    ("Lim. Parallel", Some(Category::LimitedParallelism)),
+    ("ALL", None),
+];
+
+/// One row per configuration in `rows` and one column per `(header,
+/// category)` in `columns`: each cell is `fmt` of the row's geomean
+/// speedup over `reference` across the category's workloads (`None`:
+/// the full suite).
+fn geomean_table<L: AsRef<str>>(
+    memo: &mut Memo,
+    first_header: &str,
+    columns: &[(&str, Option<Category>)],
+    rows: &[(L, SystemConfig)],
+    reference: &SystemConfig,
+    fmt: fn(f64) -> String,
+) -> String {
+    let all = full_suite();
+    let grid: Vec<SystemConfig> = std::iter::once(reference)
+        .chain(rows.iter().map(|(_, c)| c))
+        .cloned()
+        .collect();
+    warm_grid(memo, &grid, &all);
+    let mut header = vec![first_header];
+    header.extend(columns.iter().map(|(h, _)| *h));
+    let mut t = TextTable::new(header);
+    for (label, cfg) in rows {
+        let mut cells = vec![label.as_ref().to_string()];
+        for &(_, category) in columns {
+            cells.push(fmt(geomean_speedup(memo, &all, cfg, reference, category)));
+        }
+        t.row(cells);
+    }
+    t.render()
+}
+
+/// One row per workload in `workloads` and one column per configuration
+/// in `configs`: each cell is the configuration's speedup over
+/// `reference` on that workload. With `geomean_rows`, a `GeoMean
+/// <category>` row per §4 category follows, over the full suite; the
+/// workloads must then come from the suite.
+fn speedup_table(
+    memo: &mut Memo,
+    configs: &[(&str, SystemConfig)],
+    reference: &SystemConfig,
+    workloads: &[WorkloadSpec],
+    geomean_rows: bool,
+) -> String {
+    let all = full_suite();
+    let grid: Vec<SystemConfig> = std::iter::once(reference)
+        .chain(configs.iter().map(|(_, c)| c))
+        .cloned()
+        .collect();
+    warm_grid(memo, &grid, if geomean_rows { &all } else { workloads });
+    let mut header = vec!["workload"];
+    header.extend(configs.iter().map(|(label, _)| *label));
+    let mut t = TextTable::new(header);
+    for w in workloads {
+        let base = memo.run(reference, w);
+        let mut cells = vec![w.name.to_string()];
+        for (_, cfg) in configs {
+            cells.push(f2(memo.run(cfg, w).speedup_over(&base)));
+        }
+        t.row(cells);
+    }
+    if geomean_rows {
+        for cat in Category::ALL {
+            let mut cells = vec![format!("GeoMean {}", cat.label())];
+            for (_, cfg) in configs {
+                cells.push(f2(geomean_speedup(memo, &all, cfg, reference, Some(cat))));
+            }
+            t.row(cells);
+        }
+    }
+    t.render()
+}
+
 /// Table 1: key characteristics of recent NVIDIA GPUs.
 pub fn table1() -> String {
     let mut t = TextTable::new(vec!["", "Fermi", "Kepler", "Maxwell", "Pascal"]);
     let g = GPU_GENERATIONS;
-    t.row(vec![
-        "SMs".to_string(),
-        g[0].sms.to_string(),
-        g[1].sms.to_string(),
-        g[2].sms.to_string(),
-        g[3].sms.to_string(),
-    ]);
-    t.row(vec![
-        "BW (GB/s)".to_string(),
-        g[0].bandwidth_gbps.to_string(),
-        g[1].bandwidth_gbps.to_string(),
-        g[2].bandwidth_gbps.to_string(),
-        g[3].bandwidth_gbps.to_string(),
-    ]);
-    t.row(vec![
-        "L2 (KB)".to_string(),
-        g[0].l2_kb.to_string(),
-        g[1].l2_kb.to_string(),
-        g[2].l2_kb.to_string(),
-        g[3].l2_kb.to_string(),
-    ]);
-    t.row(vec![
-        "Transistors (B)".to_string(),
-        g[0].transistors_b.to_string(),
-        g[1].transistors_b.to_string(),
-        g[2].transistors_b.to_string(),
-        g[3].transistors_b.to_string(),
-    ]);
-    t.row(vec![
-        "Tech. node (nm)".to_string(),
-        g[0].tech_node_nm.to_string(),
-        g[1].tech_node_nm.to_string(),
-        g[2].tech_node_nm.to_string(),
-        g[3].tech_node_nm.to_string(),
-    ]);
-    t.row(vec![
-        "Chip size (mm2)".to_string(),
-        g[0].chip_size_mm2.to_string(),
-        g[1].chip_size_mm2.to_string(),
-        g[2].chip_size_mm2.to_string(),
-        g[3].chip_size_mm2.to_string(),
-    ]);
+    for (label, cells) in [
+        ("SMs", g.map(|g| g.sms.to_string())),
+        ("BW (GB/s)", g.map(|g| g.bandwidth_gbps.to_string())),
+        ("L2 (KB)", g.map(|g| g.l2_kb.to_string())),
+        ("Transistors (B)", g.map(|g| g.transistors_b.to_string())),
+        ("Tech. node (nm)", g.map(|g| g.tech_node_nm.to_string())),
+        ("Chip size (mm2)", g.map(|g| g.chip_size_mm2.to_string())),
+    ] {
+        t.row([label.to_string()].into_iter().chain(cells).collect());
+    }
     format!(
         "Table 1: key characteristics of recent NVIDIA GPUs\n\n{}",
         t.render()
@@ -99,28 +155,19 @@ pub fn table2() -> String {
             format!("{gbps} GB/s")
         }
     };
-    t.row(vec![
-        "BW".to_string(),
-        bw(Tier::Chip),
-        bw(Tier::Package),
-        bw(Tier::Board),
-        bw(Tier::System),
-    ]);
-    let e = |tier: Tier| format!("{} pJ/bit", tier.pj_per_bit());
-    t.row(vec![
-        "Energy".to_string(),
-        e(Tier::Chip),
-        e(Tier::Package),
-        e(Tier::Board),
-        e(Tier::System),
-    ]);
-    t.row(vec![
-        "Overhead".to_string(),
-        Tier::Chip.overhead().to_string(),
-        Tier::Package.overhead().to_string(),
-        Tier::Board.overhead().to_string(),
-        Tier::System.overhead().to_string(),
-    ]);
+    for (label, cells) in [
+        ("BW", Tier::ALL.map(bw)),
+        (
+            "Energy",
+            Tier::ALL.map(|tier| format!("{} pJ/bit", tier.pj_per_bit())),
+        ),
+        (
+            "Overhead",
+            Tier::ALL.map(|tier| tier.overhead().to_string()),
+        ),
+    ] {
+        t.row([label.to_string()].into_iter().chain(cells).collect());
+    }
     format!(
         "Table 2: approximate bandwidth and energy parameters for \
          different integration domains\n\n{}",
@@ -269,81 +316,48 @@ pub fn fig02(memo: &mut Memo) -> String {
 /// Fig. 4: performance sensitivity to inter-GPM link bandwidth,
 /// relative to an abundant 6 TB/s, by category.
 pub fn fig04(memo: &mut Memo) -> String {
-    let links = [6144.0, 3072.0, 1536.0, 768.0, 384.0];
-    let reference = SystemConfig::mcm_with_link(6144.0);
-    let all = full_suite();
-    let grid: Vec<SystemConfig> = links
-        .iter()
-        .map(|&g| SystemConfig::mcm_with_link(g))
+    let rows: Vec<(String, SystemConfig)> = [6144.0, 3072.0, 1536.0, 768.0, 384.0]
+        .into_iter()
+        .map(|gbps| (format!("{gbps:.0} GB/s"), SystemConfig::mcm_with_link(gbps)))
         .collect();
-    warm_grid(memo, &grid, &all);
-    let mut t = TextTable::new(vec![
+    let table = geomean_table(
+        memo,
         "link BW",
-        "M-Intensive",
-        "C-Intensive",
-        "Lim. Parallel",
-    ]);
-    for &gbps in &links {
-        let cfg = SystemConfig::mcm_with_link(gbps);
-        let mut cells = vec![format!("{:.0} GB/s", gbps)];
-        for cat in Category::ALL {
-            let s = geomean_speedup(memo, &all, &cfg, &reference, Some(cat));
-            cells.push(f2(s));
-        }
-        t.row(cells);
-    }
+        &CATEGORY_COLUMNS[..3],
+        &rows,
+        &rows[0].1,
+        f2,
+    );
     format!(
         "Fig. 4: relative performance vs inter-GPM link bandwidth \
-         (1.00 = 6 TB/s links; 4-GPM, 256-SM MCM-GPU)\n\n{}",
-        t.render()
+         (1.00 = 6 TB/s links; 4-GPM, 256-SM MCM-GPU)\n\n{table}"
     )
-}
-
-/// The six Fig. 6 cache design points.
-fn fig06_configs() -> Vec<SystemConfig> {
-    vec![
-        SystemConfig::mcm_with_l15(8, AllocFilter::All),
-        SystemConfig::mcm_with_l15(8, AllocFilter::RemoteOnly),
-        SystemConfig::mcm_with_l15(16, AllocFilter::All),
-        SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly),
-        SystemConfig::mcm_with_l15_32mb(AllocFilter::All),
-        SystemConfig::mcm_with_l15_32mb(AllocFilter::RemoteOnly),
-    ]
 }
 
 /// Fig. 6: L1.5 capacity and allocation-policy design space, speedup
 /// over the baseline MCM-GPU. M-intensive workloads are listed in the
 /// paper's bandwidth-sensitivity order.
 pub fn fig06(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
-    let configs = fig06_configs();
-    let mut grid = configs.clone();
-    grid.push(baseline.clone());
-    warm_grid(memo, &grid, &full_suite());
-    let mut t = TextTable::new(vec![
-        "workload", "8MB", "8MB RO", "16MB", "16MB RO", "32MB", "32MB RO",
-    ]);
-    for w in m_intensive() {
-        let base = memo.run(&baseline, &w);
-        let mut cells = vec![w.name.to_string()];
-        for cfg in &configs {
-            cells.push(f2(memo.run(cfg, &w).speedup_over(&base)));
-        }
-        t.row(cells);
-    }
-    let all = full_suite();
-    for cat in Category::ALL {
-        let mut cells = vec![format!("GeoMean {}", cat.label())];
-        for cfg in &configs {
-            cells.push(f2(geomean_speedup(memo, &all, cfg, &baseline, Some(cat))));
-        }
-        t.row(cells);
-    }
+    use AllocFilter::{All, RemoteOnly};
+    let configs = [
+        ("8MB", SystemConfig::mcm_with_l15(8, All)),
+        ("8MB RO", SystemConfig::mcm_with_l15(8, RemoteOnly)),
+        ("16MB", SystemConfig::mcm_with_l15(16, All)),
+        ("16MB RO", SystemConfig::mcm_with_l15(16, RemoteOnly)),
+        ("32MB", SystemConfig::mcm_with_l15_32mb(All)),
+        ("32MB RO", SystemConfig::mcm_with_l15_32mb(RemoteOnly)),
+    ];
+    let table = speedup_table(
+        memo,
+        &configs,
+        &SystemConfig::baseline_mcm(),
+        &m_intensive(),
+        true,
+    );
     format!(
         "Fig. 6: MCM-GPU performance with L1.5 caches (speedup over \
          baseline; iso-transistor except 32MB; RO = remote-only \
-         allocation)\n\n{}",
-        t.render()
+         allocation)\n\n{table}"
     )
 }
 
@@ -363,25 +377,16 @@ pub fn fig07(memo: &mut Memo) -> String {
 /// Fig. 9: performance with the distributed CTA scheduler on top of the
 /// 16 MB remote-only L1.5.
 pub fn fig09(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
-    let cfg = SystemConfig::mcm_l15_ds();
-    warm_grid(memo, &[baseline.clone(), cfg.clone()], &full_suite());
-    let mut t = TextTable::new(vec!["workload", "speedup"]);
-    for w in m_intensive() {
-        let s = memo.run(&cfg, &w).speedup_over(&memo.run(&baseline, &w));
-        t.row(vec![w.name.to_string(), f2(s)]);
-    }
-    let all = full_suite();
-    for cat in Category::ALL {
-        t.row(vec![
-            format!("GeoMean {}", cat.label()),
-            f2(geomean_speedup(memo, &all, &cfg, &baseline, Some(cat))),
-        ]);
-    }
+    let table = speedup_table(
+        memo,
+        &[("speedup", SystemConfig::mcm_l15_ds())],
+        &SystemConfig::baseline_mcm(),
+        &m_intensive(),
+        true,
+    );
     format!(
         "Fig. 9: performance with distributed CTA scheduling + 16 MB \
-         remote-only L1.5 (speedup over baseline MCM-GPU)\n\n{}",
-        t.render()
+         remote-only L1.5 (speedup over baseline MCM-GPU)\n\n{table}"
     )
 }
 
@@ -401,36 +406,20 @@ pub fn fig10(memo: &mut Memo) -> String {
 /// Fig. 13: performance with first-touch page placement on top of DS
 /// and the L1.5 — the 16 MB vs 8 MB (rebalanced) variants.
 pub fn fig13(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
-    let ft16 = SystemConfig::optimized_mcm_16mb_l15();
-    let ft8 = SystemConfig::optimized_mcm();
-    warm_grid(
+    let table = speedup_table(
         memo,
-        &[baseline.clone(), ft16.clone(), ft8.clone()],
-        &full_suite(),
+        &[
+            ("16MB L1.5+DS+FT", SystemConfig::optimized_mcm_16mb_l15()),
+            ("8MB L1.5+DS+FT", SystemConfig::optimized_mcm()),
+        ],
+        &SystemConfig::baseline_mcm(),
+        &m_intensive(),
+        true,
     );
-    let mut t = TextTable::new(vec!["workload", "16MB L1.5+DS+FT", "8MB L1.5+DS+FT"]);
-    for w in m_intensive() {
-        let base = memo.run(&baseline, &w);
-        t.row(vec![
-            w.name.to_string(),
-            f2(memo.run(&ft16, &w).speedup_over(&base)),
-            f2(memo.run(&ft8, &w).speedup_over(&base)),
-        ]);
-    }
-    let all = full_suite();
-    for cat in Category::ALL {
-        t.row(vec![
-            format!("GeoMean {}", cat.label()),
-            f2(geomean_speedup(memo, &all, &ft16, &baseline, Some(cat))),
-            f2(geomean_speedup(memo, &all, &ft8, &baseline, Some(cat))),
-        ]);
-    }
     format!(
         "Fig. 13: performance with first-touch page placement (speedup \
          over baseline; 16 MB L1.5 leaves a vestigial L2, 8 MB keeps an \
-         8 MB L2)\n\n{}",
-        t.render()
+         8 MB L2)\n\n{table}"
     )
 }
 
@@ -547,46 +536,41 @@ pub fn fig16(memo: &mut Memo) -> String {
     use mcm_sm::SchedulerPolicy;
 
     let baseline = SystemConfig::baseline_mcm();
-    let l15_alone = SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly);
-    let mut ds_alone = SystemConfig::baseline_mcm();
-    ds_alone.name = "MCM-GPU + DS only".into();
-    ds_alone.scheduler = SchedulerPolicy::Distributed;
-    let mut ft_alone = SystemConfig::baseline_mcm();
-    ft_alone.name = "MCM-GPU + FT only".into();
-    ft_alone.placement = PlacementPolicy::FirstTouch;
+    let ds_alone = SystemConfig {
+        name: "MCM-GPU + DS only".into(),
+        scheduler: SchedulerPolicy::Distributed,
+        ..baseline.clone()
+    };
+    let ft_alone = SystemConfig {
+        name: "MCM-GPU + FT only".into(),
+        placement: PlacementPolicy::FirstTouch,
+        ..baseline.clone()
+    };
     let combined = SystemConfig::optimized_mcm();
-    let six_tb = SystemConfig::mcm_with_link(6144.0);
     let mono = SystemConfig::hypothetical_monolithic_256();
-
-    let all = full_suite();
-    warm_grid(
+    let rows = [
+        (
+            "Remote-only L1.5 alone (16MB)",
+            SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly),
+        ),
+        ("Distributed scheduling alone", ds_alone),
+        ("First-touch placement alone", ft_alone),
+        ("Proposed MCM-GPU (all three)", combined.clone()),
+        (
+            "MCM-GPU with 6 TB/s links",
+            SystemConfig::mcm_with_link(6144.0),
+        ),
+        ("Monolithic 256-SM (unbuildable)", mono.clone()),
+    ];
+    let table = geomean_table(
         memo,
-        &[
-            baseline.clone(),
-            l15_alone.clone(),
-            ds_alone.clone(),
-            ft_alone.clone(),
-            combined.clone(),
-            six_tb.clone(),
-            mono.clone(),
-            SystemConfig::largest_buildable_monolithic(),
-        ],
-        &all,
+        "configuration",
+        &[("speedup over baseline", None)],
+        &rows,
+        &baseline,
+        pct,
     );
-    let mut t = TextTable::new(vec!["configuration", "speedup over baseline"]);
-    for (label, cfg) in [
-        ("Remote-only L1.5 alone (16MB)", &l15_alone),
-        ("Distributed scheduling alone", &ds_alone),
-        ("First-touch placement alone", &ft_alone),
-        ("Proposed MCM-GPU (all three)", &combined),
-        ("MCM-GPU with 6 TB/s links", &six_tb),
-        ("Monolithic 256-SM (unbuildable)", &mono),
-    ] {
-        t.row(vec![
-            label.to_string(),
-            pct(geomean_speedup(memo, &all, cfg, &baseline, None)),
-        ]);
-    }
+    let all = full_suite();
     let opt = geomean_speedup(memo, &all, &combined, &baseline, None);
     let mono_s = geomean_speedup(memo, &all, &mono, &baseline, None);
     let mono128 = geomean_speedup(
@@ -598,10 +582,9 @@ pub fn fig16(memo: &mut Memo) -> String {
     );
     format!(
         "Fig. 16: sources of improvement, applied alone and together \
-         (geomean over all 48 workloads)\n\n{}\n\
+         (geomean over all 48 workloads)\n\n{table}\n\
          optimized vs largest buildable (128-SM) monolithic: {}\n\
          optimized vs unbuildable 256-SM monolithic: within {:.1}%\n",
-        t.render(),
         pct(opt / mono128),
         (mono_s / opt - 1.0) * 100.0
     )
@@ -610,43 +593,31 @@ pub fn fig16(memo: &mut Memo) -> String {
 /// Fig. 17: the MCM-GPU vs multi-GPU comparison, normalized to the
 /// baseline multi-GPU.
 pub fn fig17(memo: &mut Memo) -> String {
-    let mgpu_base = SystemConfig::multi_gpu_baseline();
-    let mgpu_opt = SystemConfig::multi_gpu_optimized();
     let mcm = SystemConfig::optimized_mcm();
-    let mut mcm_6tb = SystemConfig::optimized_mcm();
+    let mut mcm_6tb = mcm.clone();
     mcm_6tb.name = "MCM-GPU optimized (6 TB/s links)".into();
     mcm_6tb.topology.link_gbps = 6144.0;
-    let mono = SystemConfig::hypothetical_monolithic_256();
-
-    let all = full_suite();
-    warm_grid(
+    let rows = [
+        ("Optimized multi-GPU", SystemConfig::multi_gpu_optimized()),
+        ("MCM-GPU (768 GB/s)", mcm),
+        ("MCM-GPU (6 TB/s)", mcm_6tb),
+        (
+            "Monolithic GPU (unbuildable)",
+            SystemConfig::hypothetical_monolithic_256(),
+        ),
+    ];
+    let table = geomean_table(
         memo,
-        &[
-            mgpu_base.clone(),
-            mgpu_opt.clone(),
-            mcm.clone(),
-            mcm_6tb.clone(),
-            mono.clone(),
-        ],
-        &all,
+        "configuration",
+        &[("speedup over baseline multi-GPU", None)],
+        &rows,
+        &SystemConfig::multi_gpu_baseline(),
+        f2,
     );
-    let mut t = TextTable::new(vec!["configuration", "speedup over baseline multi-GPU"]);
-    for (label, cfg) in [
-        ("Optimized multi-GPU", &mgpu_opt),
-        ("MCM-GPU (768 GB/s)", &mcm),
-        ("MCM-GPU (6 TB/s)", &mcm_6tb),
-        ("Monolithic GPU (unbuildable)", &mono),
-    ] {
-        t.row(vec![
-            label.to_string(),
-            f2(geomean_speedup(memo, &all, cfg, &mgpu_base, None)),
-        ]);
-    }
     format!(
         "Fig. 17: MCM-GPU vs multi-GPU (geomean speedup over the \
          baseline 2x128-SM multi-GPU; both buildable and unbuildable \
-         machines shown)\n\n{}",
-        t.render()
+         machines shown)\n\n{table}"
     )
 }
 
@@ -661,7 +632,6 @@ pub fn fig17(memo: &mut Memo) -> String {
 /// stealing scheduler the paper leaves to future work (§5.4), on both a
 /// balanced and a deliberately imbalanced workload.
 pub fn ablation_scheduler(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
     let configs = [
         ("distributed (paper)", SystemConfig::optimized_mcm()),
         ("chunked, group 8", SystemConfig::optimized_mcm_chunked(8)),
@@ -681,26 +651,17 @@ pub fn ablation_scheduler(memo: &mut Memo) -> String {
     imbalanced.imbalance = 0.8;
     workloads.push(imbalanced);
 
-    let mut grid: Vec<SystemConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
-    grid.push(baseline.clone());
-    warm_grid(memo, &grid, &workloads);
-
-    let mut header = vec!["workload".to_string()];
-    header.extend(configs.iter().map(|(l, _)| l.to_string()));
-    let mut t = TextTable::new(header);
-    for w in &workloads {
-        let base = memo.run(&baseline, w);
-        let mut cells = vec![w.name.to_string()];
-        for (_, cfg) in &configs {
-            cells.push(f2(memo.run(cfg, w).speedup_over(&base)));
-        }
-        t.row(cells);
-    }
+    let table = speedup_table(
+        memo,
+        &configs,
+        &SystemConfig::baseline_mcm(),
+        &workloads,
+        false,
+    );
     format!(
         "Ablation: CTA scheduler granularity and dynamic stealing \
          (speedup over baseline MCM-GPU; extension of §5.4's future \
-         work)\n\n{}",
-        t.render()
+         work)\n\n{table}"
     )
 }
 
@@ -709,48 +670,30 @@ pub fn ablation_scheduler(memo: &mut Memo) -> String {
 /// exploration out of scope).
 pub fn ablation_topology(memo: &mut Memo) -> String {
     let baseline = SystemConfig::baseline_mcm();
-    let ring = SystemConfig::optimized_mcm();
-    let mesh = SystemConfig::optimized_mcm_fully_connected();
-    let mut baseline_mesh = SystemConfig::baseline_mcm();
+    let mut baseline_mesh = baseline.clone();
     baseline_mesh.name = "MCM-GPU baseline (fully connected)".into();
     baseline_mesh.topology.network = mcm_interconnect::mesh::NetworkKind::FullyConnected;
-
-    let all = full_suite();
-    warm_grid(
+    let rows = [
+        ("baseline ring", baseline.clone()),
+        ("baseline fully connected", baseline_mesh),
+        ("optimized ring", SystemConfig::optimized_mcm()),
+        (
+            "optimized fully connected",
+            SystemConfig::optimized_mcm_fully_connected(),
+        ),
+    ];
+    let table = geomean_table(
         memo,
-        &[
-            baseline.clone(),
-            baseline_mesh.clone(),
-            ring.clone(),
-            mesh.clone(),
-        ],
-        &all,
-    );
-    let mut t = TextTable::new(vec![
         "configuration",
-        "M-Intensive",
-        "C-Intensive",
-        "Lim. Parallel",
-        "ALL",
-    ]);
-    for (label, cfg) in [
-        ("baseline ring", &baseline),
-        ("baseline fully connected", &baseline_mesh),
-        ("optimized ring", &ring),
-        ("optimized fully connected", &mesh),
-    ] {
-        let mut cells = vec![label.to_string()];
-        for cat in Category::ALL {
-            cells.push(f2(geomean_speedup(memo, &all, cfg, &baseline, Some(cat))));
-        }
-        cells.push(f2(geomean_speedup(memo, &all, cfg, &baseline, None)));
-        t.row(cells);
-    }
+        &CATEGORY_COLUMNS,
+        &rows,
+        &baseline,
+        f2,
+    );
     format!(
         "Ablation: ring vs fully connected inter-GPM fabric at an equal \
          package wiring budget (speedup over the ring baseline; \
-         extension of §3.2)\n\n{}",
-        t.render()
+         extension of §3.2)\n\n{table}"
     )
 }
 
@@ -814,8 +757,6 @@ pub fn efficiency(memo: &mut Memo) -> String {
 /// the 8-GPM point where topology starts to matter.
 pub fn ablation_gpm_count(memo: &mut Memo) -> String {
     use mcm_interconnect::mesh::NetworkKind;
-    let reference = SystemConfig::baseline_mcm(); // 4 GPMs
-    let all = full_suite();
 
     let optimized_of = |gpms: u8, network: NetworkKind| -> SystemConfig {
         let mut cfg = SystemConfig::optimized_mcm();
@@ -832,13 +773,6 @@ pub fn ablation_gpm_count(memo: &mut Memo) -> String {
         cfg
     };
 
-    let mut t = TextTable::new(vec![
-        "configuration",
-        "M-Intensive",
-        "C-Intensive",
-        "Lim. Parallel",
-        "ALL",
-    ]);
     let mut rows: Vec<(String, SystemConfig)> = Vec::new();
     for gpms in [2u8, 4, 8] {
         rows.push((
@@ -856,21 +790,17 @@ pub fn ablation_gpm_count(memo: &mut Memo) -> String {
         "optimized 8 GPMs (fully connected)".to_string(),
         optimized_of(8, NetworkKind::FullyConnected),
     ));
-    let mut grid: Vec<SystemConfig> = rows.iter().map(|(_, c)| c.clone()).collect();
-    grid.push(reference.clone());
-    warm_grid(memo, &grid, &all);
-    for (label, cfg) in rows {
-        let mut cells = vec![label];
-        for cat in Category::ALL {
-            cells.push(f2(geomean_speedup(memo, &all, &cfg, &reference, Some(cat))));
-        }
-        cells.push(f2(geomean_speedup(memo, &all, &cfg, &reference, None)));
-        t.row(cells);
-    }
+    let table = geomean_table(
+        memo,
+        "configuration",
+        &CATEGORY_COLUMNS,
+        &rows,
+        &SystemConfig::baseline_mcm(), // 4 GPMs
+        f2,
+    );
     format!(
         "Ablation: GPM count for a 256-SM budget (speedup over the \
-         4-GPM baseline; extension of §3.2)\n\n{}",
-        t.render()
+         4-GPM baseline; extension of §3.2)\n\n{table}"
     )
 }
 
@@ -879,78 +809,50 @@ pub fn ablation_gpm_count(memo: &mut Memo) -> String {
 /// whole regions to one GPM. The paper's FT operates at the driver's
 /// allocation granularity; this sweeps it.
 pub fn ablation_page_size(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
-    let all = full_suite();
-    let mut grid = vec![baseline.clone()];
-    for kib in [4u64, 16, 64, 256, 2048] {
-        let mut cfg = SystemConfig::optimized_mcm();
-        cfg.name = format!("MCM-GPU optimized (FT {kib} KiB pages)");
-        cfg.ft_page_bytes = kib * 1024;
-        grid.push(cfg);
-    }
-    warm_grid(memo, &grid, &all);
-    let mut t = TextTable::new(vec![
+    let rows: Vec<(String, SystemConfig)> = [4u64, 16, 64, 256, 2048]
+        .into_iter()
+        .map(|kib| {
+            let mut cfg = SystemConfig::optimized_mcm();
+            cfg.name = format!("MCM-GPU optimized (FT {kib} KiB pages)");
+            cfg.ft_page_bytes = kib * 1024;
+            (format!("{kib} KiB"), cfg)
+        })
+        .collect();
+    let table = geomean_table(
+        memo,
         "FT page size",
-        "M-Intensive",
-        "C-Intensive",
-        "Lim. Parallel",
-        "ALL",
-    ]);
-    for kib in [4u64, 16, 64, 256, 2048] {
-        let mut cfg = SystemConfig::optimized_mcm();
-        cfg.name = format!("MCM-GPU optimized (FT {kib} KiB pages)");
-        cfg.ft_page_bytes = kib * 1024;
-        let mut cells = vec![format!("{kib} KiB")];
-        for cat in Category::ALL {
-            cells.push(f2(geomean_speedup(memo, &all, &cfg, &baseline, Some(cat))));
-        }
-        cells.push(f2(geomean_speedup(memo, &all, &cfg, &baseline, None)));
-        t.row(cells);
-    }
+        &CATEGORY_COLUMNS,
+        &rows,
+        &SystemConfig::baseline_mcm(),
+        f2,
+    );
     format!(
         "Ablation: first-touch page granularity on the optimized \
-         MCM-GPU (speedup over baseline)\n\n{}",
-        t.render()
+         MCM-GPU (speedup over baseline)\n\n{table}"
     )
 }
 
 /// Ablation: L1.5 allocation policies including the adaptive
 /// (set-dueling) filter — extends §5.1.2's static exploration.
 pub fn ablation_alloc_policy(memo: &mut Memo) -> String {
-    let baseline = SystemConfig::baseline_mcm();
-    let all = full_suite();
-    let grid = [
-        baseline.clone(),
-        SystemConfig::mcm_with_l15(16, AllocFilter::All),
-        SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly),
-        SystemConfig::mcm_with_l15(16, AllocFilter::Adaptive),
-    ];
-    warm_grid(memo, &grid, &all);
-    let mut t = TextTable::new(vec![
-        "L1.5 policy (16MB iso-transistor)",
-        "M-Intensive",
-        "C-Intensive",
-        "Lim. Parallel",
-        "ALL",
-    ]);
-    for (label, filter) in [
+    let rows = [
         ("cache-all", AllocFilter::All),
         ("remote-only (paper)", AllocFilter::RemoteOnly),
         ("adaptive (set dueling)", AllocFilter::Adaptive),
-    ] {
-        let cfg = SystemConfig::mcm_with_l15(16, filter);
-        let mut cells = vec![label.to_string()];
-        for cat in Category::ALL {
-            cells.push(f2(geomean_speedup(memo, &all, &cfg, &baseline, Some(cat))));
-        }
-        cells.push(f2(geomean_speedup(memo, &all, &cfg, &baseline, None)));
-        t.row(cells);
-    }
+    ]
+    .map(|(label, filter)| (label, SystemConfig::mcm_with_l15(16, filter)));
+    let table = geomean_table(
+        memo,
+        "L1.5 policy (16MB iso-transistor)",
+        &CATEGORY_COLUMNS,
+        &rows,
+        &SystemConfig::baseline_mcm(),
+        f2,
+    );
     format!(
         "Ablation: L1.5 allocation policy, including a set-dueling \
          adaptive filter (speedup over baseline; extension of \
-         §5.1.2)\n\n{}",
-        t.render()
+         §5.1.2)\n\n{table}"
     )
 }
 

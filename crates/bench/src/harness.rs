@@ -103,6 +103,25 @@ pub fn fault_rate() -> f64 {
     r
 }
 
+/// The persistent [`Store`] at `MCM_STORE`; `None` when the knob is
+/// unset. [`Memo::from_env`] and the sweep daemon's backend both open
+/// their store here.
+///
+/// # Panics
+///
+/// Panics when `MCM_STORE` is set but the directory cannot be opened at
+/// all (cannot be created or listed) — a mistyped knob must abort the
+/// run, not silently fall back to volatile caching.
+pub(crate) fn store_from_env() -> Option<Store> {
+    let dir = PathBuf::from(std::env::var_os("MCM_STORE")?);
+    Some(Store::open(&dir).unwrap_or_else(|e| {
+        panic!(
+            "MCM_STORE: cannot open result store at {}: {e}",
+            dir.display()
+        )
+    }))
+}
+
 /// A memoizing runner: each `(configuration, workload)` pair is
 /// simulated once per process, so figures that share configurations
 /// (e.g. every figure needs the baseline) don't re-run it.
@@ -250,16 +269,7 @@ impl Memo {
     /// quarantined as misses by the store's recovery scan.
     pub fn from_env() -> Self {
         let mut memo = Memo::new(scale());
-        if let Some(dir) = std::env::var_os("MCM_STORE") {
-            let dir = PathBuf::from(dir);
-            let store = Store::open(&dir).unwrap_or_else(|e| {
-                panic!(
-                    "MCM_STORE: cannot open result store at {}: {e}",
-                    dir.display()
-                )
-            });
-            memo.store = Some(store);
-        }
+        memo.store = store_from_env();
         memo
     }
 
@@ -626,17 +636,6 @@ fn collapse(name: &str) -> String {
 /// digits.
 fn short_hash(h: StableHasher) -> String {
     format!("{:08x}", h.finish() as u32)
-}
-
-/// Turns a configuration or workload name into a filename-safe stem:
-/// runs of non-alphanumeric characters collapse to a single `-`, and
-/// the stable hash of the *raw* name is appended so distinct names
-/// never share a stem (`"4-GPM (FT)"` and `"4-GPM +FT"` used to both
-/// sanitize to `4-GPM--FT-` and overwrite each other's artifacts).
-pub fn sanitize(name: &str) -> String {
-    let mut h = StableHasher::new();
-    h.write_str(name);
-    format!("{}-{}", collapse(name), short_hash(h))
 }
 
 /// The artifact-file stem for one `(configuration, workload)` run:
@@ -1053,21 +1052,6 @@ mod tests {
         warm.warm_with_jobs(1, &[(&cfg, &spec), (&cfg, &edited)]);
         assert_eq!(warm.stats().warm_planned, 2);
         assert_eq!(warm.stats().warm_deduped, 0);
-    }
-
-    #[test]
-    fn sanitize_distinguishes_colliding_names() {
-        // Regression: both of these used to sanitize to `4-GPM--FT--`
-        // (modulo trailing dashes) and overwrite each other's
-        // artifacts.
-        let a = sanitize("4-GPM (FT)");
-        let b = sanitize("4-GPM +FT");
-        assert_ne!(a, b);
-        assert!(a.starts_with("4-GPM-FT-"), "collapsed stem: {a}");
-        // Stems stay filename-safe.
-        for s in [&a, &b] {
-            assert!(s.chars().all(|c| c.is_ascii_alphanumeric() || c == '-'));
-        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! shared in-flight subscription — returns identical bytes.
 
 use std::collections::{BTreeMap, HashMap};
-use std::path::PathBuf;
 use std::sync::Mutex;
 
 use mcm_gpu::SystemConfig;
@@ -19,7 +18,7 @@ use mcm_serve::{Backend, PairKey};
 use mcm_store::Store;
 use mcm_workloads::{suite, WorkloadSpec};
 
-use crate::harness::{pair_fingerprint, run_instrumented, scale};
+use crate::harness::{pair_fingerprint, run_instrumented, scale, store_from_env};
 
 /// The configurations a sweep request can name, keyed by short name.
 /// Sorted (BTreeMap) so error messages and listings are deterministic.
@@ -81,16 +80,7 @@ impl MemoBackend {
     /// Panics when `MCM_STORE` is set but the directory cannot be
     /// opened (mistyped knobs abort; see `Memo::from_env`).
     pub fn from_env() -> Self {
-        let store = std::env::var_os("MCM_STORE").map(|dir| {
-            let dir = PathBuf::from(dir);
-            Store::open(&dir).unwrap_or_else(|e| {
-                panic!(
-                    "MCM_STORE: cannot open result store at {}: {e}",
-                    dir.display()
-                )
-            })
-        });
-        MemoBackend::new(scale(), store)
+        MemoBackend::new(scale(), store_from_env())
     }
 
     /// The preset names this backend resolves, sorted.

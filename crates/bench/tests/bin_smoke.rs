@@ -1,8 +1,8 @@
 //! Smoke tests: every figure-harness binary runs to completion at a
 //! tiny `MCM_SCALE`. These catch panics, broken CLI plumbing, and
 //! accidental scale-insensitivity (a bin that ignores `MCM_SCALE`
-//! makes this suite hang) without asserting anything about the
-//! numbers themselves.
+//! makes this suite hang). Only `reproduce` asserts its numbers: one
+//! digest pins the bytes of every exhibit it writes.
 //!
 //! Each binary runs in its own scratch directory so bins that write
 //! `results/` (e.g. `reproduce`) never clobber the repo's checked-in
@@ -11,6 +11,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
+use mcm_engine::rng::StableHasher;
 use mcm_telemetry::json::Json;
 
 /// Tiny scale: big enough that every workload still has work to do,
@@ -80,11 +81,86 @@ bin_smoke!(
     fig16_breakdown,
     fig17_multi_gpu,
     profile,
-    reproduce,
     resilience,
     scorecard,
     tables,
 );
+
+/// The digest of every exhibit `reproduce` writes at smoke scale: the
+/// 22 files of `results/` in name order, each folded into one
+/// [`StableHasher`] as its name, its length and its bytes. Tier-1 runs
+/// this suite at `MCM_JOBS=1` and again at `4`, so the pin also holds
+/// each exhibit's independence from the job count. A change that moves
+/// a simulated result updates this pin the way it updates the golden
+/// cycle counts.
+const REPRODUCE_DIGEST: u64 = 0x7b33_bc73_d2e4_6293;
+
+#[test]
+fn reproduce_writes_the_pinned_exhibits() {
+    let dir = scratch_dir("reproduce");
+    let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .current_dir(&dir)
+        .env("MCM_SCALE", SMOKE_SCALE)
+        .output()
+        .expect("spawn reproduce");
+    assert!(
+        out.status.success(),
+        "reproduce failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("results"))
+        .expect("read results/")
+        .map(|entry| entry.expect("dir entry").path())
+        .collect();
+    files.sort();
+    assert_eq!(files.len(), 22, "results/ holds {files:?}");
+    let mut h = StableHasher::new();
+    for path in &files {
+        let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+        h.write_str(&path.file_name().expect("file name").to_string_lossy());
+        h.write_u64(bytes.len() as u64);
+        h.write_bytes(&bytes);
+    }
+    assert_eq!(
+        h.finish(),
+        REPRODUCE_DIGEST,
+        "exhibit bytes moved: digest {:#018x}",
+        h.finish()
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every `mcm-exec` knob set to non-Unicode bytes aborts the sweep and
+/// names the knob. `std::env::var` reports such a value as an error,
+/// and the knobs used to read that as unset and run on their defaults.
+#[test]
+#[cfg(unix)]
+fn non_unicode_exec_knobs_fail_loudly() {
+    use std::os::unix::ffi::OsStrExt;
+    let bad = std::ffi::OsStr::from_bytes(b"\xff");
+    let dir = scratch_dir("non-unicode-knobs");
+    for (knob, supervised) in [
+        ("MCM_JOBS", "0"),
+        ("MCM_SUPERVISED", "0"),
+        // Only a supervised sweep reads its retry budget.
+        ("MCM_RETRIES", "1"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_fig09_distributed_sched"))
+            .current_dir(&dir)
+            .env("MCM_SCALE", SMOKE_SCALE)
+            .env("MCM_SUPERVISED", supervised)
+            .env(knob, bad)
+            .output()
+            .expect("spawn fig09_distributed_sched");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            !out.status.success() && stderr.contains(&format!("{knob} is set to non-Unicode")),
+            "{knob}=\\xff must abort naming the knob; exited {:?}:\n{stderr}",
+            out.status.code()
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
 /// Structural well-formedness: balanced braces/brackets outside string
 /// literals, with escape handling. Not a full parser, but enough to

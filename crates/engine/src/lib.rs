@@ -13,7 +13,7 @@
 //!   queuing model. Links, DRAM channels, cache banks and SM issue slots
 //!   are all `Resource`s; saturation and queuing delay emerge from it.
 //! * [`rng`] and [`stats`] — reproducible random numbers and the counters
-//!   and histograms every component reports through.
+//!   and ratios every component reports through.
 //!
 //! # Example
 //!

@@ -1,9 +1,11 @@
 //! Statistics primitives shared by every simulator component.
 //!
-//! These are intentionally tiny: a saturating [`Counter`], a hit/miss
-//! [`Ratio`], a power-of-two bucketed [`Histogram`] for latencies, and a
-//! running [`Mean`]. Components expose their internals through these
-//! types so run reports can aggregate uniformly.
+//! These are intentionally tiny: a saturating [`Counter`] and a
+//! hit/miss [`Ratio`], which components expose their internals through
+//! so run reports can aggregate uniformly; the [`Tabular`]/[`ToCsv`]
+//! row contract reports serialize through; and [`geomean`], the
+//! paper's cross-workload aggregate. Execution-layer latency
+//! distributions live in `mcm-telemetry`'s histograms.
 
 use std::fmt;
 
@@ -156,160 +158,6 @@ impl fmt::Display for Ratio {
     }
 }
 
-/// A histogram with power-of-two buckets, suited to latency
-/// distributions spanning several orders of magnitude.
-///
-/// Bucket `i` counts samples in `[2^i, 2^(i+1))`; bucket 0 additionally
-/// holds zero.
-///
-/// # Example
-///
-/// ```
-/// use mcm_engine::stats::Histogram;
-///
-/// let mut h = Histogram::new();
-/// for v in [1u64, 100, 100, 5000] {
-///     h.record(v);
-/// }
-/// assert_eq!(h.count(), 4);
-/// assert_eq!(h.max(), 5000);
-/// assert!((h.mean() - 1300.25).abs() < 1e-9);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Histogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u128,
-    max: u64,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram::default()
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: u64) {
-        let idx = if value == 0 {
-            0
-        } else {
-            63 - value.leading_zeros() as usize
-        };
-        if self.buckets.len() <= idx {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.sum += u128::from(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Number of samples recorded.
-    pub const fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of all samples, or `0.0` when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-
-    /// Largest sample seen, or 0 when empty.
-    pub const fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// An approximate quantile (0.0 ..= 1.0): the lower bound of the
-    /// bucket containing that rank. Exact enough for latency reporting.
-    pub fn quantile(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let rank = ((self.count as f64 * q).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
-            if seen >= rank {
-                return if i == 0 { 0 } else { 1u64 << i };
-            }
-        }
-        self.max
-    }
-
-    /// `(bucket_lower_bound, count)` pairs for non-empty buckets.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (if i == 0 { 0 } else { 1u64 << i }, n))
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &Histogram) {
-        if self.buckets.len() < other.buckets.len() {
-            self.buckets.resize(other.buckets.len(), 0);
-        }
-        for (dst, src) in self.buckets.iter_mut().zip(&other.buckets) {
-            *dst += src;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.max = self.max.max(other.max);
-    }
-}
-
-/// A running arithmetic mean over `f64` samples.
-///
-/// # Example
-///
-/// ```
-/// use mcm_engine::stats::Mean;
-///
-/// let mut m = Mean::new();
-/// m.record(1.0);
-/// m.record(3.0);
-/// assert!((m.get() - 2.0).abs() < 1e-12);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct Mean {
-    sum: f64,
-    n: u64,
-}
-
-impl Mean {
-    /// Creates an empty mean (reported as 0).
-    pub const fn new() -> Self {
-        Mean { sum: 0.0, n: 0 }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, value: f64) {
-        self.sum += value;
-        self.n += 1;
-    }
-
-    /// The mean of all samples, or `0.0` when empty.
-    pub fn get(self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
-        }
-    }
-
-    /// Number of samples.
-    pub const fn count(self) -> u64 {
-        self.n
-    }
-}
-
 /// Row-oriented report serialization: a type that can present itself
 /// as one row of a named-column table.
 ///
@@ -456,57 +304,6 @@ mod tests {
         assert_eq!(a.total(), 4);
         assert_eq!(a.misses(), 1);
         assert!((a.rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bucketing() {
-        let mut h = Histogram::new();
-        h.record(0);
-        h.record(1);
-        h.record(2);
-        h.record(3);
-        h.record(1024);
-        let buckets: Vec<_> = h.iter().collect();
-        // 0 and 1 share bucket 0; 2 and 3 are in [2,4); 1024 in [1024,2048).
-        assert_eq!(buckets, vec![(0, 2), (2, 2), (1024, 1)]);
-        assert_eq!(h.count(), 5);
-        assert_eq!(h.max(), 1024);
-    }
-
-    #[test]
-    fn histogram_quantiles_are_monotone() {
-        let mut h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.record(v);
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        let q100 = h.quantile(1.0);
-        assert!(q50 <= q90 && q90 <= q100);
-        assert!(q100 <= h.max());
-    }
-
-    #[test]
-    fn histogram_merge() {
-        let mut a = Histogram::new();
-        a.record(10);
-        let mut b = Histogram::new();
-        b.record(1000);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.max(), 1000);
-        assert!((a.mean() - 505.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn mean_tracks() {
-        let mut m = Mean::new();
-        assert_eq!(m.get(), 0.0);
-        for v in [2.0, 4.0, 6.0] {
-            m.record(v);
-        }
-        assert_eq!(m.count(), 3);
-        assert!((m.get() - 4.0).abs() < 1e-12);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! running on the in-repo `mcm-testkit` harness.
 
 use mcm_engine::rng::Xoshiro256;
-use mcm_engine::stats::{geomean, Histogram, Ratio};
+use mcm_engine::stats::{geomean, Ratio};
 use mcm_engine::{Cycle, EventQueue, Resource};
 use mcm_testkit::prelude::*;
 
@@ -96,26 +96,6 @@ fn event_queue_total_order() {
             let mut expected = popped.clone();
             expected.sort();
             assert_eq!(popped, expected);
-        },
-    );
-}
-
-/// Histogram count equals the number of samples, and every sample is
-/// <= max.
-#[test]
-fn histogram_accounting() {
-    check(
-        "histogram_accounting",
-        &vecs(u64s(0..u64::MAX / 2), 0..256),
-        |samples: &Vec<u64>| {
-            let mut h = Histogram::new();
-            for &s in samples {
-                h.record(s);
-            }
-            assert_eq!(h.count(), samples.len() as u64);
-            assert_eq!(h.max(), samples.iter().copied().max().unwrap_or(0));
-            let bucket_total: u64 = h.iter().map(|(_, n)| n).sum();
-            assert_eq!(bucket_total, h.count());
         },
     );
 }

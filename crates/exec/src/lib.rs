@@ -45,6 +45,20 @@
 pub mod pool;
 pub mod service;
 
+/// The value of environment knob `var`; `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when the value is not valid Unicode.
+/// `std::env::var` reports such a value as an error, which reads like
+/// "unset" and would silently select the knob's default.
+fn knob(var: &str) -> Option<String> {
+    let raw = std::env::var_os(var)?;
+    Some(raw.into_string().unwrap_or_else(|raw| {
+        panic!("{var} is set to non-Unicode bytes ({raw:?}); refusing to guess a default")
+    }))
+}
+
 /// The worker count for parallel sweeps, read from `MCM_JOBS`.
 /// Unset defaults to the machine's available parallelism (1 when that
 /// cannot be determined). `MCM_JOBS=1` forces the serial path — the
@@ -55,8 +69,8 @@ pub mod service;
 /// Panics when `MCM_JOBS` is set but not a positive integer — a typo in
 /// a knob must abort the run, not silently fall back.
 pub fn jobs() -> usize {
-    match std::env::var("MCM_JOBS") {
-        Ok(raw) => {
+    match knob("MCM_JOBS") {
+        Some(raw) => {
             let n: usize = raw
                 .trim()
                 .parse()
@@ -64,7 +78,7 @@ pub fn jobs() -> usize {
             assert!(n >= 1, "MCM_JOBS must be >= 1, got {n}");
             n
         }
-        Err(_) => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        None => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
     }
 }
 
@@ -78,13 +92,13 @@ pub fn jobs() -> usize {
 ///
 /// Panics when `MCM_SUPERVISED` is set to anything but `0` or `1`.
 pub fn supervised() -> bool {
-    match std::env::var("MCM_SUPERVISED") {
-        Ok(raw) => match raw.trim() {
+    match knob("MCM_SUPERVISED") {
+        Some(raw) => match raw.trim() {
             "1" => true,
             "0" => false,
             _ => panic!("MCM_SUPERVISED must be 0 or 1, got {raw:?}"),
         },
-        Err(_) => false,
+        None => false,
     }
 }
 
@@ -96,12 +110,12 @@ pub fn supervised() -> bool {
 ///
 /// Panics when `MCM_RETRIES` is set but not a non-negative integer.
 pub fn retries() -> u32 {
-    match std::env::var("MCM_RETRIES") {
-        Ok(raw) => raw
+    match knob("MCM_RETRIES") {
+        Some(raw) => raw
             .trim()
             .parse()
             .unwrap_or_else(|_| panic!("MCM_RETRIES must be a non-negative integer, got {raw:?}")),
-        Err(_) => 1,
+        None => 1,
     }
 }
 

@@ -104,6 +104,19 @@ fn attempt_counts() -> &'static Mutex<HashMap<(String, String), u64>> {
     COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
+/// The value of environment knob `var`; `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when the value is not valid Unicode rather
+/// than treating it as unset.
+fn knob(var: &str) -> Option<String> {
+    let raw = std::env::var_os(var)?;
+    Some(raw.into_string().unwrap_or_else(|raw| {
+        panic!("{var} is set to non-Unicode bytes ({raw:?}); refusing to guess a default")
+    }))
+}
+
 /// The environment-scripted worker fault: panics when simulating
 /// workload `MCM_FAULT_TASK_PANIC` (exact name match), at most
 /// `MCM_FAULT_TASK_PANIC_ATTEMPTS` times per `(config, workload)` pair
@@ -116,20 +129,21 @@ fn attempt_counts() -> &'static Mutex<HashMap<(String, String), u64>> {
 /// # Panics
 ///
 /// Panics (that is the point) for the scripted pair while its attempt
-/// budget lasts, naming the pair; also panics when
-/// `MCM_FAULT_TASK_PANIC_ATTEMPTS` is set but unparsable.
+/// budget lasts, naming the pair; also panics when either knob is set
+/// to non-Unicode bytes or `MCM_FAULT_TASK_PANIC_ATTEMPTS` is
+/// unparsable.
 pub fn scripted_task_panic(config: &str, workload: &str) {
-    let Ok(target) = std::env::var("MCM_FAULT_TASK_PANIC") else {
+    let Some(target) = knob("MCM_FAULT_TASK_PANIC") else {
         return;
     };
     if workload != target {
         return;
     }
-    let budget: u64 = match std::env::var("MCM_FAULT_TASK_PANIC_ATTEMPTS") {
-        Ok(raw) => raw.trim().parse().unwrap_or_else(|_| {
+    let budget: u64 = match knob("MCM_FAULT_TASK_PANIC_ATTEMPTS") {
+        Some(raw) => raw.trim().parse().unwrap_or_else(|_| {
             panic!("MCM_FAULT_TASK_PANIC_ATTEMPTS must be a non-negative integer, got {raw:?}")
         }),
-        Err(_) => u64::MAX,
+        None => u64::MAX,
     };
     let mut counts = attempt_counts().lock().expect("attempt counter poisoned");
     let n = counts

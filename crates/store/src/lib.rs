@@ -226,6 +226,11 @@ impl Store {
     /// Returns an error only for environmental failures that make the
     /// directory unusable at all: it cannot be created, listed, or the
     /// lock file cannot be written.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `MCM_STORE_CRASH_AFTER` is set but is not valid
+    /// Unicode or not a non-negative integer.
     pub fn open(dir: &Path) -> io::Result<Store> {
         std::fs::create_dir_all(dir)?;
         let lock = Store::acquire_lock(dir)?;
@@ -242,7 +247,10 @@ impl Store {
             dir: dir.to_path_buf(),
             lock,
             inner: Mutex::new(inner),
-            crash_after: std::env::var("MCM_STORE_CRASH_AFTER").ok().map(|raw| {
+            crash_after: std::env::var_os("MCM_STORE_CRASH_AFTER").map(|raw| {
+                let raw = raw.to_str().unwrap_or_else(|| {
+                    panic!("MCM_STORE_CRASH_AFTER is set to non-Unicode bytes ({raw:?})")
+                });
                 raw.trim().parse().unwrap_or_else(|_| {
                     panic!("MCM_STORE_CRASH_AFTER must be a non-negative integer, got {raw:?}")
                 })

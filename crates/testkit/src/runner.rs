@@ -14,6 +14,7 @@
 //! Case counts default to [`DEFAULT_CASES`] and can be raised with
 //! `MCM_PROP_CASES` for soak runs.
 
+use std::ffi::OsStr;
 use std::panic::{self, AssertUnwindSafe};
 
 use mcm_engine::rng::{SplitMix64, Xoshiro256};
@@ -28,7 +29,8 @@ pub const DEFAULT_CASES: u32 = 64;
 #[derive(Debug, Clone, Copy)]
 pub struct Discard;
 
-/// Runner knobs; [`Config::default`] reads the environment.
+/// Runner knobs; [`Config::default`] reads the environment and panics,
+/// naming the knob, on a malformed `MCM_PROP_CASES`.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Number of non-discarded cases to execute.
@@ -41,12 +43,8 @@ pub struct Config {
 
 impl Default for Config {
     fn default() -> Self {
-        let cases = std::env::var("MCM_PROP_CASES")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(DEFAULT_CASES);
         Config {
-            cases,
+            cases: cases_from(std::env::var_os("MCM_PROP_CASES").as_deref()),
             max_shrink_steps: 512,
             base_seed: 0x6D63_6D5F_7465_7374, // "mcm_test"
         }
@@ -73,7 +71,7 @@ where
     G: Gen,
     P: Fn(&G::Value),
 {
-    if let Some(seed) = seed_override() {
+    if let Some(seed) = seed_from(std::env::var_os("MCM_PROP_SEED").as_deref()) {
         run_seed(name, gen, &prop, seed, cfg.max_shrink_steps);
         return;
     }
@@ -229,9 +227,35 @@ where
     );
 }
 
-fn seed_override() -> Option<u64> {
-    let raw = std::env::var("MCM_PROP_SEED").ok()?;
-    let raw = raw.trim();
+/// The raw value of knob `var` as text; `None` when unset.
+///
+/// # Panics
+///
+/// Panics, naming the knob, when the value is not valid Unicode rather
+/// than treating it as unset.
+fn knob<'a>(var: &str, raw: Option<&'a OsStr>) -> Option<&'a str> {
+    let raw = raw?;
+    Some(raw.to_str().unwrap_or_else(|| {
+        panic!("{var} is set to non-Unicode bytes ({raw:?}); refusing to guess a default")
+    }))
+}
+
+/// The case count from the raw value of `MCM_PROP_CASES`;
+/// [`DEFAULT_CASES`] when unset. Panics, naming the knob, on a value
+/// that is not a `u32`.
+fn cases_from(raw: Option<&OsStr>) -> u32 {
+    knob("MCM_PROP_CASES", raw).map_or(DEFAULT_CASES, |raw| {
+        raw.trim().parse().unwrap_or_else(|_| {
+            panic!("MCM_PROP_CASES must be a non-negative integer, got {raw:?}")
+        })
+    })
+}
+
+/// The replay seed from the raw value of `MCM_PROP_SEED`; `None` when
+/// unset. Panics, naming the knob, on a value that is not a decimal or
+/// `0x`-hex `u64`.
+fn seed_from(raw: Option<&OsStr>) -> Option<u64> {
+    let raw = knob("MCM_PROP_SEED", raw)?.trim();
     let parsed = if let Some(hex) = raw.strip_prefix("0x").or_else(|| raw.strip_prefix("0X")) {
         u64::from_str_radix(hex, 16)
     } else {
@@ -384,5 +408,32 @@ mod tests {
     fn fnv_is_stable_and_spreads() {
         assert_ne!(fnv1a(b"a"), fnv1a(b"b"));
         assert_eq!(fnv1a(b"mcm"), fnv1a(b"mcm"));
+    }
+
+    #[test]
+    fn knobs_parse_and_unset_defaults() {
+        assert_eq!(cases_from(None), DEFAULT_CASES);
+        assert_eq!(cases_from(Some(OsStr::new(" 200 "))), 200);
+        assert_eq!(seed_from(None), None);
+        assert_eq!(seed_from(Some(OsStr::new("0x1F"))), Some(0x1f));
+        assert_eq!(seed_from(Some(OsStr::new("42"))), Some(42));
+    }
+
+    /// Regression: an unparsable case count used to fall back to
+    /// [`DEFAULT_CASES`] silently.
+    #[test]
+    #[should_panic(expected = "MCM_PROP_CASES must be a non-negative integer")]
+    fn unparsable_case_counts_panic() {
+        cases_from(Some(OsStr::new("lots")));
+    }
+
+    /// Regression: a non-Unicode value read as unset, so the knob fell
+    /// back to its default.
+    #[test]
+    #[cfg(unix)]
+    #[should_panic(expected = "MCM_PROP_SEED is set to non-Unicode bytes")]
+    fn non_unicode_seeds_panic() {
+        use std::os::unix::ffi::OsStrExt;
+        seed_from(Some(OsStr::from_bytes(b"0x\xff")));
     }
 }
