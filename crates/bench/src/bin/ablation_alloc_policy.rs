@@ -1,7 +1,5 @@
 //! Extension ablation: L1.5 allocation policy incl. set-dueling
 //! adaptive admission (§5.1.2 extended). Honors `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::ablation_alloc_policy(&mut memo));
+    mcm_bench::figures::ablation_alloc_policy().print();
 }

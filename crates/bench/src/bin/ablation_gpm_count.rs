@@ -1,7 +1,5 @@
 //! Extension ablation: how many GPMs to split 256 SMs into (§3.2's
 //! design space). Honors `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::ablation_gpm_count(&mut memo));
+    mcm_bench::figures::ablation_gpm_count().print();
 }

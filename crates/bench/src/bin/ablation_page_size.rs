@@ -1,7 +1,5 @@
 //! Extension ablation: first-touch placement granularity. Honors
 //! `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::ablation_page_size(&mut memo));
+    mcm_bench::figures::ablation_page_size().print();
 }

@@ -1,7 +1,5 @@
 //! Extension ablation: CTA scheduler granularity + dynamic stealing
 //! (§5.4 future work). Honors `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::ablation_scheduler(&mut memo));
+    mcm_bench::figures::ablation_scheduler().print();
 }

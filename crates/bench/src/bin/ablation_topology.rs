@@ -1,7 +1,5 @@
 //! Extension ablation: ring vs fully connected inter-GPM fabric
 //! (§3.2's out-of-scope exploration). Honors `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::ablation_topology(&mut memo));
+    mcm_bench::figures::ablation_topology().print();
 }

@@ -1,7 +1,5 @@
 //! The §6.2 efficiency argument quantified: data-movement energy per
 //! machine organization. Honors `MCM_SCALE`.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::efficiency(&mut memo));
+    mcm_bench::figures::efficiency().print();
 }

@@ -1,6 +1,4 @@
 //! Regenerates Fig. 6 (L1.5 design space) of the paper. Honors `MCM_SCALE` (default 0.5).
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
-    println!("{}", mcm_bench::figures::fig06(&mut memo));
+    mcm_bench::figures::fig06().print();
 }

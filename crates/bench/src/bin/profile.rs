@@ -3,37 +3,18 @@
 //! the paper's Fig. 16 decomposition.
 //!
 //! Usage: `profile [WORKLOAD] [CONFIG]` (defaults: `CFD` on
-//! `optimized`). Honors `MCM_SCALE` (default 0.5), the observability
-//! variables `MCM_TRACE` / `MCM_METRICS` / `MCM_METRICS_BUCKET` (see
-//! the README's Observability section), and the fault knobs
-//! `MCM_FAULT_RATE` / `MCM_FAULT_SEED` (see the Resilience section) —
-//! useful for seeing where a degraded machine's warp-cycles go.
+//! `optimized`). CONFIG is a short name from the sweep service's
+//! preset table ([`preset_table`]). Honors `MCM_SCALE` (default 0.5),
+//! the observability variables `MCM_TRACE` / `MCM_METRICS` /
+//! `MCM_METRICS_BUCKET` (see the README's Observability section), and
+//! the fault knobs `MCM_FAULT_RATE` / `MCM_FAULT_SEED` (see the
+//! Resilience section) — useful for seeing where a degraded machine's
+//! warp-cycles go.
 
 use mcm_bench::harness::{self, TextTable};
-use mcm_gpu::SystemConfig;
+use mcm_bench::serve_backend::preset_table;
 use mcm_probe::StallProfile;
 use mcm_workloads::suite;
-
-const CONFIG_KEYS: &[&str] = &[
-    "baseline",
-    "optimized",
-    "l15-ds",
-    "mono128",
-    "mono256",
-    "multi-gpu",
-];
-
-fn config_by_key(key: &str) -> Option<SystemConfig> {
-    Some(match key {
-        "baseline" => SystemConfig::baseline_mcm(),
-        "optimized" => SystemConfig::optimized_mcm(),
-        "l15-ds" => SystemConfig::mcm_l15_ds(),
-        "mono128" => SystemConfig::largest_buildable_monolithic(),
-        "mono256" => SystemConfig::hypothetical_monolithic_256(),
-        "multi-gpu" => SystemConfig::multi_gpu_baseline(),
-        _ => return None,
-    })
-}
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -44,11 +25,10 @@ fn main() {
         eprintln!("unknown workload '{wname}'; one of: {}", names.join(", "));
         std::process::exit(2);
     };
-    let Some(cfg) = config_by_key(&ckey) else {
-        eprintln!(
-            "unknown config '{ckey}'; one of: {}",
-            CONFIG_KEYS.join(", ")
-        );
+    let mut presets = preset_table();
+    let Some(cfg) = presets.remove(ckey.as_str()) else {
+        let keys: Vec<&str> = presets.into_keys().collect();
+        eprintln!("unknown config '{ckey}'; one of: {}", keys.join(", "));
         std::process::exit(2);
     };
     let _telemetry = harness::telemetry_guard();

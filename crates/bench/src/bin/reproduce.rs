@@ -1,6 +1,7 @@
 //! Regenerates every table and figure of the paper's evaluation in one
-//! pass (sharing a memoized run cache), printing each and writing it
-//! under `results/`.
+//! pass, printing each and writing it under `results/`. One warm
+//! simulates the union of every exhibit's grid; the exhibits then
+//! render from that cache.
 //!
 //! ```text
 //! MCM_SCALE=0.5 cargo run --release -p mcm-bench --bin reproduce
@@ -10,12 +11,9 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
-use mcm_bench::figures;
+use mcm_bench::figures::{self, Exhibit};
 use mcm_bench::harness::Memo;
 use mcm_engine::stats::ToCsv;
-
-/// A named, simulation-backed table or figure generator.
-type Exhibit = (&'static str, Box<dyn Fn(&mut Memo) -> String>);
 
 fn main() {
     let _telemetry = mcm_bench::harness::telemetry_guard();
@@ -38,35 +36,36 @@ fn main() {
         emit(out_dir, name, &text);
     }
 
-    // Simulation-backed exhibits, cheapest shared-config ones first so
-    // the memo warms up.
-    let figs: Vec<Exhibit> = vec![
-        ("fig04_link_sensitivity", Box::new(figures::fig04)),
-        ("fig06_l15_cache", Box::new(figures::fig06)),
-        ("fig07_l15_bandwidth", Box::new(figures::fig07)),
-        ("fig09_distributed_sched", Box::new(figures::fig09)),
-        ("fig10_ds_bandwidth", Box::new(figures::fig10)),
-        ("fig13_first_touch", Box::new(figures::fig13)),
-        ("fig14_ft_bandwidth", Box::new(figures::fig14)),
-        ("fig15_scurve", Box::new(figures::fig15)),
-        ("fig16_breakdown", Box::new(figures::fig16)),
-        ("fig17_multi_gpu", Box::new(figures::fig17)),
-        ("efficiency", Box::new(figures::efficiency)),
-        ("ablation_scheduler", Box::new(figures::ablation_scheduler)),
-        ("ablation_topology", Box::new(figures::ablation_topology)),
-        ("ablation_gpm_count", Box::new(figures::ablation_gpm_count)),
-        ("ablation_page_size", Box::new(figures::ablation_page_size)),
-        (
-            "ablation_alloc_policy",
-            Box::new(figures::ablation_alloc_policy),
-        ),
-        ("fig02_scaling", Box::new(figures::fig02)),
+    let exhibits = [
+        figures::fig04(),
+        figures::fig06(),
+        figures::fig07(),
+        figures::fig09(),
+        figures::fig10(),
+        figures::fig13(),
+        figures::fig14(),
+        figures::fig15(),
+        figures::fig16(),
+        figures::fig17(),
+        figures::efficiency(),
+        figures::ablation_scheduler(),
+        figures::ablation_topology(),
+        figures::ablation_gpm_count(),
+        figures::ablation_page_size(),
+        figures::ablation_alloc_policy(),
+        figures::fig02(),
     ];
-    for (name, f) in figs {
-        let start = Instant::now();
-        let text = f(&mut memo);
-        emit(out_dir, name, &text);
-        eprintln!("[{name} took {:.0}s]", start.elapsed().as_secs_f64());
+    // One warm over the union: the plan drops the pairs exhibits share
+    // and checks artifact stems across all of them.
+    let pairs: Vec<_> = exhibits.iter().flat_map(Exhibit::pairs).collect();
+    memo.warm(&pairs);
+    eprintln!(
+        "[warm of {} pairs took {:.0}s]",
+        pairs.len(),
+        t0.elapsed().as_secs_f64()
+    );
+    for exhibit in &exhibits {
+        emit(out_dir, exhibit.name, &exhibit.render(&memo));
     }
 
     // Raw per-run data for downstream analysis.

@@ -47,8 +47,8 @@ fn main() {
     let mgpu_base = SystemConfig::multi_gpu_baseline();
     let mgpu_opt = SystemConfig::multi_gpu_optimized();
 
-    // Warm the whole 6-config x 48-workload grid across MCM_JOBS
-    // workers; every claim below then reads from the memo cache.
+    // One warm of the whole 6-config x 48-workload grid across
+    // MCM_JOBS workers; every claim below then reads the memo cache.
     let configs = [
         &baseline, &optimized, &mono128, &mono256, &mgpu_base, &mgpu_opt,
     ];
@@ -58,19 +58,19 @@ fn main() {
         .collect();
     memo.warm(&pairs);
 
-    let opt_vs_base = geomean_speedup(&mut memo, &all, &optimized, &baseline, None);
-    let opt_vs_mono128 = geomean_speedup(&mut memo, &all, &optimized, &mono128, None);
-    let opt_vs_mono256 = geomean_speedup(&mut memo, &all, &optimized, &mono256, None);
-    let opt_vs_mgpu = geomean_speedup(&mut memo, &all, &optimized, &mgpu_base, None);
-    let mgpu_opt_gain = geomean_speedup(&mut memo, &all, &mgpu_opt, &mgpu_base, None);
+    let opt_vs_base = geomean_speedup(&memo, &all, &optimized, &baseline, None);
+    let opt_vs_mono128 = geomean_speedup(&memo, &all, &optimized, &mono128, None);
+    let opt_vs_mono256 = geomean_speedup(&memo, &all, &optimized, &mono256, None);
+    let opt_vs_mgpu = geomean_speedup(&memo, &all, &optimized, &mgpu_base, None);
+    let mgpu_opt_gain = geomean_speedup(&memo, &all, &mgpu_opt, &mgpu_base, None);
 
     let base_bytes: u64 = all
         .iter()
-        .map(|w| memo.run(&baseline, w).inter_module_bytes)
+        .map(|w| memo.get(&baseline, w).inter_module_bytes)
         .sum();
     let opt_bytes: u64 = all
         .iter()
-        .map(|w| memo.run(&optimized, w).inter_module_bytes)
+        .map(|w| memo.get(&optimized, w).inter_module_bytes)
         .sum();
     let reduction = base_bytes as f64 / opt_bytes.max(1) as f64;
 

@@ -1,16 +1,21 @@
-//! One function per paper exhibit: each regenerates the corresponding
-//! table or figure's data and returns it as a rendered text block.
+//! One function per paper exhibit. Tables 1–4 need no simulation and
+//! return their text. Every other exhibit returns an [`Exhibit`]: its
+//! name, the (configuration, workload) pairs it reads, and a render
+//! over a [`Memo`] that already holds them.
 //!
-//! The functions take a [`Memo`] so exhibits sharing configurations
-//! (nearly all share the baseline) reuse each other's runs within one
-//! process — `reproduce` exploits this to regenerate everything in a
-//! single pass.
+//! A harness warms the grids it will render in one [`Memo::warm`]
+//! call, then renders each exhibit from `&Memo`. Rendering reads
+//! through [`Memo::get`], so it cannot simulate, and exhibits that
+//! share configurations (nearly all share the baseline) share runs.
+//! `reproduce` warms the union of every exhibit's grid this way.
 //!
 //! Most exhibits are one of two tables: a configuration's speedup over
 //! a reference per workload (`speedup_table`), or its geomean speedup
-//! per §4 category (`geomean_table`). Each builder warms `[reference]
-//! ++ configurations` over the workloads it reads before it reads a
-//! report, so an exhibit names its design points once.
+//! per §4 category (`geomean_table`). Each builder declares `[reference]
+//! ++ configurations` over the workloads it reads as its grid, so an
+//! exhibit names its design points once.
+
+use std::iter::once;
 
 use mcm_engine::stats::geomean;
 use mcm_gpu::reference::{GPU_GENERATIONS, MAX_BUILDABLE_SMS};
@@ -19,109 +24,151 @@ use mcm_interconnect::energy::Tier;
 use mcm_mem::cache::AllocFilter;
 use mcm_workloads::{suite, Category, WorkloadSpec};
 
-use crate::harness::{f2, geomean_speedup, pct, Memo, TextTable};
+use crate::harness::{f2, geomean_speedup, pct, telemetry_guard, Memo, TextTable};
 
-fn m_intensive() -> Vec<WorkloadSpec> {
-    suite::m_intensive_suite()
+/// One simulation-backed table or figure: what it reads and how it
+/// renders.
+pub struct Exhibit {
+    /// The exhibit's binary, and its file stem under `results/`.
+    pub name: &'static str,
+    /// Every (configuration, workload) pair the render reads,
+    /// configuration-major.
+    grid: Vec<(SystemConfig, WorkloadSpec)>,
+    render: Box<dyn Fn(&Memo) -> String>,
 }
 
-fn full_suite() -> Vec<WorkloadSpec> {
-    suite::suite()
+impl Exhibit {
+    fn new(
+        name: &'static str,
+        grid: Vec<(SystemConfig, WorkloadSpec)>,
+        render: impl Fn(&Memo) -> String + 'static,
+    ) -> Exhibit {
+        Exhibit {
+            name,
+            grid,
+            render: Box::new(render),
+        }
+    }
+
+    /// Every (configuration, workload) pair the render reads, in the
+    /// form [`Memo::warm`] takes.
+    pub fn pairs(&self) -> Vec<(&SystemConfig, &WorkloadSpec)> {
+        self.grid.iter().map(|(c, w)| (c, w)).collect()
+    }
+
+    /// Renders the exhibit from `memo`, which must hold its grid.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the pair, when `memo` lacks a pair the render
+    /// reads (see [`Memo::get`]).
+    pub fn render(&self, memo: &Memo) -> String {
+        (self.render)(memo)
+    }
+
+    /// The `main` of the exhibit's own binary: one warm of its grid in
+    /// the environment-configured memo, then the render on stdout, with
+    /// the `MCM_TELEMETRY` snapshot written on the way out.
+    pub fn print(&self) {
+        let _telemetry = telemetry_guard();
+        let mut memo = Memo::from_env();
+        memo.warm(&self.pairs());
+        println!("{}", self.render(&memo));
+    }
 }
 
-/// Warms the memo with the whole `configs x workloads` grid across
-/// `MCM_JOBS` worker threads, so the serial reporting loops below run
-/// entirely from cache. Every figure calls this first, directly or
-/// through a table builder: the figure text itself is assembled in a
-/// fixed order from memoized reports, which is what keeps the output
-/// byte-identical at any job count.
-fn warm_grid(memo: &mut Memo, configs: &[SystemConfig], workloads: &[WorkloadSpec]) {
-    let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = configs
-        .iter()
-        .flat_map(|c| workloads.iter().map(move |w| (c, w)))
-        .collect();
-    memo.warm(&pairs);
+/// Every configuration of `configs` on every workload of `workloads`,
+/// configuration-major.
+fn grid<'c>(
+    configs: impl IntoIterator<Item = &'c SystemConfig>,
+    workloads: &[WorkloadSpec],
+) -> Vec<(SystemConfig, WorkloadSpec)> {
+    configs
+        .into_iter()
+        .flat_map(|c| workloads.iter().map(move |w| (c.clone(), w.clone())))
+        .collect()
 }
 
 /// The geomean-speedup columns of the ablations: one per §4 category,
 /// then all 48 workloads. Fig. 4 takes the first three.
-const CATEGORY_COLUMNS: [(&str, Option<Category>); 4] = [
+static CATEGORY_COLUMNS: [(&str, Option<Category>); 4] = [
     ("M-Intensive", Some(Category::MemoryIntensive)),
     ("C-Intensive", Some(Category::ComputeIntensive)),
     ("Lim. Parallel", Some(Category::LimitedParallelism)),
     ("ALL", None),
 ];
 
-/// One row per configuration in `rows` and one column per `(header,
-/// category)` in `columns`: each cell is `fmt` of the row's geomean
-/// speedup over `reference` across the category's workloads (`None`:
-/// the full suite).
-fn geomean_table<L: AsRef<str>>(
-    memo: &mut Memo,
-    first_header: &str,
-    columns: &[(&str, Option<Category>)],
-    rows: &[(L, SystemConfig)],
-    reference: &SystemConfig,
+/// `title`, then one row per configuration in `rows` and one column per
+/// `(header, category)` in `columns`: each cell is `fmt` of the row's
+/// geomean speedup over `reference` across the category's workloads
+/// (`None`: the full suite).
+fn geomean_table<L: AsRef<str> + 'static>(
+    name: &'static str,
+    title: &'static str,
+    first_header: &'static str,
+    columns: &'static [(&'static str, Option<Category>)],
+    rows: Vec<(L, SystemConfig)>,
+    reference: SystemConfig,
     fmt: fn(f64) -> String,
-) -> String {
-    let all = full_suite();
-    let grid: Vec<SystemConfig> = std::iter::once(reference)
-        .chain(rows.iter().map(|(_, c)| c))
-        .cloned()
-        .collect();
-    warm_grid(memo, &grid, &all);
-    let mut header = vec![first_header];
-    header.extend(columns.iter().map(|(h, _)| *h));
-    let mut t = TextTable::new(header);
-    for (label, cfg) in rows {
-        let mut cells = vec![label.as_ref().to_string()];
-        for &(_, category) in columns {
-            cells.push(fmt(geomean_speedup(memo, &all, cfg, reference, category)));
-        }
-        t.row(cells);
-    }
-    t.render()
-}
-
-/// One row per workload in `workloads` and one column per configuration
-/// in `configs`: each cell is the configuration's speedup over
-/// `reference` on that workload. With `geomean_rows`, a `GeoMean
-/// <category>` row per §4 category follows, over the full suite; the
-/// workloads must then come from the suite.
-fn speedup_table(
-    memo: &mut Memo,
-    configs: &[(&str, SystemConfig)],
-    reference: &SystemConfig,
-    workloads: &[WorkloadSpec],
-    geomean_rows: bool,
-) -> String {
-    let all = full_suite();
-    let grid: Vec<SystemConfig> = std::iter::once(reference)
-        .chain(configs.iter().map(|(_, c)| c))
-        .cloned()
-        .collect();
-    warm_grid(memo, &grid, if geomean_rows { &all } else { workloads });
-    let mut header = vec!["workload"];
-    header.extend(configs.iter().map(|(label, _)| *label));
-    let mut t = TextTable::new(header);
-    for w in workloads {
-        let base = memo.run(reference, w);
-        let mut cells = vec![w.name.to_string()];
-        for (_, cfg) in configs {
-            cells.push(f2(memo.run(cfg, w).speedup_over(&base)));
-        }
-        t.row(cells);
-    }
-    if geomean_rows {
-        for cat in Category::ALL {
-            let mut cells = vec![format!("GeoMean {}", cat.label())];
-            for (_, cfg) in configs {
-                cells.push(f2(geomean_speedup(memo, &all, cfg, reference, Some(cat))));
+) -> Exhibit {
+    let all = suite::suite();
+    let grid = grid(once(&reference).chain(rows.iter().map(|(_, c)| c)), &all);
+    Exhibit::new(name, grid, move |memo| {
+        let mut header = vec![first_header];
+        header.extend(columns.iter().map(|(h, _)| *h));
+        let mut t = TextTable::new(header);
+        for (label, cfg) in &rows {
+            let mut cells = vec![label.as_ref().to_string()];
+            for &(_, category) in columns {
+                cells.push(fmt(geomean_speedup(memo, &all, cfg, &reference, category)));
             }
             t.row(cells);
         }
-    }
-    t.render()
+        format!("{title}\n\n{}", t.render())
+    })
+}
+
+/// `title`, then one row per workload in `workloads` and one column per
+/// configuration in `configs`: each cell is the configuration's speedup
+/// over `reference` on that workload. With `geomean_rows`, a `GeoMean
+/// <category>` row per §4 category follows, over the full suite; the
+/// workloads must then come from the suite.
+fn speedup_table(
+    name: &'static str,
+    title: &'static str,
+    configs: Vec<(&'static str, SystemConfig)>,
+    reference: SystemConfig,
+    workloads: Vec<WorkloadSpec>,
+    geomean_rows: bool,
+) -> Exhibit {
+    let all = suite::suite();
+    let grid = grid(
+        once(&reference).chain(configs.iter().map(|(_, c)| c)),
+        if geomean_rows { &all } else { &workloads },
+    );
+    Exhibit::new(name, grid, move |memo| {
+        let mut header = vec!["workload"];
+        header.extend(configs.iter().map(|(label, _)| *label));
+        let mut t = TextTable::new(header);
+        for w in &workloads {
+            let base = memo.get(&reference, w);
+            let mut cells = vec![w.name.to_string()];
+            for (_, cfg) in &configs {
+                cells.push(f2(memo.get(cfg, w).speedup_over(base)));
+            }
+            t.row(cells);
+        }
+        if geomean_rows {
+            for cat in Category::ALL {
+                let mut cells = vec![format!("GeoMean {}", cat.label())];
+                for (_, cfg) in &configs {
+                    cells.push(f2(geomean_speedup(memo, &all, cfg, &reference, Some(cat))));
+                }
+                t.row(cells);
+            }
+        }
+        format!("{title}\n\n{}", t.render())
+    })
 }
 
 /// Table 1: key characteristics of recent NVIDIA GPUs.
@@ -260,114 +307,105 @@ pub fn table4() -> String {
 
 /// Fig. 2: hypothetical monolithic-GPU performance scaling with SM
 /// count (L2 and DRAM bandwidth scaled along), normalized to 32 SMs.
-pub fn fig02(memo: &mut Memo) -> String {
-    let sm_counts = [32u32, 64, 96, 128, 160, 192, 224, 256, 288];
-    let all = full_suite();
-    let base_cfg = SystemConfig::monolithic(32);
-    let grid: Vec<SystemConfig> = sm_counts
-        .iter()
-        .map(|&s| SystemConfig::monolithic(s))
+pub fn fig02() -> Exhibit {
+    let machines: Vec<(u32, SystemConfig)> = [32u32, 64, 96, 128, 160, 192, 224, 256, 288]
+        .into_iter()
+        .map(|sms| (sms, SystemConfig::monolithic(sms)))
         .collect();
-    warm_grid(memo, &grid, &all);
-    let mut t = TextTable::new(vec![
-        "SM count",
-        "linear",
-        "high-parallelism apps",
-        "limited-parallelism apps",
-    ]);
-    for &sms in &sm_counts {
-        let cfg = SystemConfig::monolithic(sms);
-        let mut high = Vec::new();
-        let mut limited = Vec::new();
-        for w in &all {
-            let s = memo.run(&cfg, w).speedup_over(&memo.run(&base_cfg, w));
-            if w.category == Category::LimitedParallelism {
-                limited.push(s);
-            } else {
-                high.push(s);
-            }
-        }
-        t.row(vec![
-            sms.to_string(),
-            f2(f64::from(sms) / 32.0),
-            f2(geomean(&high)),
-            f2(geomean(&limited)),
+    let all = suite::suite();
+    let grid = grid(machines.iter().map(|(_, c)| c), &all);
+    Exhibit::new("fig02_scaling", grid, move |memo| {
+        let base_cfg = &machines[0].1;
+        let mut t = TextTable::new(vec![
+            "SM count",
+            "linear",
+            "high-parallelism apps",
+            "limited-parallelism apps",
         ]);
-    }
-    let high_at_256 = {
-        let cfg = SystemConfig::monolithic(256);
-        let speedups: Vec<f64> = all
-            .iter()
-            .filter(|w| w.category != Category::LimitedParallelism)
-            .map(|w| memo.run(&cfg, w).speedup_over(&memo.run(&base_cfg, w)))
-            .collect();
-        geomean(&speedups)
-    };
-    format!(
-        "Fig. 2: hypothetical GPU performance scaling with SM count \
-         (speedup over 32 SMs; GPUs beyond {MAX_BUILDABLE_SMS} SMs are \
-         unbuildable)\n\n{}\nhigh-parallelism apps at 256 SMs reach \
-         {:.1}% of linear scaling (paper: 87.8%)\n",
-        t.render(),
-        high_at_256 / 8.0 * 100.0
-    )
+        let mut high_at_256 = 0.0;
+        for (sms, cfg) in &machines {
+            let mut high = Vec::new();
+            let mut limited = Vec::new();
+            for w in &all {
+                let s = memo.get(cfg, w).speedup_over(memo.get(base_cfg, w));
+                if w.category == Category::LimitedParallelism {
+                    limited.push(s);
+                } else {
+                    high.push(s);
+                }
+            }
+            if *sms == 256 {
+                high_at_256 = geomean(&high);
+            }
+            t.row(vec![
+                sms.to_string(),
+                f2(f64::from(*sms) / 32.0),
+                f2(geomean(&high)),
+                f2(geomean(&limited)),
+            ]);
+        }
+        format!(
+            "Fig. 2: hypothetical GPU performance scaling with SM count \
+             (speedup over 32 SMs; GPUs beyond {MAX_BUILDABLE_SMS} SMs are \
+             unbuildable)\n\n{}\nhigh-parallelism apps at 256 SMs reach \
+             {:.1}% of linear scaling (paper: 87.8%)\n",
+            t.render(),
+            high_at_256 / 8.0 * 100.0
+        )
+    })
 }
 
 /// Fig. 4: performance sensitivity to inter-GPM link bandwidth,
 /// relative to an abundant 6 TB/s, by category.
-pub fn fig04(memo: &mut Memo) -> String {
+pub fn fig04() -> Exhibit {
     let rows: Vec<(String, SystemConfig)> = [6144.0, 3072.0, 1536.0, 768.0, 384.0]
         .into_iter()
         .map(|gbps| (format!("{gbps:.0} GB/s"), SystemConfig::mcm_with_link(gbps)))
         .collect();
-    let table = geomean_table(
-        memo,
+    let reference = rows[0].1.clone();
+    geomean_table(
+        "fig04_link_sensitivity",
+        "Fig. 4: relative performance vs inter-GPM link bandwidth \
+         (1.00 = 6 TB/s links; 4-GPM, 256-SM MCM-GPU)",
         "link BW",
         &CATEGORY_COLUMNS[..3],
-        &rows,
-        &rows[0].1,
+        rows,
+        reference,
         f2,
-    );
-    format!(
-        "Fig. 4: relative performance vs inter-GPM link bandwidth \
-         (1.00 = 6 TB/s links; 4-GPM, 256-SM MCM-GPU)\n\n{table}"
     )
 }
 
 /// Fig. 6: L1.5 capacity and allocation-policy design space, speedup
 /// over the baseline MCM-GPU. M-intensive workloads are listed in the
 /// paper's bandwidth-sensitivity order.
-pub fn fig06(memo: &mut Memo) -> String {
+pub fn fig06() -> Exhibit {
     use AllocFilter::{All, RemoteOnly};
-    let configs = [
-        ("8MB", SystemConfig::mcm_with_l15(8, All)),
-        ("8MB RO", SystemConfig::mcm_with_l15(8, RemoteOnly)),
-        ("16MB", SystemConfig::mcm_with_l15(16, All)),
-        ("16MB RO", SystemConfig::mcm_with_l15(16, RemoteOnly)),
-        ("32MB", SystemConfig::mcm_with_l15_32mb(All)),
-        ("32MB RO", SystemConfig::mcm_with_l15_32mb(RemoteOnly)),
-    ];
-    let table = speedup_table(
-        memo,
-        &configs,
-        &SystemConfig::baseline_mcm(),
-        &m_intensive(),
-        true,
-    );
-    format!(
+    speedup_table(
+        "fig06_l15_cache",
         "Fig. 6: MCM-GPU performance with L1.5 caches (speedup over \
          baseline; iso-transistor except 32MB; RO = remote-only \
-         allocation)\n\n{table}"
+         allocation)",
+        vec![
+            ("8MB", SystemConfig::mcm_with_l15(8, All)),
+            ("8MB RO", SystemConfig::mcm_with_l15(8, RemoteOnly)),
+            ("16MB", SystemConfig::mcm_with_l15(16, All)),
+            ("16MB RO", SystemConfig::mcm_with_l15(16, RemoteOnly)),
+            ("32MB", SystemConfig::mcm_with_l15_32mb(All)),
+            ("32MB RO", SystemConfig::mcm_with_l15_32mb(RemoteOnly)),
+        ],
+        SystemConfig::baseline_mcm(),
+        suite::m_intensive_suite(),
+        true,
     )
 }
 
 /// Fig. 7: total inter-GPM bandwidth, baseline vs 16 MB remote-only
 /// L1.5.
-pub fn fig07(memo: &mut Memo) -> String {
+pub fn fig07() -> Exhibit {
     let baseline = SystemConfig::baseline_mcm();
     let l15 = SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly);
     bandwidth_figure(
-        memo,
+        "fig07_l15_bandwidth",
         "Fig. 7: total inter-GPM bandwidth (TB/s), baseline vs 16 MB \
          remote-only L1.5",
         vec![("baseline", baseline), ("16MB RO L1.5", l15)],
@@ -376,24 +414,22 @@ pub fn fig07(memo: &mut Memo) -> String {
 
 /// Fig. 9: performance with the distributed CTA scheduler on top of the
 /// 16 MB remote-only L1.5.
-pub fn fig09(memo: &mut Memo) -> String {
-    let table = speedup_table(
-        memo,
-        &[("speedup", SystemConfig::mcm_l15_ds())],
-        &SystemConfig::baseline_mcm(),
-        &m_intensive(),
-        true,
-    );
-    format!(
+pub fn fig09() -> Exhibit {
+    speedup_table(
+        "fig09_distributed_sched",
         "Fig. 9: performance with distributed CTA scheduling + 16 MB \
-         remote-only L1.5 (speedup over baseline MCM-GPU)\n\n{table}"
+         remote-only L1.5 (speedup over baseline MCM-GPU)",
+        vec![("speedup", SystemConfig::mcm_l15_ds())],
+        SystemConfig::baseline_mcm(),
+        suite::m_intensive_suite(),
+        true,
     )
 }
 
 /// Fig. 10: inter-GPM bandwidth with the distributed scheduler.
-pub fn fig10(memo: &mut Memo) -> String {
+pub fn fig10() -> Exhibit {
     bandwidth_figure(
-        memo,
+        "fig10_ds_bandwidth",
         "Fig. 10: total inter-GPM bandwidth (TB/s) with distributed \
          scheduling",
         vec![
@@ -405,28 +441,26 @@ pub fn fig10(memo: &mut Memo) -> String {
 
 /// Fig. 13: performance with first-touch page placement on top of DS
 /// and the L1.5 — the 16 MB vs 8 MB (rebalanced) variants.
-pub fn fig13(memo: &mut Memo) -> String {
-    let table = speedup_table(
-        memo,
-        &[
+pub fn fig13() -> Exhibit {
+    speedup_table(
+        "fig13_first_touch",
+        "Fig. 13: performance with first-touch page placement (speedup \
+         over baseline; 16 MB L1.5 leaves a vestigial L2, 8 MB keeps an \
+         8 MB L2)",
+        vec![
             ("16MB L1.5+DS+FT", SystemConfig::optimized_mcm_16mb_l15()),
             ("8MB L1.5+DS+FT", SystemConfig::optimized_mcm()),
         ],
-        &SystemConfig::baseline_mcm(),
-        &m_intensive(),
+        SystemConfig::baseline_mcm(),
+        suite::m_intensive_suite(),
         true,
-    );
-    format!(
-        "Fig. 13: performance with first-touch page placement (speedup \
-         over baseline; 16 MB L1.5 leaves a vestigial L2, 8 MB keeps an \
-         8 MB L2)\n\n{table}"
     )
 }
 
 /// Fig. 14: inter-GPM bandwidth with first-touch page placement.
-pub fn fig14(memo: &mut Memo) -> String {
+pub fn fig14() -> Exhibit {
     bandwidth_figure(
-        memo,
+        "fig14_ft_bandwidth",
         "Fig. 14: total inter-GPM bandwidth (TB/s) with first-touch \
          page placement",
         vec![
@@ -440,98 +474,97 @@ pub fn fig14(memo: &mut Memo) -> String {
 /// Shared shape of Figs. 7/10/14: per-workload inter-GPM TB/s under a
 /// set of configurations, with category averages.
 fn bandwidth_figure(
-    memo: &mut Memo,
-    title: &str,
+    name: &'static str,
+    title: &'static str,
     configs: Vec<(&'static str, SystemConfig)>,
-) -> String {
-    let grid: Vec<SystemConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
-    warm_grid(memo, &grid, &full_suite());
-    let mut header = vec!["workload".to_string()];
-    header.extend(configs.iter().map(|(label, _)| label.to_string()));
-    let mut t = TextTable::new(header);
-    for w in m_intensive() {
-        let mut cells = vec![w.name.to_string()];
-        for (_, cfg) in &configs {
-            cells.push(f2(memo.run(cfg, &w).inter_module_tbps()));
+) -> Exhibit {
+    let all = suite::suite();
+    let grid = grid(configs.iter().map(|(_, c)| c), &all);
+    Exhibit::new(name, grid, move |memo| {
+        let mut header = vec!["workload".to_string()];
+        header.extend(configs.iter().map(|(label, _)| label.to_string()));
+        let mut t = TextTable::new(header);
+        for w in suite::m_intensive_suite() {
+            let mut cells = vec![w.name.to_string()];
+            for (_, cfg) in &configs {
+                cells.push(f2(memo.get(cfg, &w).inter_module_tbps()));
+            }
+            t.row(cells);
         }
-        t.row(cells);
-    }
-    let all = full_suite();
-    for cat in Category::ALL {
-        let mut cells = vec![format!("Average {}", cat.label())];
-        for (_, cfg) in &configs {
-            let reports: Vec<RunReport> = all
-                .iter()
-                .filter(|w| w.category == cat)
-                .map(|w| memo.run(cfg, w))
-                .collect();
-            let mean = reports
-                .iter()
-                .map(RunReport::inter_module_tbps)
-                .sum::<f64>()
-                / reports.len() as f64;
-            cells.push(f2(mean));
+        for cat in Category::ALL {
+            let mut cells = vec![format!("Average {}", cat.label())];
+            for (_, cfg) in &configs {
+                let reports: Vec<&RunReport> = all
+                    .iter()
+                    .filter(|w| w.category == cat)
+                    .map(|w| memo.get(cfg, w))
+                    .collect();
+                let mean = reports.iter().map(|r| r.inter_module_tbps()).sum::<f64>()
+                    / reports.len() as f64;
+                cells.push(f2(mean));
+            }
+            t.row(cells);
         }
-        t.row(cells);
-    }
-    // Overall byte-level reduction vs the first configuration.
-    let base_bytes: u64 = all
-        .iter()
-        .map(|w| memo.run(&configs[0].1, w).inter_module_bytes)
-        .sum();
-    let mut extra = String::new();
-    for (label, cfg) in configs.iter().skip(1) {
-        let bytes: u64 = all
+        // Overall byte-level reduction vs the first configuration.
+        let base_bytes: u64 = all
             .iter()
-            .map(|w| memo.run(cfg, w).inter_module_bytes)
+            .map(|w| memo.get(&configs[0].1, w).inter_module_bytes)
             .sum();
-        extra.push_str(&format!(
-            "{label}: {:.2}x total inter-GPM traffic reduction vs baseline\n",
-            base_bytes as f64 / bytes.max(1) as f64
-        ));
-    }
-    format!("{title}\n\n{}\n{extra}", t.render())
+        let mut extra = String::new();
+        for (label, cfg) in configs.iter().skip(1) {
+            let bytes: u64 = all
+                .iter()
+                .map(|w| memo.get(cfg, w).inter_module_bytes)
+                .sum();
+            extra.push_str(&format!(
+                "{label}: {:.2}x total inter-GPM traffic reduction vs baseline\n",
+                base_bytes as f64 / bytes.max(1) as f64
+            ));
+        }
+        format!("{title}\n\n{}\n{extra}", t.render())
+    })
 }
 
 /// Fig. 15: s-curve of optimized-MCM speedups over the baseline for all
 /// 48 workloads, sorted ascending.
-pub fn fig15(memo: &mut Memo) -> String {
+pub fn fig15() -> Exhibit {
     let baseline = SystemConfig::baseline_mcm();
     let optimized = SystemConfig::optimized_mcm();
-    warm_grid(memo, &[baseline.clone(), optimized.clone()], &full_suite());
-    let mut curve: Vec<(String, f64)> = full_suite()
-        .iter()
-        .map(|w| {
-            let s = memo
-                .run(&optimized, w)
-                .speedup_over(&memo.run(&baseline, w));
-            (w.name.to_string(), s)
-        })
-        .collect();
-    curve.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite speedups"));
-    let max = curve.last().map(|(_, s)| *s).unwrap_or(1.0);
-    let mut t = TextTable::new(vec!["rank", "workload", "speedup", ""]);
-    for (i, (name, s)) in curve.iter().enumerate() {
-        t.row(vec![
-            (i + 1).to_string(),
-            name.clone(),
-            f2(*s),
-            crate::harness::bar(*s, max, 32),
-        ]);
-    }
-    let gains = curve.iter().filter(|(_, s)| *s > 1.01).count();
-    let losses = curve.iter().filter(|(_, s)| *s < 0.99).count();
-    format!(
-        "Fig. 15: s-curve of optimized MCM-GPU speedups over baseline, \
-         all 48 workloads\n\n{}\n{gains} workloads gain, {losses} lose \
-         (paper: 31 gain, 9 lose)\n",
-        t.render()
-    )
+    let all = suite::suite();
+    let grid = grid([&baseline, &optimized], &all);
+    Exhibit::new("fig15_scurve", grid, move |memo| {
+        let mut curve: Vec<(String, f64)> = all
+            .iter()
+            .map(|w| {
+                let s = memo.get(&optimized, w).speedup_over(memo.get(&baseline, w));
+                (w.name.to_string(), s)
+            })
+            .collect();
+        curve.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite speedups"));
+        let max = curve.last().map(|(_, s)| *s).unwrap_or(1.0);
+        let mut t = TextTable::new(vec!["rank", "workload", "speedup", ""]);
+        for (i, (name, s)) in curve.iter().enumerate() {
+            t.row(vec![
+                (i + 1).to_string(),
+                name.clone(),
+                f2(*s),
+                crate::harness::bar(*s, max, 32),
+            ]);
+        }
+        let gains = curve.iter().filter(|(_, s)| *s > 1.01).count();
+        let losses = curve.iter().filter(|(_, s)| *s < 0.99).count();
+        format!(
+            "Fig. 15: s-curve of optimized MCM-GPU speedups over baseline, \
+             all 48 workloads\n\n{}\n{gains} workloads gain, {losses} lose \
+             (paper: 31 gain, 9 lose)\n",
+            t.render()
+        )
+    })
 }
 
 /// Fig. 16: each optimization applied alone vs all together, plus the
 /// unbuildable references.
-pub fn fig16(memo: &mut Memo) -> String {
+pub fn fig16() -> Exhibit {
     use mcm_mem::page::PlacementPolicy;
     use mcm_sm::SchedulerPolicy;
 
@@ -548,7 +581,8 @@ pub fn fig16(memo: &mut Memo) -> String {
     };
     let combined = SystemConfig::optimized_mcm();
     let mono = SystemConfig::hypothetical_monolithic_256();
-    let rows = [
+    let mono128 = SystemConfig::largest_buildable_monolithic();
+    let rows = vec![
         (
             "Remote-only L1.5 alone (16MB)",
             SystemConfig::mcm_with_l15(16, AllocFilter::RemoteOnly),
@@ -562,62 +596,59 @@ pub fn fig16(memo: &mut Memo) -> String {
         ),
         ("Monolithic 256-SM (unbuildable)", mono.clone()),
     ];
-    let table = geomean_table(
-        memo,
+    let mut exhibit = geomean_table(
+        "fig16_breakdown",
+        "Fig. 16: sources of improvement, applied alone and together \
+         (geomean over all 48 workloads)",
         "configuration",
         &[("speedup over baseline", None)],
-        &rows,
-        &baseline,
+        rows,
+        baseline.clone(),
         pct,
     );
-    let all = full_suite();
-    let opt = geomean_speedup(memo, &all, &combined, &baseline, None);
-    let mono_s = geomean_speedup(memo, &all, &mono, &baseline, None);
-    let mono128 = geomean_speedup(
-        memo,
-        &all,
-        &SystemConfig::largest_buildable_monolithic(),
-        &baseline,
-        None,
-    );
-    format!(
-        "Fig. 16: sources of improvement, applied alone and together \
-         (geomean over all 48 workloads)\n\n{table}\n\
-         optimized vs largest buildable (128-SM) monolithic: {}\n\
-         optimized vs unbuildable 256-SM monolithic: within {:.1}%\n",
-        pct(opt / mono128),
-        (mono_s / opt - 1.0) * 100.0
-    )
+    // The footer also reads the largest buildable monolithic GPU.
+    let all = suite::suite();
+    exhibit.grid.extend(grid([&mono128], &all));
+    let table = exhibit.render;
+    exhibit.render = Box::new(move |memo| {
+        let over_baseline = |cfg: &SystemConfig| geomean_speedup(memo, &all, cfg, &baseline, None);
+        let opt = over_baseline(&combined);
+        format!(
+            "{}\noptimized vs largest buildable (128-SM) monolithic: {}\n\
+             optimized vs unbuildable 256-SM monolithic: within {:.1}%\n",
+            table(memo),
+            pct(opt / over_baseline(&mono128)),
+            (over_baseline(&mono) / opt - 1.0) * 100.0
+        )
+    });
+    exhibit
 }
 
 /// Fig. 17: the MCM-GPU vs multi-GPU comparison, normalized to the
 /// baseline multi-GPU.
-pub fn fig17(memo: &mut Memo) -> String {
+pub fn fig17() -> Exhibit {
     let mcm = SystemConfig::optimized_mcm();
     let mut mcm_6tb = mcm.clone();
     mcm_6tb.name = "MCM-GPU optimized (6 TB/s links)".into();
     mcm_6tb.topology.link_gbps = 6144.0;
-    let rows = [
-        ("Optimized multi-GPU", SystemConfig::multi_gpu_optimized()),
-        ("MCM-GPU (768 GB/s)", mcm),
-        ("MCM-GPU (6 TB/s)", mcm_6tb),
-        (
-            "Monolithic GPU (unbuildable)",
-            SystemConfig::hypothetical_monolithic_256(),
-        ),
-    ];
-    let table = geomean_table(
-        memo,
-        "configuration",
-        &[("speedup over baseline multi-GPU", None)],
-        &rows,
-        &SystemConfig::multi_gpu_baseline(),
-        f2,
-    );
-    format!(
+    geomean_table(
+        "fig17_multi_gpu",
         "Fig. 17: MCM-GPU vs multi-GPU (geomean speedup over the \
          baseline 2x128-SM multi-GPU; both buildable and unbuildable \
-         machines shown)\n\n{table}"
+         machines shown)",
+        "configuration",
+        &[("speedup over baseline multi-GPU", None)],
+        vec![
+            ("Optimized multi-GPU", SystemConfig::multi_gpu_optimized()),
+            ("MCM-GPU (768 GB/s)", mcm),
+            ("MCM-GPU (6 TB/s)", mcm_6tb),
+            (
+                "Monolithic GPU (unbuildable)",
+                SystemConfig::hypothetical_monolithic_256(),
+            ),
+        ],
+        SystemConfig::multi_gpu_baseline(),
+        f2,
     )
 }
 
@@ -631,14 +662,7 @@ pub fn fig17(memo: &mut Memo) -> String {
 /// equal chunks (§5.2) vs finer contiguous groups vs the dynamic
 /// stealing scheduler the paper leaves to future work (§5.4), on both a
 /// balanced and a deliberately imbalanced workload.
-pub fn ablation_scheduler(memo: &mut Memo) -> String {
-    let configs = [
-        ("distributed (paper)", SystemConfig::optimized_mcm()),
-        ("chunked, group 8", SystemConfig::optimized_mcm_chunked(8)),
-        ("chunked, group 32", SystemConfig::optimized_mcm_chunked(32)),
-        ("dynamic, group 8", SystemConfig::optimized_mcm_dynamic(8)),
-        ("dynamic, group 32", SystemConfig::optimized_mcm_dynamic(32)),
-    ];
+pub fn ablation_scheduler() -> Exhibit {
     let mut workloads = vec![
         suite::by_name("Srad-v2").expect("suite workload"),
         suite::by_name("CoMD").expect("suite workload"),
@@ -651,55 +675,56 @@ pub fn ablation_scheduler(memo: &mut Memo) -> String {
     imbalanced.imbalance = 0.8;
     workloads.push(imbalanced);
 
-    let table = speedup_table(
-        memo,
-        &configs,
-        &SystemConfig::baseline_mcm(),
-        &workloads,
-        false,
-    );
-    format!(
+    speedup_table(
+        "ablation_scheduler",
         "Ablation: CTA scheduler granularity and dynamic stealing \
          (speedup over baseline MCM-GPU; extension of §5.4's future \
-         work)\n\n{table}"
+         work)",
+        vec![
+            ("distributed (paper)", SystemConfig::optimized_mcm()),
+            ("chunked, group 8", SystemConfig::optimized_mcm_chunked(8)),
+            ("chunked, group 32", SystemConfig::optimized_mcm_chunked(32)),
+            ("dynamic, group 8", SystemConfig::optimized_mcm_dynamic(8)),
+            ("dynamic, group 32", SystemConfig::optimized_mcm_dynamic(32)),
+        ],
+        SystemConfig::baseline_mcm(),
+        workloads,
+        false,
     )
 }
 
 /// Ablation: inter-GPM network topology at an equal wiring budget —
 /// the paper's ring vs a fully connected fabric (§3.2 leaves this
 /// exploration out of scope).
-pub fn ablation_topology(memo: &mut Memo) -> String {
+pub fn ablation_topology() -> Exhibit {
     let baseline = SystemConfig::baseline_mcm();
     let mut baseline_mesh = baseline.clone();
     baseline_mesh.name = "MCM-GPU baseline (fully connected)".into();
     baseline_mesh.topology.network = mcm_interconnect::mesh::NetworkKind::FullyConnected;
-    let rows = [
-        ("baseline ring", baseline.clone()),
-        ("baseline fully connected", baseline_mesh),
-        ("optimized ring", SystemConfig::optimized_mcm()),
-        (
-            "optimized fully connected",
-            SystemConfig::optimized_mcm_fully_connected(),
-        ),
-    ];
-    let table = geomean_table(
-        memo,
-        "configuration",
-        &CATEGORY_COLUMNS,
-        &rows,
-        &baseline,
-        f2,
-    );
-    format!(
+    geomean_table(
+        "ablation_topology",
         "Ablation: ring vs fully connected inter-GPM fabric at an equal \
          package wiring budget (speedup over the ring baseline; \
-         extension of §3.2)\n\n{table}"
+         extension of §3.2)",
+        "configuration",
+        &CATEGORY_COLUMNS,
+        vec![
+            ("baseline ring", baseline.clone()),
+            ("baseline fully connected", baseline_mesh),
+            ("optimized ring", SystemConfig::optimized_mcm()),
+            (
+                "optimized fully connected",
+                SystemConfig::optimized_mcm_fully_connected(),
+            ),
+        ],
+        baseline,
+        f2,
     )
 }
 
 /// The §6.2 efficiency argument quantified: data-movement energy per
 /// machine organization for the same work.
-pub fn efficiency(memo: &mut Memo) -> String {
+pub fn efficiency() -> Exhibit {
     let configs = [
         ("MCM-GPU baseline", SystemConfig::baseline_mcm()),
         ("MCM-GPU optimized", SystemConfig::optimized_mcm()),
@@ -710,44 +735,45 @@ pub fn efficiency(memo: &mut Memo) -> String {
             SystemConfig::hypothetical_monolithic_256(),
         ),
     ];
-    let all = full_suite();
-    let grid: Vec<SystemConfig> = configs.iter().map(|(_, c)| c.clone()).collect();
-    warm_grid(memo, &grid, &all);
-    let mut t = TextTable::new(vec![
-        "configuration",
-        "interconnect mJ",
-        "DRAM mJ",
-        "total mJ",
-        "vs MCM optimized",
-    ]);
-    let mut totals = Vec::new();
-    for (_, cfg) in &configs {
-        let mut interconnect = 0.0;
-        let mut dram = 0.0;
-        for w in &all {
-            let r = memo.run(cfg, w);
-            dram += r.energy.dram_joules();
-            interconnect += r.energy.total_joules() - r.energy.dram_joules();
-        }
-        totals.push((interconnect, dram));
-    }
-    let reference = totals[1].0 + totals[1].1;
-    for ((label, _), (interconnect, dram)) in configs.iter().zip(&totals) {
-        t.row(vec![
-            label.to_string(),
-            format!("{:.1}", interconnect * 1e3),
-            format!("{:.1}", dram * 1e3),
-            format!("{:.1}", (interconnect + dram) * 1e3),
-            format!("{:.2}x", (interconnect + dram) / reference),
+    let all = suite::suite();
+    let grid = grid(configs.iter().map(|(_, c)| c), &all);
+    Exhibit::new("efficiency", grid, move |memo| {
+        let mut t = TextTable::new(vec![
+            "configuration",
+            "interconnect mJ",
+            "DRAM mJ",
+            "total mJ",
+            "vs MCM optimized",
         ]);
-    }
-    format!(
-        "Efficiency (§6.2 quantified): data-movement energy summed over \
-         the 48-workload suite. On-package signaling at 0.5 pJ/bit vs \
-         on-board at 10 pJ/bit is what separates the MCM-GPU from the \
-         multi-GPU here.\n\n{}",
-        t.render()
-    )
+        let mut totals = Vec::new();
+        for (_, cfg) in &configs {
+            let mut interconnect = 0.0;
+            let mut dram = 0.0;
+            for w in &all {
+                let r = memo.get(cfg, w);
+                dram += r.energy.dram_joules();
+                interconnect += r.energy.total_joules() - r.energy.dram_joules();
+            }
+            totals.push((interconnect, dram));
+        }
+        let reference = totals[1].0 + totals[1].1;
+        for ((label, _), (interconnect, dram)) in configs.iter().zip(&totals) {
+            t.row(vec![
+                label.to_string(),
+                format!("{:.1}", interconnect * 1e3),
+                format!("{:.1}", dram * 1e3),
+                format!("{:.1}", (interconnect + dram) * 1e3),
+                format!("{:.2}x", (interconnect + dram) / reference),
+            ]);
+        }
+        format!(
+            "Efficiency (§6.2 quantified): data-movement energy summed over \
+             the 48-workload suite. On-package signaling at 0.5 pJ/bit vs \
+             on-board at 10 pJ/bit is what separates the MCM-GPU from the \
+             multi-GPU here.\n\n{}",
+            t.render()
+        )
+    })
 }
 
 /// Ablation: how many GPMs to split 256 SMs into — the design-space
@@ -755,7 +781,7 @@ pub fn efficiency(memo: &mut Memo) -> String {
 /// almost certainly require at least two GPMs"), on both the baseline
 /// and the optimized recipe, with ring and fully connected fabrics for
 /// the 8-GPM point where topology starts to matter.
-pub fn ablation_gpm_count(memo: &mut Memo) -> String {
+pub fn ablation_gpm_count() -> Exhibit {
     use mcm_interconnect::mesh::NetworkKind;
 
     let optimized_of = |gpms: u8, network: NetworkKind| -> SystemConfig {
@@ -790,17 +816,15 @@ pub fn ablation_gpm_count(memo: &mut Memo) -> String {
         "optimized 8 GPMs (fully connected)".to_string(),
         optimized_of(8, NetworkKind::FullyConnected),
     ));
-    let table = geomean_table(
-        memo,
+    geomean_table(
+        "ablation_gpm_count",
+        "Ablation: GPM count for a 256-SM budget (speedup over the \
+         4-GPM baseline; extension of §3.2)",
         "configuration",
         &CATEGORY_COLUMNS,
-        &rows,
-        &SystemConfig::baseline_mcm(), // 4 GPMs
+        rows,
+        SystemConfig::baseline_mcm(), // 4 GPMs
         f2,
-    );
-    format!(
-        "Ablation: GPM count for a 256-SM budget (speedup over the \
-         4-GPM baseline; extension of §3.2)\n\n{table}"
     )
 }
 
@@ -808,7 +832,7 @@ pub fn ablation_gpm_count(memo: &mut Memo) -> String {
 /// fragmented sharing better; big pages amortize driver work but pin
 /// whole regions to one GPM. The paper's FT operates at the driver's
 /// allocation granularity; this sweeps it.
-pub fn ablation_page_size(memo: &mut Memo) -> String {
+pub fn ablation_page_size() -> Exhibit {
     let rows: Vec<(String, SystemConfig)> = [4u64, 16, 64, 256, 2048]
         .into_iter()
         .map(|kib| {
@@ -818,41 +842,37 @@ pub fn ablation_page_size(memo: &mut Memo) -> String {
             (format!("{kib} KiB"), cfg)
         })
         .collect();
-    let table = geomean_table(
-        memo,
+    geomean_table(
+        "ablation_page_size",
+        "Ablation: first-touch page granularity on the optimized \
+         MCM-GPU (speedup over baseline)",
         "FT page size",
         &CATEGORY_COLUMNS,
-        &rows,
-        &SystemConfig::baseline_mcm(),
+        rows,
+        SystemConfig::baseline_mcm(),
         f2,
-    );
-    format!(
-        "Ablation: first-touch page granularity on the optimized \
-         MCM-GPU (speedup over baseline)\n\n{table}"
     )
 }
 
 /// Ablation: L1.5 allocation policies including the adaptive
 /// (set-dueling) filter — extends §5.1.2's static exploration.
-pub fn ablation_alloc_policy(memo: &mut Memo) -> String {
+pub fn ablation_alloc_policy() -> Exhibit {
     let rows = [
         ("cache-all", AllocFilter::All),
         ("remote-only (paper)", AllocFilter::RemoteOnly),
         ("adaptive (set dueling)", AllocFilter::Adaptive),
     ]
     .map(|(label, filter)| (label, SystemConfig::mcm_with_l15(16, filter)));
-    let table = geomean_table(
-        memo,
-        "L1.5 policy (16MB iso-transistor)",
-        &CATEGORY_COLUMNS,
-        &rows,
-        &SystemConfig::baseline_mcm(),
-        f2,
-    );
-    format!(
+    geomean_table(
+        "ablation_alloc_policy",
         "Ablation: L1.5 allocation policy, including a set-dueling \
          adaptive filter (speedup over baseline; extension of \
-         §5.1.2)\n\n{table}"
+         §5.1.2)",
+        "L1.5 policy (16MB iso-transistor)",
+        &CATEGORY_COLUMNS,
+        Vec::from(rows),
+        SystemConfig::baseline_mcm(),
+        f2,
     )
 }
 
@@ -869,29 +889,5 @@ mod tests {
         assert!(table2().contains("pJ/bit"));
         assert!(table3().contains("768"));
         assert!(table4().contains("5430"));
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow without optimizations; run with --release"
-    )]
-    fn fig04_runs_at_tiny_scale() {
-        let mut memo = Memo::new(0.01);
-        let text = fig04(&mut memo);
-        assert!(text.contains("384 GB/s"));
-        assert!(text.lines().count() >= 7);
-    }
-
-    #[test]
-    #[cfg_attr(
-        debug_assertions,
-        ignore = "slow without optimizations; run with --release"
-    )]
-    fn fig16_runs_at_tiny_scale() {
-        let mut memo = Memo::new(0.01);
-        let text = fig16(&mut memo);
-        assert!(text.contains("Proposed MCM-GPU"));
-        assert!(text.contains("Monolithic"));
     }
 }

@@ -132,12 +132,12 @@ pub(crate) fn store_from_env() -> Option<Store> {
 /// names — so two configurations or specs that share a name but differ
 /// in any parameter are simulated (and cached) separately.
 ///
-/// Independent runs can execute in parallel: [`Memo::warm`] (and the
-/// [`Memo::run_grid_with_jobs`] wrapper) plans the unique uncached
-/// pairs of a grid up front and dispatches them across `MCM_JOBS`
-/// worker threads via [`mcm_exec`], merging results back in grid order
-/// so every figure, table, and artifact is byte-identical regardless of
-/// the job count.
+/// A harness process warms everything it will read in one
+/// [`Memo::warm`] call, which plans the unique uncached pairs up front
+/// and dispatches them across `MCM_JOBS` worker threads via
+/// [`mcm_exec`]. Rendering then reads through [`Memo::get`], which
+/// takes `&self` and so cannot simulate: every figure, table, and
+/// artifact is byte-identical regardless of the job count.
 ///
 /// With a persistent [`Store`] attached (`MCM_STORE=<dir>`, see
 /// [`Memo::from_env`]), the cache additionally survives the process:
@@ -339,17 +339,29 @@ impl Memo {
         report
     }
 
-    /// Runs every workload in `suite` on `cfg`.
-    pub fn run_suite(&mut self, cfg: &SystemConfig, suite: &[WorkloadSpec]) -> Vec<RunReport> {
-        suite.iter().map(|w| self.run(cfg, w)).collect()
+    /// The cached report of `spec` (scaled) on `cfg`. Renderers read
+    /// through this, so rendering never simulates.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the pair, when no warm has cached it: the pair is
+    /// missing from the grid that was warmed, or a supervised warm
+    /// quarantined it.
+    pub fn get(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> &RunReport {
+        let key = Memo::key(cfg, &spec.scaled(self.scale));
+        self.cache.get(&key).unwrap_or_else(|| {
+            panic!(
+                "no warmed report for ({:?}, {:?}): warm every pair before rendering",
+                cfg.name, spec.name
+            )
+        })
     }
 
     /// Simulates every uncached `(configuration, workload)` pair in
     /// `pairs` across `MCM_JOBS` worker threads (default: the machine's
-    /// available parallelism) and memoizes the results. Subsequent
-    /// [`Memo::run`] calls for those pairs are cache hits, so a figure
-    /// can `warm` its whole grid first and keep its serial reporting
-    /// loop untouched.
+    /// available parallelism) and memoizes the results for
+    /// [`Memo::get`]. A harness makes one call with every pair it will
+    /// render.
     ///
     /// Planning happens up front in grid order: duplicates and
     /// already-cached pairs are dropped, artifact stems are checked for
@@ -466,9 +478,9 @@ impl Memo {
     /// pair completes (and persists, when a store is attached).
     ///
     /// The report is sorted by grid position and is identical at every
-    /// `jobs` value. Quarantined pairs stay uncached: a later
-    /// [`Memo::run`] on one will re-attempt it (and panic undisturbed
-    /// if the fault persists).
+    /// `jobs` value. Quarantined pairs stay uncached: [`Memo::get`] on
+    /// one panics naming it, and a later [`Memo::run`] re-attempts it
+    /// (and panics undisturbed if the fault persists).
     pub fn warm_supervised_with_jobs(
         &mut self,
         jobs: usize,
@@ -526,32 +538,20 @@ impl Memo {
             .collect()
     }
 
-    /// Runs every pair of `pairs` (scaled, memoized), executing the
-    /// uncached ones across `jobs` workers, and returns the reports in
-    /// grid order.
-    pub fn run_grid_with_jobs(
-        &mut self,
-        jobs: usize,
-        pairs: &[(&SystemConfig, &WorkloadSpec)],
-    ) -> Vec<RunReport> {
-        self.warm_with_jobs(jobs, pairs);
-        pairs
-            .iter()
-            .map(|(cfg, spec)| self.run(cfg, spec))
-            .collect()
-    }
-
     /// This instance's hit/miss/warm accounting.
     pub fn stats(&self) -> MemoStats {
         self.stats
     }
 
     /// All reports produced so far, sorted by (configuration, workload)
-    /// for deterministic output.
+    /// for deterministic output. Two configurations that share a name
+    /// are ordered by their cache key, not by the hash map's seed.
     pub fn reports(&self) -> Vec<&RunReport> {
-        let mut all: Vec<&RunReport> = self.cache.values().collect();
-        all.sort_by(|a, b| (&a.config, &a.workload).cmp(&(&b.config, &b.workload)));
-        all
+        let mut all: Vec<(&(u64, u64), &RunReport)> = self.cache.iter().collect();
+        all.sort_by(|(ka, a), (kb, b)| {
+            (&a.config, &a.workload, ka).cmp(&(&b.config, &b.workload, kb))
+        });
+        all.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -825,45 +825,34 @@ impl Drop for TelemetryGuard {
 }
 
 /// Geometric-mean speedup of `cfg` over `baseline` for the workloads of
-/// one `category` within `suite` (or all categories when `None`).
-/// Uncached runs execute in parallel across `MCM_JOBS` workers.
+/// one `category` within `suite` (or all categories when `None`), read
+/// from `memo`, which must already hold both configurations' runs.
 ///
 /// # Panics
 ///
 /// Panics, naming the category, when the filter selects zero workloads
 /// — the geometric mean of an empty set has no value, and a figure
-/// printing one would silently report garbage.
+/// printing one would silently report garbage. Panics, naming the
+/// pair, when `memo` lacks a run (see [`Memo::get`]).
 pub fn geomean_speedup(
-    memo: &mut Memo,
+    memo: &Memo,
     suite: &[WorkloadSpec],
     cfg: &SystemConfig,
     baseline: &SystemConfig,
     category: Option<Category>,
 ) -> f64 {
-    let selected: Vec<&WorkloadSpec> = suite
+    let speedups: Vec<f64> = suite
         .iter()
         .filter(|w| category.is_none_or(|c| w.category == c))
+        .map(|w| memo.get(cfg, w).speedup_over(memo.get(baseline, w)))
         .collect();
     assert!(
-        !selected.is_empty(),
+        !speedups.is_empty(),
         "no workloads in the {}-entry suite match category {:?}; \
          geomean speedup is undefined",
         suite.len(),
         category
     );
-    let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = selected
-        .iter()
-        .flat_map(|w| [(cfg, *w), (baseline, *w)])
-        .collect();
-    memo.warm(&pairs);
-    let speedups: Vec<f64> = selected
-        .iter()
-        .map(|w| {
-            let r = memo.run(cfg, w);
-            let b = memo.run(baseline, w);
-            r.speedup_over(&b)
-        })
-        .collect();
     geomean(&speedups)
 }
 
@@ -1133,33 +1122,49 @@ mod tests {
     }
 
     #[test]
-    fn run_grid_matches_serial_runs_in_grid_order() {
+    fn parallel_warm_matches_serial_runs_in_grid_order() {
         let cfg = SystemConfig::baseline_mcm();
         let opt = SystemConfig::optimized_mcm();
-        let w1 = suite::by_name("CFD").unwrap();
-        let w2 = suite::by_name("Stream").unwrap();
-        let pairs = [(&cfg, &w1), (&cfg, &w2), (&opt, &w1), (&opt, &w2)];
-
-        let mut serial = Memo::new(0.01);
-        let expect: Vec<RunReport> = pairs.iter().map(|(c, w)| serial.run(c, w)).collect();
-
-        let mut parallel = Memo::new(0.01);
-        let got = parallel.run_grid_with_jobs(3, &pairs);
-        assert_eq!(got, expect);
+        let [w1, w2, w3] = ["CFD", "Stream", "Hotspot"].map(|n| suite::by_name(n).unwrap());
+        let grid = [(&cfg, &w1), (&cfg, &w2), (&opt, &w1), (&opt, &w2)];
+        let one_config = [(&cfg, &w1), (&cfg, &w2), (&cfg, &w3)];
+        for (jobs, pairs) in [(3, &grid[..]), (4, &one_config[..])] {
+            let mut serial = Memo::new(0.01);
+            let expect: Vec<RunReport> = pairs.iter().map(|(c, w)| serial.run(c, w)).collect();
+            let mut parallel = Memo::new(0.01);
+            parallel.warm_with_jobs(jobs, pairs);
+            let got: Vec<&RunReport> = pairs.iter().map(|(c, w)| parallel.get(c, w)).collect();
+            assert!(got.into_iter().eq(&expect), "jobs={jobs}");
+        }
     }
 
     #[test]
-    fn parallel_warm_matches_run_suite() {
-        let cfg = SystemConfig::baseline_mcm();
-        let subset: Vec<WorkloadSpec> = ["CFD", "Stream", "Hotspot"]
-            .iter()
-            .map(|n| suite::by_name(n).unwrap())
-            .collect();
-        let mut a = Memo::new(0.01);
-        let mut b = Memo::new(0.01);
-        let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = subset.iter().map(|w| (&cfg, w)).collect();
-        b.warm_with_jobs(4, &pairs);
-        assert_eq!(a.run_suite(&cfg, &subset), b.run_suite(&cfg, &subset));
+    #[should_panic(expected = "no warmed report for (\"MCM-GPU baseline (768 GB/s)\", \"CFD\")")]
+    fn get_panics_naming_an_unwarmed_pair() {
+        let spec = suite::by_name("CFD").unwrap();
+        Memo::new(0.01).get(&SystemConfig::baseline_mcm(), &spec);
+    }
+
+    #[test]
+    fn reports_break_name_ties_on_the_cache_key() {
+        // Two configurations under one display name: `runs.csv` must
+        // list their rows in one order in every process, whatever seed
+        // each process's hash map draws.
+        let a = SystemConfig::baseline_mcm();
+        let mut b = a.clone();
+        b.topology.link_gbps /= 4.0;
+        let spec = suite::by_name("CFD").unwrap();
+        let mut warm = Memo::new(0.01);
+        warm.warm_with_jobs(1, &[(&a, &spec), (&b, &spec)]);
+        let mut want: Vec<(&(u64, u64), &RunReport)> = warm.cache.iter().collect();
+        want.sort_by_key(|(key, _)| **key);
+        // Each map below draws its own hash seed.
+        for _ in 0..16 {
+            let mut memo = Memo::new(0.01);
+            memo.cache
+                .extend(want.iter().map(|(k, r)| (**k, (*r).clone())));
+            assert!(memo.reports().into_iter().eq(want.iter().map(|(_, r)| *r)));
+        }
     }
 
     #[test]
@@ -1167,12 +1172,12 @@ mod tests {
     fn geomean_speedup_names_the_empty_category() {
         // A suite with no limited-parallelism workloads must fail loud,
         // not feed an empty slice to `geomean`.
-        let mut memo = Memo::new(0.01);
+        let memo = Memo::new(0.01);
         let suite: Vec<WorkloadSpec> = vec![suite::by_name("CFD").unwrap()];
         let cfg = SystemConfig::optimized_mcm();
         let base = SystemConfig::baseline_mcm();
         geomean_speedup(
-            &mut memo,
+            &memo,
             &suite,
             &cfg,
             &base,

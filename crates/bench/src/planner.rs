@@ -220,7 +220,7 @@ pub fn explore(memo: &mut Memo, plan: &Plan) -> ExploreOutcome {
     let anchors: Vec<(SystemConfig, WorkloadSpec, Observation)> = anchor_pairs
         .into_iter()
         .map(|(cfg, spec)| {
-            let obs = Observation::from_report(&memo.run(&cfg, &spec));
+            let obs = Observation::from_report(memo.get(&cfg, &spec));
             // The memo simulated `spec.scaled(scale)`; calibrate the
             // raw model against exactly that horizon.
             (cfg.clone(), spec.scaled(scale), obs)
@@ -302,7 +302,7 @@ pub fn explore(memo: &mut Memo, plan: &Plan) -> ExploreOutcome {
         let mut worst_rel_err = 0.0f64;
         let mut sim_ipcs = Vec::with_capacity(plan.workloads.len());
         for (w, d) in plan.workloads.iter().zip(&descriptors) {
-            let sim = memo.run(&point.config, w).ipc();
+            let sim = memo.get(&point.config, w).ipc();
             let pred = model.predict_descriptor(&point.config, d).ipc;
             sim_ipcs.push(sim);
             worst_rel_err = worst_rel_err.max((pred - sim).abs() / sim);

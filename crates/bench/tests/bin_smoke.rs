@@ -101,6 +101,7 @@ fn reproduce_writes_the_pinned_exhibits() {
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
         .current_dir(&dir)
         .env("MCM_SCALE", SMOKE_SCALE)
+        .env("MCM_TELEMETRY", dir.join("telemetry.json"))
         .output()
         .expect("spawn reproduce");
     assert!(
@@ -126,6 +127,43 @@ fn reproduce_writes_the_pinned_exhibits() {
         REPRODUCE_DIGEST,
         "exhibit bytes moved: digest {:#018x}",
         h.finish()
+    );
+    // One warm of the union of every exhibit's grid: one grid, and each
+    // of the 2,222 distinct pairs planned and simulated once.
+    let text = std::fs::read_to_string(dir.join("telemetry.json")).expect("read telemetry");
+    let snapshot = Json::parse(&text).expect("telemetry snapshot parses");
+    for (metric, want) in [
+        ("exec.grids", 1),
+        ("exec.tasks", 2222),
+        ("memo.warm_planned", 2222),
+    ] {
+        let got = snapshot.get("deterministic").and_then(|d| d.get(metric));
+        assert_eq!(got.and_then(Json::as_u64), Some(want), "{metric}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A pair that a supervised warm quarantines is not re-simulated by
+/// the render: the render panics naming it, after the warm reported it.
+#[test]
+fn a_quarantined_pair_panics_the_render_naming_it() {
+    let dir = scratch_dir("quarantined-render");
+    let out = Command::new(env!("CARGO_BIN_EXE_fig09_distributed_sched"))
+        .current_dir(&dir)
+        .env("MCM_SCALE", SMOKE_SCALE)
+        .env("MCM_SUPERVISED", "1")
+        .env("MCM_RETRIES", "0")
+        .env("MCM_FAULT_TASK_PANIC", "CFD")
+        .output()
+        .expect("spawn fig09_distributed_sched");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let pair = r#"("MCM-GPU baseline (768 GB/s)", "CFD")"#;
+    let quarantined = stderr.find(&format!("QUARANTINED {pair}"));
+    let render = stderr.find(&format!("no warmed report for {pair}"));
+    assert!(
+        !out.status.success() && quarantined.is_some() && render > quarantined,
+        "exited {:?}:\n{stderr}",
+        out.status.code()
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -461,7 +499,7 @@ fn perf_snapshot_is_well_formed_and_comparator_catches_regressions() {
 }
 
 /// One artifact-writing run per entry point: a figure-harness binary
-/// (whose runs flow through `Memo::run`) and the `profile` bin. With
+/// (whose runs flow through `Memo::warm`) and the `profile` bin. With
 /// `MCM_TRACE`/`MCM_METRICS` pointed at a scratch directory, both must
 /// leave behind well-formed trace JSON and metrics CSV for every
 /// simulated (config, workload) pair.

@@ -38,7 +38,8 @@ fn parallel_grid_reproduces_the_golden_serial_counts() {
         .flat_map(|w| [(&baseline, w), (&optimized, w)])
         .collect();
     let mut memo = Memo::new(0.02);
-    let reports = memo.run_grid_with_jobs(8, &pairs);
+    memo.warm_with_jobs(8, &pairs);
+    let reports: Vec<&RunReport> = pairs.iter().map(|(c, w)| memo.get(c, w)).collect();
     for (&(name, want_base, want_opt), chunk) in GOLDEN.iter().zip(reports.chunks(2)) {
         assert_eq!(
             chunk[0].cycles.as_u64(),
@@ -53,8 +54,8 @@ fn parallel_grid_reproduces_the_golden_serial_counts() {
         // Bit-exact against a fresh pre-executor serial run, not just
         // cycle-equal.
         let spec = suite::by_name(name).expect("suite workload").scaled(0.02);
-        assert_eq!(chunk[0], Simulator::run(&baseline, &spec));
-        assert_eq!(chunk[1], Simulator::run(&optimized, &spec));
+        assert_eq!(*chunk[0], Simulator::run(&baseline, &spec));
+        assert_eq!(*chunk[1], Simulator::run(&optimized, &spec));
     }
 }
 
@@ -73,7 +74,8 @@ fn reports_are_job_count_invariant() {
     let mut results: Vec<Vec<RunReport>> = Vec::new();
     for jobs in [1, 2, 8] {
         let mut memo = Memo::new(0.01);
-        results.push(memo.run_grid_with_jobs(jobs, &pairs));
+        memo.warm_with_jobs(jobs, &pairs);
+        results.push(pairs.iter().map(|(c, w)| memo.get(c, w).clone()).collect());
     }
     assert_eq!(results[0], results[1], "jobs=1 vs jobs=2 diverged");
     assert_eq!(results[0], results[2], "jobs=1 vs jobs=8 diverged");
