@@ -1055,6 +1055,28 @@ mod tests {
         assert_ne!(artifact_stem(&a, &spec), artifact_stem(&a, &edited));
     }
 
+    /// Store keys and artifact stems name records and files that outlive
+    /// the process: a change that moves one strands every store and
+    /// artifact directory written before it.
+    #[test]
+    fn store_keys_and_artifact_stems_do_not_move() {
+        let cfd = suite::by_name("CFD").unwrap();
+        let stream = suite::by_name("Stream").unwrap();
+        let baseline = SystemConfig::baseline_mcm();
+        assert_eq!(
+            pair_fingerprint(0.01, &baseline, &cfd),
+            0x0fb0_ec8d_5d29_723a
+        );
+        assert_eq!(
+            pair_fingerprint(0.5, &SystemConfig::optimized_mcm(), &stream),
+            0x6f41_61c8_e5c2_79f8
+        );
+        assert_eq!(
+            artifact_stem(&baseline, &cfd.scaled(0.01)),
+            "MCM-GPU-baseline-768-GB-s__CFD-a14e323d"
+        );
+    }
+
     #[test]
     #[should_panic(expected = "collides")]
     fn warm_planner_checks_the_stems_workers_write() {
