@@ -4,8 +4,9 @@
 //! with full simulation. Honors `MCM_SCALE` and `MCM_STORE`; exits 1 if
 //! any confirmed point violates the model's error envelope.
 fn main() {
-    let telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = mcm_bench::harness::Memo::from_env();
+    let env = mcm_bench::env::RunEnv::from_env();
+    let telemetry = mcm_bench::harness::telemetry_guard(&env);
+    let mut memo = mcm_bench::harness::Memo::new(env);
     let plan = mcm_bench::planner::Plan::default_grid();
     let outcome = mcm_bench::planner::explore(&mut memo, &plan);
     print!("{}", outcome.rendered);

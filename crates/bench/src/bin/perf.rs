@@ -10,9 +10,9 @@
 //!
 //! The suite is deliberately pinned: workload scale, op counts, and
 //! repetition counts are hard-coded per mode (`--smoke` shrinks them
-//! for CI), and the simulator is driven directly — `MCM_SCALE`,
-//! `MCM_TRACE`, and `MCM_METRICS` are ignored so two snapshots from the
-//! same binary always measured the same work.
+//! for CI), and the simulator is driven directly — the run knobs are
+//! checked at start-up, but only `MCM_TELEMETRY` is used, so two
+//! snapshots from the same binary always measured the same work.
 //!
 //! Every entry records wall times as integer nanoseconds (never NaN,
 //! never negative); macro entries also record simulated cycle counts,
@@ -28,6 +28,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use mcm_bench::env::RunEnv;
 use mcm_bench::harness;
 use mcm_engine::rng::Xoshiro256;
 use mcm_engine::{Cycle, EventQueue};
@@ -845,7 +846,7 @@ fn main() {
     if let Some((a, b)) = compare_paths {
         std::process::exit(compare(&a, &b, threshold));
     }
-    let _telemetry = harness::telemetry_guard();
+    let _telemetry = harness::telemetry_guard(&RunEnv::from_env());
     let out_path = out.unwrap_or_else(|| PathBuf::from(format!("BENCH_{label}.json")));
     run_suite(&label, &Mode::new(smoke), &out_path);
 }

@@ -5,18 +5,20 @@
 //! Usage: `profile [WORKLOAD] [CONFIG]` (defaults: `CFD` on
 //! `optimized`). CONFIG is a short name from the sweep service's
 //! preset table ([`preset_table`]). Honors `MCM_SCALE` (default 0.5),
-//! the observability variables `MCM_TRACE` / `MCM_METRICS` /
+//! the observability knobs `MCM_TRACE` / `MCM_METRICS` /
 //! `MCM_METRICS_BUCKET` (see the README's Observability section), and
 //! the fault knobs `MCM_FAULT_RATE` / `MCM_FAULT_SEED` (see the
 //! Resilience section) — useful for seeing where a degraded machine's
 //! warp-cycles go.
 
+use mcm_bench::env::RunEnv;
 use mcm_bench::harness::{self, TextTable};
 use mcm_bench::serve_backend::preset_table;
 use mcm_probe::StallProfile;
 use mcm_workloads::suite;
 
 fn main() {
+    let env = RunEnv::from_env();
     let mut args = std::env::args().skip(1);
     let wname = args.next().unwrap_or_else(|| "CFD".into());
     let ckey = args.next().unwrap_or_else(|| "optimized".into());
@@ -31,12 +33,12 @@ fn main() {
         eprintln!("unknown config '{ckey}'; one of: {}", keys.join(", "));
         std::process::exit(2);
     };
-    let _telemetry = harness::telemetry_guard();
-    let spec = spec.scaled(harness::scale());
+    let _telemetry = harness::telemetry_guard(&env);
+    let spec = spec.scaled(env.scale);
 
     let mut profile = StallProfile::new();
     let stem = harness::artifact_stem(&cfg, &spec);
-    let (report, written) = harness::run_with_env(&cfg, &spec, &mut profile, &stem);
+    let (report, written) = harness::run_with_env(&env, &cfg, &spec, &mut profile, &stem);
     if let Some(path) = written.trace {
         println!("trace:   {}", path.display());
     }

@@ -11,15 +11,17 @@ use std::fs;
 use std::path::Path;
 use std::time::Instant;
 
+use mcm_bench::env::RunEnv;
 use mcm_bench::figures::{self, Exhibit};
-use mcm_bench::harness::Memo;
+use mcm_bench::harness::{telemetry_guard, Memo};
 use mcm_engine::stats::ToCsv;
 
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
+    let env = RunEnv::from_env();
+    let _telemetry = telemetry_guard(&env);
     let out_dir = Path::new("results");
     fs::create_dir_all(out_dir).expect("create results/");
-    let mut memo = Memo::from_env();
+    let mut memo = Memo::new(env);
     println!(
         "reproducing all exhibits at MCM_SCALE={} (shapes are stable across scales)\n",
         memo.scale()

@@ -15,18 +15,19 @@
 use std::fs;
 use std::path::Path;
 
-use mcm_bench::harness;
+use mcm_bench::env::RunEnv;
+use mcm_bench::harness::telemetry_guard;
 use mcm_bench::resilience;
 
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
-    let scale = harness::scale();
-    let seed = harness::fault_seed();
+    let env = RunEnv::from_env();
+    let _telemetry = telemetry_guard(&env);
     println!(
-        "resilience sweep on the optimized MCM-GPU at MCM_SCALE={scale} \
-         (seed {seed}); rates are per-site probabilities\n"
+        "resilience sweep on the optimized MCM-GPU at MCM_SCALE={} \
+         (seed {}); rates are per-site probabilities\n",
+        env.scale, env.fault_seed
     );
-    let points = resilience::sweep(scale, seed);
+    let points = resilience::sweep(&env);
     print!("{}", resilience::render(&points));
 
     let out_dir = Path::new("results");

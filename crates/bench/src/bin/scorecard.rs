@@ -11,7 +11,8 @@
 //! MCM_SCALE=0.5 cargo run --release -p mcm-bench --bin scorecard
 //! ```
 
-use mcm_bench::harness::{geomean_speedup, Memo};
+use mcm_bench::env::RunEnv;
+use mcm_bench::harness::{geomean_speedup, telemetry_guard, Memo};
 use mcm_gpu::SystemConfig;
 use mcm_workloads::suite;
 
@@ -32,8 +33,9 @@ impl Claim {
 }
 
 fn main() {
-    let telemetry = mcm_bench::harness::telemetry_guard();
-    let mut memo = Memo::from_env();
+    let env = RunEnv::from_env();
+    let telemetry = telemetry_guard(&env);
+    let mut memo = Memo::new(env);
     let all = suite::suite();
     eprintln!(
         "running the scorecard at MCM_SCALE={} (several minutes on one core)...",

@@ -7,25 +7,26 @@
 //!
 //! * `MCM_SERVE_ADDR` — bind address, default `127.0.0.1:0`
 //!   (ephemeral; the chosen port is printed on the first line).
-//! * `MCM_SERVE_WORKERS` — simulation workers, default `MCM_JOBS`'
-//!   resolution ([`mcm_exec::jobs`]).
+//! * `MCM_SERVE_WORKERS` — simulation workers, default `MCM_JOBS`
+//!   ([`RunEnv::jobs`]).
 //! * `MCM_SERVE_QUEUE` — admission bound on queued jobs, default 1024.
-//! * `MCM_STORE`, `MCM_SCALE` — as in the harness
-//!   ([`mcm_bench::harness::Memo::from_env`]).
+//! * The run knobs of [`RunEnv`] (`MCM_STORE`, `MCM_SCALE`, ...) — as
+//!   in the harness.
 
 use std::sync::Arc;
 
-use mcm_bench::harness::env_parsed;
+use mcm_bench::env::{env_parsed, RunEnv};
 use mcm_bench::serve_backend::MemoBackend;
 use mcm_serve::service::{ServeOptions, SweepService};
 
 fn main() {
+    let env = RunEnv::from_env();
     let addr: String = env_parsed("MCM_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let opts = ServeOptions {
-        workers: env_parsed("MCM_SERVE_WORKERS").unwrap_or_else(mcm_exec::jobs),
+        workers: env_parsed("MCM_SERVE_WORKERS").unwrap_or(env.jobs),
         queue_capacity: env_parsed("MCM_SERVE_QUEUE").unwrap_or(1024),
     };
-    let backend = Arc::new(MemoBackend::from_env());
+    let backend = Arc::new(MemoBackend::open(env));
     let service = SweepService::start(&addr, backend, opts)
         .unwrap_or_else(|e| panic!("mcm-serve: cannot bind {addr}: {e}"));
     // First line is machine-readable: scripts parse the port from it.

@@ -25,7 +25,7 @@ use std::net::TcpStream;
 use std::process::exit;
 use std::time::Duration;
 
-use mcm_bench::harness::env_parsed;
+use mcm_bench::env::env_parsed;
 use mcm_serve::protocol::report_slice;
 
 struct Conn {

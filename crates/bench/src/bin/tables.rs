@@ -1,7 +1,7 @@
 //! Regenerates the paper's Tables 1-4. Pass `table1`..`table4` to print
 //! one, or nothing for all.
 fn main() {
-    let _telemetry = mcm_bench::harness::telemetry_guard();
+    let _telemetry = mcm_bench::harness::telemetry_guard(&mcm_bench::env::RunEnv::from_env());
     let which: Vec<String> = std::env::args().skip(1).collect();
     let all = [
         ("table1", mcm_bench::figures::table1()),

@@ -24,6 +24,7 @@ use mcm_interconnect::energy::Tier;
 use mcm_mem::cache::AllocFilter;
 use mcm_workloads::{suite, Category, WorkloadSpec};
 
+use crate::env::RunEnv;
 use crate::harness::{f2, geomean_speedup, pct, telemetry_guard, Memo, TextTable};
 
 /// One simulation-backed table or figure: what it reads and how it
@@ -67,11 +68,11 @@ impl Exhibit {
     }
 
     /// The `main` of the exhibit's own binary: one warm of its grid in
-    /// the environment-configured memo, then the render on stdout, with
-    /// the `MCM_TELEMETRY` snapshot written on the way out.
-    pub fn print(&self) {
-        let _telemetry = telemetry_guard();
-        let mut memo = Memo::from_env();
+    /// a memo for `env`, then the render on stdout, with the
+    /// `MCM_TELEMETRY` snapshot written on the way out.
+    pub fn print(&self, env: RunEnv) {
+        let _telemetry = telemetry_guard(&env);
+        let mut memo = Memo::new(env);
         memo.warm(&self.pairs());
         println!("{}", self.render(&memo));
     }

@@ -8,118 +8,29 @@ use std::sync::OnceLock;
 use mcm_engine::rng::StableHasher;
 use mcm_engine::stats::geomean;
 use mcm_exec::pool::TaskFailure;
+use mcm_fault::inject::scripted_task_panic;
 use mcm_fault::{FaultConfig, FaultPlan, NullFaultPlan, SeededFaultPlan};
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_probe::{ChromeTraceProbe, MetricsProbe, NullProbe, Probe};
 use mcm_store::Store;
-use mcm_telemetry::{Class, Counter, Histogram};
+use mcm_telemetry::{Class, Counter};
 use mcm_workloads::{Category, WorkloadSpec};
 
-/// Parses `raw` (the value of environment variable `var`) or panics
-/// naming both the variable and the offending value — a typo in a knob
-/// must abort the run, not silently fall back to a default.
-fn parse_checked<T: std::str::FromStr>(var: &str, raw: &str) -> T {
-    raw.trim().parse().unwrap_or_else(|_| {
-        panic!(
-            "{var} must be a valid {}, got {raw:?}",
-            std::any::type_name::<T>()
-        )
-    })
-}
+use crate::env::RunEnv;
 
-/// Parses the raw OS-level value of environment variable `var`;
-/// `None` when `value` is `None` (variable unset). Split from
-/// [`env_parsed`] so the non-Unicode path is testable without mutating
-/// the process environment.
-///
-/// # Panics
-///
-/// Panics (naming the variable) when the value is set but is not valid
-/// Unicode, or is Unicode but unparsable. `std::env::var(..).ok()`
-/// would conflate "unset" with "set to non-Unicode bytes" and silently
-/// fall back to the knob's default — the opposite of the loud-env
-/// contract.
-fn parse_env_value<T: std::str::FromStr>(var: &str, value: Option<&std::ffi::OsStr>) -> Option<T> {
-    let raw = value?;
-    let raw = raw.to_str().unwrap_or_else(|| {
-        panic!("{var} is set to non-Unicode bytes ({raw:?}); refusing to guess a default")
-    });
-    Some(parse_checked(var, raw))
-}
-
-/// Reads and parses environment variable `var`; `None` when unset.
-/// Public so the service binaries read their knobs with the same
-/// loud-env contract as the harness.
-///
-/// # Panics
-///
-/// Panics (naming the variable and the value) when the value is set but
-/// non-Unicode or unparsable.
-pub fn env_parsed<T: std::str::FromStr>(var: &str) -> Option<T> {
-    parse_env_value(var, std::env::var_os(var).as_deref())
-}
-
-/// The workload scale factor used by the harness: multiplies per-warp
-/// instruction counts. Read from `MCM_SCALE` (default 0.5 — bandwidth
-/// shapes are stable down to ~0.1, but cache-warm-up effects need the
-/// longer streams; use 1.0 for full-length runs).
-///
-/// # Panics
-///
-/// Panics when `MCM_SCALE` is set but not a finite positive number.
-pub fn scale() -> f64 {
-    let s: f64 = env_parsed("MCM_SCALE").unwrap_or(0.5);
-    assert!(
-        s.is_finite() && s > 0.0,
-        "MCM_SCALE must be finite and positive, got {s}"
-    );
-    s
-}
-
-/// The fault-injection seed, read from `MCM_FAULT_SEED` (default: the
-/// [`FaultConfig`] default seed). A fixed seed makes every faulted run
-/// byte-reproducible.
-///
-/// # Panics
-///
-/// Panics when `MCM_FAULT_SEED` is set but not a valid `u64`.
-pub fn fault_seed() -> u64 {
-    env_parsed("MCM_FAULT_SEED").unwrap_or_else(|| FaultConfig::default().seed)
-}
-
-/// The fault-injection rate, read from `MCM_FAULT_RATE` (default 0.0 =
-/// no injection). Applied as the per-site probability for link errors,
-/// DRAM throttle windows, and MSHR poisoning alike.
-///
-/// # Panics
-///
-/// Panics when `MCM_FAULT_RATE` is set but not a number in `[0, 1]`.
-pub fn fault_rate() -> f64 {
-    let r: f64 = env_parsed("MCM_FAULT_RATE").unwrap_or(0.0);
-    assert!(
-        r.is_finite() && (0.0..=1.0).contains(&r),
-        "MCM_FAULT_RATE must be in [0, 1], got {r}"
-    );
-    r
-}
-
-/// The persistent [`Store`] at `MCM_STORE`; `None` when the knob is
-/// unset. [`Memo::from_env`] and the sweep daemon's backend both open
-/// their store here.
-///
-/// # Panics
-///
-/// Panics when `MCM_STORE` is set but the directory cannot be opened at
-/// all (cannot be created or listed) — a mistyped knob must abort the
-/// run, not silently fall back to volatile caching.
-pub(crate) fn store_from_env() -> Option<Store> {
-    let dir = PathBuf::from(std::env::var_os("MCM_STORE")?);
-    Some(Store::open(&dir).unwrap_or_else(|e| {
+/// The persistent [`Store`] at `env.store`, armed with its crash drill;
+/// `None` when no store is set. Panics when the directory cannot be
+/// opened at all — a mistyped knob must abort the run, not silently
+/// fall back to volatile caching.
+pub(crate) fn open_store(env: &RunEnv) -> Option<Store> {
+    let dir = env.store.as_ref()?;
+    let store = Store::open(dir).unwrap_or_else(|e| {
         panic!(
             "MCM_STORE: cannot open result store at {}: {e}",
             dir.display()
         )
-    }))
+    });
+    Some(store.with_crash_after(env.store_crash_after))
 }
 
 /// A memoizing runner: each `(configuration, workload)` pair is
@@ -134,13 +45,13 @@ pub(crate) fn store_from_env() -> Option<Store> {
 ///
 /// A harness process warms everything it will read in one
 /// [`Memo::warm`] call, which plans the unique uncached pairs up front
-/// and dispatches them across `MCM_JOBS` worker threads via
+/// and dispatches them across the [`RunEnv`]'s worker threads via
 /// [`mcm_exec`]. Rendering then reads through [`Memo::get`], which
 /// takes `&self` and so cannot simulate: every figure, table, and
 /// artifact is byte-identical regardless of the job count.
 ///
 /// With a persistent [`Store`] attached (`MCM_STORE=<dir>`, see
-/// [`Memo::from_env`]), the cache additionally survives the process:
+/// [`Memo::new`]), the cache additionally survives the process:
 /// every fresh simulation is durably committed as it completes, and
 /// later processes (or a restart after a crash) serve those pairs from
 /// disk. The store key folds in everything that determines a result —
@@ -149,7 +60,7 @@ pub(crate) fn store_from_env() -> Option<Store> {
 /// is a different key, never a stale hit.
 #[derive(Debug)]
 pub struct Memo {
-    scale: f64,
+    env: RunEnv,
     cache: HashMap<(u64, u64), RunReport>,
     store: Option<Store>,
     stats: MemoStats,
@@ -196,12 +107,7 @@ struct MemoTele {
     /// Runs served from the persistent store. PerConfig: zero with
     /// `MCM_STORE` unset, a function of the knob and the disk with it.
     store_hits: Counter,
-    dedupe: Histogram,
 }
-
-/// `memo.warm_dedupe_permille` bucket edges (fraction of a warm call's
-/// requested pairs skipped as duplicates/cached, in permille).
-const DEDUPE_BOUNDS: [u64; 5] = [0, 250, 500, 750, 1000];
 
 fn memo_tele() -> &'static MemoTele {
     static TELE: OnceLock<MemoTele> = OnceLock::new();
@@ -214,73 +120,58 @@ fn memo_tele() -> &'static MemoTele {
             warm_planned: reg.counter("memo.warm_planned", Class::Deterministic),
             warm_deduped: reg.counter("memo.warm_deduped", Class::PerConfig),
             store_hits: reg.counter("memo.store_hits", Class::PerConfig),
-            dedupe: reg.histogram(
-                "memo.warm_dedupe_permille",
-                Class::Deterministic,
-                &DEDUPE_BOUNDS,
-            ),
         }
     })
 }
 
-/// The persistent-store fingerprint for one `(configuration, workload)`
-/// pair at workload scale `scale`. Unlike [`Memo`]'s in-process cache
-/// key, this must survive the process — so it folds in everything the
-/// environment contributes to a result: every field of the *scaled*
-/// spec (its [`fingerprint`](WorkloadSpec::fingerprint), which captures
-/// `MCM_SCALE` and any edit to a suite entry) and the fault-injection
-/// knobs. A process running at different knob settings, or with a
-/// different spec under the same name, computes a different key and
-/// never sees a stale record. Public so the sweep service keys its
-/// in-flight dedupe registry exactly the way [`Memo`] keys the store —
-/// same function, same bytes.
-pub fn pair_fingerprint(scale: f64, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
+/// The persistent-store key for one `(configuration, workload)` pair
+/// run under `env`. Unlike [`Memo`]'s in-process cache key, this must
+/// survive the process — so it folds in everything the run context
+/// contributes to a result: every field of the *scaled* spec (its
+/// [`fingerprint`](WorkloadSpec::fingerprint), which captures
+/// `env.scale` and any edit to a suite entry) and the fault rate and
+/// seed (the seed even at rate 0). The sweep daemon keys with it too.
+pub fn store_key(env: &RunEnv, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(cfg.fingerprint());
-    h.write_u64(spec.scaled(scale).fingerprint());
-    h.write_u64(fault_rate().to_bits());
-    h.write_u64(fault_seed());
+    h.write_u64(spec.scaled(env.scale).fingerprint());
+    h.write_u64(env.fault_rate.to_bits());
+    h.write_u64(env.fault_seed);
     h.finish()
 }
 
+/// The [`store_key`] of an unfaulted run at `scale`: rate 0 and the
+/// default fault seed.
+pub fn pair_fingerprint(scale: f64, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
+    store_key(&RunEnv::at_scale(scale), cfg, spec)
+}
+
 impl Memo {
-    /// Creates a runner at the given workload scale, process-local only
-    /// (no persistent store).
-    pub fn new(scale: f64) -> Self {
+    /// Creates the runner for `env`. With `env.store` set, attaches the
+    /// persistent [`Store`] at that directory, so results survive (and
+    /// are served across) process restarts.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `env.store` is set but the directory cannot be
+    /// opened at all. On-disk *corruption* is not an error: damaged
+    /// records are quarantined as misses by the store's recovery scan.
+    pub fn new(env: RunEnv) -> Self {
         Memo {
-            scale,
+            store: open_store(&env),
+            env,
             cache: HashMap::new(),
-            store: None,
             stats: MemoStats::default(),
         }
     }
 
-    /// Creates a runner at the environment-selected scale. With
-    /// `MCM_STORE=<dir>` set, attaches the persistent [`Store`] at that
-    /// directory, so results survive (and are served across) process
-    /// restarts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MCM_STORE` is set but the directory cannot be
-    /// opened at all (cannot be created or listed) — a mistyped knob
-    /// must abort the run, not silently fall back to volatile caching.
-    /// On-disk *corruption* is not an error: damaged records are
-    /// quarantined as misses by the store's recovery scan.
-    pub fn from_env() -> Self {
-        let mut memo = Memo::new(scale());
-        memo.store = store_from_env();
-        memo
-    }
-
-    /// Creates a runner at the given scale backed by an explicit
-    /// [`Store`] (tests attach temp-dir stores without touching the
-    /// `MCM_STORE` environment variable, which would race across test
-    /// threads).
+    /// Creates an unfaulted runner at `scale` backed by an already open
+    /// [`Store`] (see [`RunEnv::at_scale`]).
     pub fn with_store(scale: f64, store: Store) -> Self {
-        let mut memo = Memo::new(scale);
-        memo.store = Some(store);
-        memo
+        Memo {
+            store: Some(store),
+            ..Memo::new(RunEnv::at_scale(scale))
+        }
     }
 
     /// The attached persistent store, if any.
@@ -290,7 +181,7 @@ impl Memo {
 
     /// The workload scale in force.
     pub fn scale(&self) -> f64 {
-        self.scale
+        self.env.scale
     }
 
     /// The in-process cache key of `cfg` running the already *scaled*
@@ -300,20 +191,19 @@ impl Memo {
         (cfg.fingerprint(), scaled.fingerprint())
     }
 
-    /// The persistent-store fingerprint for one pair; see
-    /// [`pair_fingerprint`].
+    /// The persistent-store key for one pair; see [`store_key`].
     fn store_fingerprint(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
-        pair_fingerprint(self.scale, cfg, spec)
+        store_key(&self.env, cfg, spec)
     }
 
     /// Runs `spec` (scaled) on `cfg`, memoized — in-process first, then
     /// the persistent store (when attached), then a fresh simulation
     /// (which is durably committed to the store as it completes).
     ///
-    /// Fresh (non-memoized) runs honour the observability environment
-    /// variables: see [`run_instrumented`].
+    /// Fresh (non-memoized) runs honour the memo's fault, sink and
+    /// script settings: see [`run_instrumented`].
     pub fn run(&mut self, cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-        let scaled = spec.scaled(self.scale);
+        let scaled = spec.scaled(self.env.scale);
         let key = Memo::key(cfg, &scaled);
         if let Some(r) = self.cache.get(&key) {
             self.stats.hits += 1;
@@ -331,7 +221,7 @@ impl Memo {
         }
         self.stats.misses += 1;
         memo_tele().misses.inc();
-        let report = run_instrumented(cfg, &scaled);
+        let report = run_instrumented(&self.env, cfg, &scaled);
         if let Some(store) = &self.store {
             store.put(self.store_fingerprint(cfg, spec), spec.name, &report);
         }
@@ -348,7 +238,7 @@ impl Memo {
     /// missing from the grid that was warmed, or a supervised warm
     /// quarantined it.
     pub fn get(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> &RunReport {
-        let key = Memo::key(cfg, &spec.scaled(self.scale));
+        let key = Memo::key(cfg, &spec.scaled(self.env.scale));
         self.cache.get(&key).unwrap_or_else(|| {
             panic!(
                 "no warmed report for ({:?}, {:?}): warm every pair before rendering",
@@ -358,20 +248,19 @@ impl Memo {
     }
 
     /// Simulates every uncached `(configuration, workload)` pair in
-    /// `pairs` across `MCM_JOBS` worker threads (default: the machine's
-    /// available parallelism) and memoizes the results for
-    /// [`Memo::get`]. A harness makes one call with every pair it will
-    /// render.
+    /// `pairs` across the memo's `jobs` worker threads and memoizes the
+    /// results for [`Memo::get`]. A harness makes one call with every
+    /// pair it will render.
     ///
     /// Planning happens up front in grid order: duplicates and
     /// already-cached pairs are dropped, artifact stems are checked for
     /// collisions (see [`artifact_stem`]), and results are merged back
     /// in plan order — output never depends on thread scheduling.
     ///
-    /// With `MCM_SUPERVISED=1` a panicking pair is retried
-    /// (`MCM_RETRIES`, default 1) and then quarantined — reported on
-    /// stderr, left uncached — while every other pair completes. See
-    /// [`Memo::warm_supervised_with_jobs`].
+    /// Under `supervised`, a panicking pair is retried `retries` times
+    /// and then quarantined — reported on stderr, left uncached, so a
+    /// later [`Memo::run`] re-attempts it — while every other pair
+    /// completes.
     ///
     /// # Panics
     ///
@@ -379,12 +268,14 @@ impl Memo {
     /// or (unsupervised) if a simulation panicked; see
     /// [`Memo::warm_with_jobs`].
     pub fn warm(&mut self, pairs: &[(&SystemConfig, &WorkloadSpec)]) {
-        if mcm_exec::supervised() {
-            let failures =
-                self.warm_supervised_with_jobs(mcm_exec::jobs(), mcm_exec::retries(), pairs);
-            report_quarantined(&failures);
+        if self.env.supervised {
+            for failure in
+                self.warm_runner(self.env.jobs, self.env.retries, pairs, run_instrumented)
+            {
+                eprintln!("mcm: exec: {failure}");
+            }
         } else {
-            self.warm_with_jobs(mcm_exec::jobs(), pairs);
+            self.warm_with_jobs(self.env.jobs, pairs);
         }
     }
 
@@ -405,7 +296,7 @@ impl Memo {
         let mut deduped = 0u64;
         let mut store_hits = 0u64;
         for &(cfg, spec) in pairs {
-            let scaled = spec.scaled(self.scale);
+            let scaled = spec.scaled(self.env.scale);
             let key = Memo::key(cfg, &scaled);
             if self.cache.contains_key(&key) {
                 continue;
@@ -448,17 +339,10 @@ impl Memo {
         tele.warm_planned.add(planned.len() as u64);
         tele.warm_deduped.add(deduped);
         tele.store_hits.add(store_hits);
-        if !pairs.is_empty() {
-            let skipped = (pairs.len() - planned.len()) as u64;
-            tele.dedupe.observe(skipped * 1000 / pairs.len() as u64);
-        }
         planned
     }
 
-    /// [`Memo::warm`] with an explicit worker count and no retries
-    /// (tests compare job counts in-process without touching the
-    /// `MCM_JOBS` environment variable, which would race across test
-    /// threads).
+    /// [`Memo::warm`] unsupervised, with an explicit worker count.
     ///
     /// # Panics
     ///
@@ -472,28 +356,10 @@ impl Memo {
         fail_fast(&failures);
     }
 
-    /// The supervised counterpart of [`Memo::warm_with_jobs`]: a
-    /// panicking pair is retried up to `retries` more times and then
-    /// quarantined — named in the returned report — while every other
-    /// pair completes (and persists, when a store is attached).
-    ///
-    /// The report is sorted by grid position and is identical at every
-    /// `jobs` value. Quarantined pairs stay uncached: [`Memo::get`] on
-    /// one panics naming it, and a later [`Memo::run`] re-attempts it
-    /// (and panics undisturbed if the fault persists).
-    pub fn warm_supervised_with_jobs(
-        &mut self,
-        jobs: usize,
-        retries: u32,
-        pairs: &[(&SystemConfig, &WorkloadSpec)],
-    ) -> Vec<PairFailure> {
-        self.warm_runner(jobs, retries, pairs, run_instrumented)
-    }
-
     /// The one warm runner: plans `pairs`, runs the planned grid under
-    /// [`mcm_exec::pool::run_grid_supervised`] with `sim` (tests inject
-    /// scripted faults, no environment required), caches every result,
-    /// and names each quarantined pair.
+    /// [`mcm_exec::pool::run_grid_supervised`] with `sim`
+    /// ([`run_instrumented`], or a test's own fault), caches every
+    /// result, and names each quarantined pair.
     fn warm_runner<G>(
         &mut self,
         jobs: usize,
@@ -502,16 +368,16 @@ impl Memo {
         sim: G,
     ) -> Vec<PairFailure>
     where
-        G: Fn(&SystemConfig, &WorkloadSpec) -> RunReport + Sync,
+        G: Fn(&RunEnv, &SystemConfig, &WorkloadSpec) -> RunReport + Sync,
     {
         let planned = self.plan(pairs);
-        let store = self.store.as_ref();
+        let (env, store) = (&self.env, self.store.as_ref());
         let grid = mcm_exec::pool::run_grid_supervised(
             &planned,
             jobs,
             retries,
             |_, (cfg, scaled, store_fp)| {
-                let report = sim(cfg, scaled);
+                let report = sim(env, cfg, scaled);
                 // Committed from the worker, not after the merge: a
                 // crash mid-sweep keeps every already-finished result.
                 if let Some(store) = store {
@@ -556,7 +422,7 @@ impl Memo {
 }
 
 /// One quarantined `(configuration, workload)` pair from a supervised
-/// warm ([`Memo::warm_supervised_with_jobs`]): the pair's names plus
+/// warm ([`Memo::warm`]): the pair's names plus
 /// the underlying executor-level [`TaskFailure`] (grid index, attempt
 /// count, last panic message).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -579,14 +445,6 @@ impl std::fmt::Display for PairFailure {
     }
 }
 
-/// Prints a supervised warm's quarantine report to stderr, one line
-/// per failed pair, in grid order. No output when nothing failed.
-pub fn report_quarantined(failures: &[PairFailure]) {
-    for f in failures {
-        eprintln!("mcm: exec: {f}");
-    }
-}
-
 /// The fail-fast end of an unsupervised warm: panics naming the first
 /// (lowest-index) failed pair, if any.
 fn fail_fast(failures: &[PairFailure]) {
@@ -601,18 +459,6 @@ fn fail_fast(failures: &[PairFailure]) {
             failure.index, failure.message
         );
     }
-}
-
-/// The time-series bucket width in cycles, read from
-/// `MCM_METRICS_BUCKET` (default [`mcm_probe::metrics::DEFAULT_BUCKET`]).
-///
-/// # Panics
-///
-/// Panics when `MCM_METRICS_BUCKET` is set but not a positive integer.
-pub fn metrics_bucket() -> u64 {
-    let b = env_parsed("MCM_METRICS_BUCKET").unwrap_or(mcm_probe::metrics::DEFAULT_BUCKET);
-    assert!(b > 0, "MCM_METRICS_BUCKET must be positive, got {b}");
-    b
 }
 
 /// Collapses every run of non-alphanumeric characters into a single
@@ -658,23 +504,24 @@ pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
 }
 
 /// Runs one (already scaled) workload on `cfg` the way every harness
-/// sweep does: the scripted worker fault fires first (a no-op unless
-/// `MCM_FAULT_TASK_PANIC` is set; the deterministic crash the
-/// supervised executor is exercised against), then [`run_with_env`]
-/// picks the fault plan and the sinks, naming artifacts by
-/// [`artifact_stem`].
+/// sweep does: `env`'s scripted worker fault fires first (when one is
+/// set; the deterministic crash the supervised executor is exercised
+/// against), then [`run_with_env`] picks the fault plan and the sinks,
+/// naming artifacts by [`artifact_stem`].
 ///
-/// With no observability or fault variable set this is exactly
+/// With no fault, sink or script set this is exactly
 /// [`Simulator::run`]: the null hooks monomorphize to no
 /// instrumentation.
 ///
 /// # Panics
 ///
-/// Panics if an artifact directory cannot be created or written, or if
-/// one of the environment knobs holds an invalid value.
-pub fn run_instrumented(cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-    mcm_fault::inject::scripted_task_panic(&cfg.name, spec.name);
-    run_with_env(cfg, spec, &mut NullProbe, &artifact_stem(cfg, spec)).0
+/// Panics if an artifact directory cannot be created or written, or
+/// when the scripted fault fires.
+pub fn run_instrumented(env: &RunEnv, cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
+    if let Some(script) = &env.task_panic {
+        scripted_task_panic(script, &cfg.name, spec.name);
+    }
+    run_with_env(env, cfg, spec, &mut NullProbe, &artifact_stem(cfg, spec)).0
 }
 
 /// The artifact files one [`run_with_sinks`] call wrote.
@@ -687,39 +534,38 @@ pub struct Artifacts {
 }
 
 /// Runs one (already scaled) workload on `cfg` under `probe`, with the
-/// fault plan the environment picks: a positive `MCM_FAULT_RATE` (see
-/// [`fault_rate`]) runs under a [`SeededFaultPlan`] seeded from
-/// `MCM_FAULT_SEED`, the default 0.0 under the zero-overhead
-/// [`NullFaultPlan`]. Sinks attach as in [`run_with_sinks`].
+/// fault plan `env` picks: a positive fault rate runs under a
+/// [`SeededFaultPlan`] seeded from `env.fault_seed`, rate 0 under the
+/// zero-overhead [`NullFaultPlan`]. Sinks attach as in
+/// [`run_with_sinks`].
 ///
 /// # Panics
 ///
-/// Panics if an artifact directory cannot be created or written, or if
-/// one of the environment knobs holds an invalid value.
+/// Panics if an artifact directory cannot be created or written.
 pub fn run_with_env<P: Probe>(
+    env: &RunEnv,
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
     stem: &str,
 ) -> (RunReport, Artifacts) {
-    let rate = fault_rate();
-    if rate > 0.0 {
-        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(fault_seed(), rate));
-        run_with_sinks(cfg, spec, probe, &mut plan, stem)
+    if env.fault_rate > 0.0 {
+        let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(env.fault_seed, env.fault_rate));
+        run_with_sinks(env, cfg, spec, probe, &mut plan, stem)
     } else {
-        run_with_sinks(cfg, spec, probe, &mut NullFaultPlan, stem)
+        run_with_sinks(env, cfg, spec, probe, &mut NullFaultPlan, stem)
     }
 }
 
 /// Runs one (already scaled) workload on `cfg` under `probe` and
-/// `plan`, attaching the observability sinks the environment selects
-/// next to `probe`:
+/// `plan`, attaching the observability sinks `env` selects next to
+/// `probe`:
 ///
-/// - `MCM_TRACE=<dir>` — write a Chrome trace-event JSON to
+/// - `trace` (`MCM_TRACE=<dir>`) — write a Chrome trace-event JSON to
 ///   `<dir>/<stem>.trace.json` (load in Perfetto).
-/// - `MCM_METRICS=<dir>` — write a utilization time-series CSV to
-///   `<dir>/<stem>.metrics.csv`; bucket width from
-///   `MCM_METRICS_BUCKET` (cycles).
+/// - `metrics` (`MCM_METRICS=<dir>`) — write a utilization time-series
+///   CSV to `<dir>/<stem>.metrics.csv`, in buckets of
+///   `metrics_bucket` cycles.
 ///
 /// Fault events reach the sinks, so fault windows show up in the
 /// artifacts. Sweeps that run one `(configuration, workload)` pair
@@ -729,41 +575,39 @@ pub fn run_with_env<P: Probe>(
 ///
 /// # Panics
 ///
-/// Panics if an artifact directory cannot be created or written, or if
-/// `MCM_METRICS_BUCKET` holds an invalid value.
+/// Panics if an artifact directory cannot be created or written.
 pub fn run_with_sinks<P: Probe, F: FaultPlan>(
+    env: &RunEnv,
     cfg: &SystemConfig,
     spec: &WorkloadSpec,
     probe: &mut P,
     plan: &mut F,
     stem: &str,
 ) -> (RunReport, Artifacts) {
-    let trace_dir = std::env::var_os("MCM_TRACE").map(PathBuf::from);
-    let metrics_dir = std::env::var_os("MCM_METRICS").map(PathBuf::from);
-    if trace_dir.is_none() && metrics_dir.is_none() {
+    if env.trace.is_none() && env.metrics.is_none() {
         let report = Simulator::run_faulted(cfg, spec, probe, plan);
         return (report, Artifacts::default());
     }
     let mut sinks = (
         probe,
         (
-            trace_dir.as_ref().map(|_| ChromeTraceProbe::new()),
-            metrics_dir
+            env.trace.as_ref().map(|_| ChromeTraceProbe::new()),
+            env.metrics
                 .as_ref()
-                .map(|_| MetricsProbe::new(metrics_bucket(), cfg.topology.sms_per_module)),
+                .map(|_| MetricsProbe::new(env.metrics_bucket, cfg.topology.sms_per_module)),
         ),
     );
     let report = Simulator::run_faulted(cfg, spec, &mut sinks, plan);
     let (_, (trace, metrics)) = sinks;
     let mut written = Artifacts::default();
-    if let (Some(dir), Some(mut trace)) = (trace_dir, trace) {
-        std::fs::create_dir_all(&dir).expect("create MCM_TRACE directory");
+    if let (Some(dir), Some(mut trace)) = (&env.trace, trace) {
+        std::fs::create_dir_all(dir).expect("create MCM_TRACE directory");
         let path = dir.join(format!("{stem}.trace.json"));
         trace.save(&path).expect("write Chrome trace");
         written.trace = Some(path);
     }
-    if let (Some(dir), Some(metrics)) = (metrics_dir, metrics) {
-        std::fs::create_dir_all(&dir).expect("create MCM_METRICS directory");
+    if let (Some(dir), Some(metrics)) = (&env.metrics, metrics) {
+        std::fs::create_dir_all(dir).expect("create MCM_METRICS directory");
         let path = dir.join(format!("{stem}.metrics.csv"));
         metrics.save(&path).expect("write metrics CSV");
         written.metrics = Some(path);
@@ -783,9 +627,9 @@ pub struct TelemetryGuard {
     label: String,
 }
 
-/// Creates the process's [`TelemetryGuard`], labeling the snapshot
-/// with the binary's file stem.
-pub fn telemetry_guard() -> TelemetryGuard {
+/// Creates the process's [`TelemetryGuard`] for `env.telemetry`,
+/// labeling the snapshot with the binary's file stem.
+pub fn telemetry_guard(env: &RunEnv) -> TelemetryGuard {
     let label = std::env::args()
         .next()
         .and_then(|a| {
@@ -795,7 +639,7 @@ pub fn telemetry_guard() -> TelemetryGuard {
         })
         .unwrap_or_else(|| "mcm".to_string());
     TelemetryGuard {
-        path: std::env::var_os("MCM_TELEMETRY").map(PathBuf::from),
+        path: env.telemetry.clone(),
         label,
     }
 }
@@ -950,37 +794,12 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mcm_fault::inject::TaskPanicScript;
     use mcm_workloads::suite;
 
     #[test]
-    fn env_values_parse_and_unset_is_none() {
-        assert_eq!(parse_env_value::<u32>("MCM_X", None), None);
-        let v = std::ffi::OsString::from(" 42 ");
-        assert_eq!(parse_env_value::<u32>("MCM_X", Some(&v)), Some(42));
-    }
-
-    #[test]
-    #[should_panic(expected = "MCM_X must be a valid")]
-    fn unparsable_env_values_panic_loudly() {
-        let v = std::ffi::OsString::from("not-a-number");
-        let _ = parse_env_value::<u32>("MCM_X", Some(&v));
-    }
-
-    /// Regression: `std::env::var(..).ok()` conflated "unset" with
-    /// "set to non-Unicode bytes", so a knob holding invalid UTF-8
-    /// silently fell back to its default instead of aborting.
-    #[test]
-    #[cfg(unix)]
-    #[should_panic(expected = "MCM_X is set to non-Unicode bytes")]
-    fn non_unicode_env_values_panic_instead_of_defaulting() {
-        use std::os::unix::ffi::OsStrExt;
-        let v = std::ffi::OsStr::from_bytes(b"0.\xff5");
-        let _ = parse_env_value::<f64>("MCM_X", Some(v));
-    }
-
-    #[test]
     fn memo_caches_runs() {
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         let cfg = SystemConfig::baseline_mcm();
         let spec = suite::by_name("CFD").unwrap();
         let a = memo.run(&cfg, &spec);
@@ -994,7 +813,7 @@ mod tests {
         // Regression: the cache used to key on `cfg.name` alone, so a
         // tweaked config sharing a preset's name returned the preset's
         // stale report.
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         let a = SystemConfig::baseline_mcm();
         let mut b = SystemConfig::baseline_mcm();
         b.topology.link_gbps /= 4.0;
@@ -1027,17 +846,20 @@ mod tests {
     fn memo_separates_same_name_edited_specs() {
         // Regression: the cache keyed on the spec's name, so an edited
         // spec under a suite name was served the original's report.
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         let cfg = SystemConfig::baseline_mcm();
         let (spec, edited) = edited_cfd();
         let original = memo.run(&cfg, &spec);
         let fresh = memo.run(&cfg, &edited);
         assert_eq!(memo.stats().misses, 2, "the edited spec must miss");
         assert_eq!(memo.cache.len(), 2);
-        assert_eq!(fresh, run_instrumented(&cfg, &edited.scaled(0.01)));
+        assert_eq!(
+            fresh,
+            run_instrumented(&RunEnv::at_scale(0.01), &cfg, &edited.scaled(0.01))
+        );
         assert_ne!(original, fresh);
         // The warm planner keys the same way.
-        let mut warm = Memo::new(0.01);
+        let mut warm = Memo::new(RunEnv::at_scale(0.01));
         warm.warm_with_jobs(1, &[(&cfg, &spec), (&cfg, &edited)]);
         assert_eq!(warm.stats().warm_planned, 2);
         assert_eq!(warm.stats().warm_deduped, 0);
@@ -1105,12 +927,12 @@ mod tests {
             artifact_stem(&cfg, &b),
             "the unscaled stems differ, so only the written stems clash"
         );
-        Memo::new(scale).plan(&[(&cfg, &a), (&cfg, &b)]);
+        Memo::new(RunEnv::at_scale(scale)).plan(&[(&cfg, &a), (&cfg, &b)]);
     }
 
     #[test]
     fn warm_plans_unique_pairs_and_fills_the_cache() {
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         let cfg = SystemConfig::baseline_mcm();
         let opt = SystemConfig::optimized_mcm();
         let w1 = suite::by_name("CFD").unwrap();
@@ -1125,7 +947,7 @@ mod tests {
 
     #[test]
     fn memo_stats_track_hits_misses_and_dedupe() {
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let w2 = suite::by_name("Stream").unwrap();
@@ -1151,9 +973,9 @@ mod tests {
         let grid = [(&cfg, &w1), (&cfg, &w2), (&opt, &w1), (&opt, &w2)];
         let one_config = [(&cfg, &w1), (&cfg, &w2), (&cfg, &w3)];
         for (jobs, pairs) in [(3, &grid[..]), (4, &one_config[..])] {
-            let mut serial = Memo::new(0.01);
+            let mut serial = Memo::new(RunEnv::at_scale(0.01));
             let expect: Vec<RunReport> = pairs.iter().map(|(c, w)| serial.run(c, w)).collect();
-            let mut parallel = Memo::new(0.01);
+            let mut parallel = Memo::new(RunEnv::at_scale(0.01));
             parallel.warm_with_jobs(jobs, pairs);
             let got: Vec<&RunReport> = pairs.iter().map(|(c, w)| parallel.get(c, w)).collect();
             assert!(got.into_iter().eq(&expect), "jobs={jobs}");
@@ -1164,7 +986,7 @@ mod tests {
     #[should_panic(expected = "no warmed report for (\"MCM-GPU baseline (768 GB/s)\", \"CFD\")")]
     fn get_panics_naming_an_unwarmed_pair() {
         let spec = suite::by_name("CFD").unwrap();
-        Memo::new(0.01).get(&SystemConfig::baseline_mcm(), &spec);
+        Memo::new(RunEnv::at_scale(0.01)).get(&SystemConfig::baseline_mcm(), &spec);
     }
 
     #[test]
@@ -1176,13 +998,13 @@ mod tests {
         let mut b = a.clone();
         b.topology.link_gbps /= 4.0;
         let spec = suite::by_name("CFD").unwrap();
-        let mut warm = Memo::new(0.01);
+        let mut warm = Memo::new(RunEnv::at_scale(0.01));
         warm.warm_with_jobs(1, &[(&a, &spec), (&b, &spec)]);
         let mut want: Vec<(&(u64, u64), &RunReport)> = warm.cache.iter().collect();
         want.sort_by_key(|(key, _)| **key);
         // Each map below draws its own hash seed.
         for _ in 0..16 {
-            let mut memo = Memo::new(0.01);
+            let mut memo = Memo::new(RunEnv::at_scale(0.01));
             memo.cache
                 .extend(want.iter().map(|(k, r)| (**k, (*r).clone())));
             assert!(memo.reports().into_iter().eq(want.iter().map(|(_, r)| *r)));
@@ -1194,7 +1016,7 @@ mod tests {
     fn geomean_speedup_names_the_empty_category() {
         // A suite with no limited-parallelism workloads must fail loud,
         // not feed an empty slice to `geomean`.
-        let memo = Memo::new(0.01);
+        let memo = Memo::new(RunEnv::at_scale(0.01));
         let suite: Vec<WorkloadSpec> = vec![suite::by_name("CFD").unwrap()];
         let cfg = SystemConfig::optimized_mcm();
         let base = SystemConfig::baseline_mcm();
@@ -1265,46 +1087,6 @@ mod tests {
     }
 
     #[test]
-    fn parse_checked_accepts_valid_values() {
-        assert_eq!(parse_checked::<f64>("MCM_SCALE", "0.25"), 0.25);
-        assert_eq!(parse_checked::<u64>("MCM_FAULT_SEED", " 42 "), 42);
-    }
-
-    #[test]
-    #[should_panic(expected = "MCM_SCALE must be a valid")]
-    fn parse_checked_names_the_variable_and_value() {
-        parse_checked::<f64>("MCM_SCALE", "fast");
-    }
-
-    #[test]
-    fn fault_knobs_default_sanely() {
-        // The harness process does not set the fault variables, so the
-        // defaults apply: no injection, reproducible seed.
-        assert_eq!(fault_rate(), 0.0);
-        assert_eq!(fault_seed(), FaultConfig::default().seed);
-    }
-
-    #[test]
-    fn store_backed_memo_warm_starts_across_instances() {
-        let dir = mcm_testkit::tempdir::TempDir::new("memo-store");
-        let cfg = SystemConfig::baseline_mcm();
-        let spec = suite::by_name("CFD").unwrap();
-        // First process: simulates and persists.
-        let mut cold = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
-        let r1 = cold.run(&cfg, &spec);
-        assert_eq!(cold.stats().misses, 1);
-        assert_eq!(cold.store().unwrap().stats().puts, 1);
-        drop(cold);
-        // Second "process": same knobs, fresh Memo — served from disk,
-        // bit-exact, zero simulations.
-        let mut warm = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
-        let r2 = warm.run(&cfg, &spec);
-        assert_eq!(r1, r2);
-        assert_eq!(warm.stats().misses, 0, "no simulation on the warm path");
-        assert_eq!(warm.stats().store_hits, 1);
-    }
-
-    #[test]
     fn store_key_separates_scales() {
         // The same pair at a different MCM_SCALE must be a different
         // store key: a warm start must never serve a result computed
@@ -1341,7 +1123,10 @@ mod tests {
         let fresh = b.run(&cfg, &edited);
         assert_eq!(b.stats().store_hits, 0, "an edited spec must miss");
         assert_eq!(b.stats().misses, 1);
-        assert_eq!(fresh, run_instrumented(&cfg, &edited.scaled(0.01)));
+        assert_eq!(
+            fresh,
+            run_instrumented(&RunEnv::at_scale(0.01), &cfg, &edited.scaled(0.01))
+        );
         assert_ne!(original, fresh);
         // The original is still served from disk.
         let mut c = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
@@ -1370,6 +1155,37 @@ mod tests {
         assert_eq!(got, expect, "warm-started reports must be bit-exact");
     }
 
+    /// One pair at two fault rates against one store: two records, two
+    /// reports, and each rate warm-starts from its own record.
+    #[test]
+    fn one_store_keeps_a_pair_at_two_fault_rates_apart() {
+        let dir = mcm_testkit::tempdir::TempDir::new("memo-fault-rates");
+        let cfg = SystemConfig::baseline_mcm();
+        let spec = suite::by_name("CFD").unwrap();
+        let at = |fault_rate| RunEnv {
+            fault_rate,
+            store: Some(dir.path().to_path_buf()),
+            ..RunEnv::at_scale(0.01)
+        };
+        let healthy = Memo::new(at(0.0)).run(&cfg, &spec);
+        let mut faulted = Memo::new(at(0.01));
+        let degraded = faulted.run(&cfg, &spec);
+        assert_eq!(faulted.stats().store_hits, 0, "another rate, another key");
+        assert_eq!(faulted.stats().misses, 1);
+        assert_eq!(faulted.store().unwrap().stats().puts, 1);
+        assert_ne!(healthy, degraded);
+        drop(faulted);
+        // Fresh memos, same knobs: served from disk, bit-exact, zero
+        // simulations.
+        for (rate, want) in [(0.01, &degraded), (0.0, &healthy)] {
+            let mut warm = Memo::new(at(rate));
+            assert_eq!(warm.store().unwrap().stats().recovered, 2);
+            assert_eq!(&warm.run(&cfg, &spec), want);
+            assert_eq!(warm.stats().misses, 0, "no simulation on the warm path");
+            assert_eq!(warm.stats().store_hits, 1);
+        }
+    }
+
     #[test]
     fn supervised_warm_quarantines_named_pairs_identically_at_any_job_count() {
         let cfg = SystemConfig::baseline_mcm();
@@ -1378,13 +1194,13 @@ mod tests {
         let w2 = suite::by_name("Stream").unwrap();
         let pairs = [(&cfg, &w1), (&opt, &w1), (&cfg, &w2), (&opt, &w2)];
         let check = |jobs: usize| -> Vec<PairFailure> {
-            let mut memo = Memo::new(0.01);
-            memo.warm_runner(jobs, 1, &pairs, |cfg, scaled| {
+            let mut memo = Memo::new(RunEnv::at_scale(0.01));
+            memo.warm_runner(jobs, 1, &pairs, |env, cfg, scaled| {
                 assert!(
                     !(cfg.name == opt.name && scaled.name == "CFD"),
                     "injected fault"
                 );
-                run_instrumented(cfg, scaled)
+                run_instrumented(env, cfg, scaled)
             })
         };
         let serial = check(1);
@@ -1400,22 +1216,33 @@ mod tests {
             .starts_with(&format!("QUARANTINED ({:?}, \"CFD\")", opt.name)));
     }
 
+    /// `warm` takes its job count, supervision, retry budget and
+    /// scripted panic from the memo's run context.
     #[test]
     fn supervised_warm_completes_and_caches_healthy_pairs() {
-        let cfg = SystemConfig::baseline_mcm();
+        // The script's attempt counter is process-wide: this config
+        // name is this test's own.
+        let cfg = SystemConfig {
+            name: "supervised-warm-heals".to_string(),
+            ..SystemConfig::baseline_mcm()
+        };
         let w1 = suite::by_name("CFD").unwrap();
         let w2 = suite::by_name("Stream").unwrap();
-        let pairs = [(&cfg, &w1), (&cfg, &w2)];
-        let mut memo = Memo::new(0.01);
-        let failures = memo.warm_runner(2, 0, &pairs, |cfg, scaled| {
-            assert!(scaled.name != "Stream", "bad workload");
-            run_instrumented(cfg, scaled)
+        let mut memo = Memo::new(RunEnv {
+            jobs: 2,
+            supervised: true,
+            retries: 0,
+            task_panic: Some(TaskPanicScript {
+                workload: "Stream".to_string(),
+                attempts: 1,
+            }),
+            ..RunEnv::at_scale(0.01)
         });
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].workload, "Stream");
+        memo.warm(&[(&cfg, &w1), (&cfg, &w2)]);
         // The healthy pair is cached; the quarantined one is not and
-        // re-attempts (successfully, without the injected fault) on use.
+        // re-attempts (successfully, its budget spent) on use.
         assert_eq!(memo.stats().warm_planned, 2);
+        assert_eq!(memo.cache.len(), 1, "the scripted pair is quarantined");
         memo.run(&cfg, &w1);
         assert_eq!(memo.stats().hits, 1);
         memo.run(&cfg, &w2);
@@ -1426,8 +1253,8 @@ mod tests {
     fn unsupervised_warm_panics_name_the_pair() {
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
-        let mut memo = Memo::new(0.01);
-        let failures = memo.warm_runner(1, 0, &[(&cfg, &w1)], |_, _| -> RunReport {
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
+        let failures = memo.warm_runner(1, 0, &[(&cfg, &w1)], |_, _, _| -> RunReport {
             panic!("sim exploded")
         });
         let caught = std::panic::catch_unwind(|| fail_fast(&failures))

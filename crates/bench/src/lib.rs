@@ -8,7 +8,9 @@
 //! into `results/`.
 //!
 //! Set `MCM_SCALE` (default 0.5) to trade run length for fidelity;
-//! shapes are stable across scales.
+//! shapes are stable across scales. Each binary's `main` parses every
+//! `MCM_*` run knob once into an [`env::RunEnv`] and passes it down;
+//! the library reads no environment.
 //!
 //! [`planner`] is the design-space exploration front end: it prices a
 //! configuration grid with the calibrated analytical model
@@ -18,6 +20,7 @@
 
 #![warn(missing_docs)]
 
+pub mod env;
 pub mod figures;
 pub mod harness;
 pub mod planner;

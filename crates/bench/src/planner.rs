@@ -375,6 +375,7 @@ pub fn explore(memo: &mut Memo, plan: &Plan) -> ExploreOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::env::RunEnv;
 
     #[test]
     fn default_grid_is_valid_and_unique() {
@@ -408,7 +409,7 @@ mod tests {
         });
         assert_eq!(plan.configs.len(), 5);
         plan.workloads = vec![suite::by_name("Stream").unwrap()];
-        let mut memo = Memo::new(0.005);
+        let mut memo = Memo::new(RunEnv::at_scale(0.005));
         let outcome = explore(&mut memo, &plan);
         assert_eq!(outcome.scored, 5);
         assert!(!outcome.confirmed.is_empty());
@@ -417,7 +418,7 @@ mod tests {
         // Determinism: a second pass over a fresh memo renders the
         // identical report (the memo serves everything from cache the
         // second time within one process anyway; use a new one).
-        let mut memo2 = Memo::new(0.005);
+        let mut memo2 = Memo::new(RunEnv::at_scale(0.005));
         let outcome2 = explore(&mut memo2, &plan);
         assert_eq!(outcome.rendered, outcome2.rendered);
     }

@@ -10,11 +10,12 @@
 //! cycle slowdown and inter-module (ring) traffic inflation over the
 //! healthy run.
 
-use mcm_fault::{DeadModule, FaultConfig, NullFaultPlan, SeededFaultPlan};
+use mcm_fault::{DeadModule, FaultConfig, SeededFaultPlan};
 use mcm_gpu::{RunReport, SystemConfig};
 use mcm_probe::NullProbe;
 use mcm_workloads::{suite, WorkloadSpec};
 
+use crate::env::RunEnv;
 use crate::harness::{self, TextTable};
 
 /// The transient fault rates swept, from fault-free to aggressively
@@ -65,86 +66,61 @@ struct PlannedRun {
     category: &'static str,
     scenario: &'static str,
     fault_rate: f64,
-    scenario_tag: String,
 }
 
 impl PlannedRun {
-    /// Executes this planned run; each scenario writes artifacts under
-    /// its own stem so parallel workers (and successive scenarios of
-    /// the same workload) never overwrite each other.
-    fn execute(&self, cfg: &SystemConfig, seed: u64) -> RunReport {
-        let stem = format!(
-            "{}__{}",
-            harness::artifact_stem(cfg, &self.spec),
-            self.scenario_tag
-        );
-        let (report, _) = match self.scenario {
-            "healthy" => {
-                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut NullFaultPlan, &stem)
-            }
-            "transient" => {
-                let mut plan = SeededFaultPlan::new(FaultConfig::with_rate(seed, self.fault_rate));
-                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut plan, &stem)
-            }
-            _ => {
-                let mut lossy = FaultConfig {
-                    seed,
-                    ..FaultConfig::default()
-                };
-                lossy.dead_module = Some(DeadModule {
-                    module: DEAD_GPM,
-                    from_kernel: 0,
-                });
-                let mut plan = SeededFaultPlan::new(lossy);
-                harness::run_with_sinks(cfg, &self.spec, &mut NullProbe, &mut plan, &stem)
-            }
+    /// Executes this planned run with `env`'s sinks and fault seed at
+    /// the run's own fault rate. Each scenario writes artifacts under its
+    /// own stem, so parallel workers never overwrite each other.
+    fn execute(&self, env: &RunEnv, cfg: &SystemConfig) -> RunReport {
+        let tag = match self.scenario {
+            "transient" => format!("transient-{:e}", self.fault_rate),
+            scenario => scenario.to_string(),
         };
-        report
+        let stem = format!("{}__{tag}", harness::artifact_stem(cfg, &self.spec));
+        if self.scenario != "gpm-loss" {
+            let env = RunEnv {
+                fault_rate: self.fault_rate,
+                ..env.clone()
+            };
+            return harness::run_with_env(&env, cfg, &self.spec, &mut NullProbe, &stem).0;
+        }
+        let mut plan = SeededFaultPlan::new(FaultConfig {
+            seed: env.fault_seed,
+            dead_module: Some(DeadModule {
+                module: DEAD_GPM,
+                from_kernel: 0,
+            }),
+            ..FaultConfig::default()
+        });
+        harness::run_with_sinks(env, cfg, &self.spec, &mut NullProbe, &mut plan, &stem).0
     }
 }
 
-/// Runs the full sweep at `scale` with fault seed `seed` on the
-/// optimized MCM-GPU, executing the independent runs across `MCM_JOBS`
-/// worker threads; deterministic for fixed `(scale, seed)` at any job
-/// count.
-pub fn sweep(scale: f64, seed: u64) -> Vec<CurvePoint> {
-    sweep_with_jobs(mcm_exec::jobs(), scale, seed)
-}
-
-/// [`sweep`] with an explicit worker count (tests compare job counts
-/// in-process without racing on the `MCM_JOBS` environment variable).
-pub fn sweep_with_jobs(jobs: usize, scale: f64, seed: u64) -> Vec<CurvePoint> {
+/// Runs the full sweep on the optimized MCM-GPU at `env`'s scale and
+/// fault seed, executing the independent runs across `env.jobs` worker
+/// threads; deterministic for a fixed `(scale, seed)` at any job count.
+/// The sweep picks its own fault rates, so `env.fault_rate` and the
+/// scripted panic do not apply.
+pub fn sweep(env: &RunEnv) -> Vec<CurvePoint> {
     let cfg = SystemConfig::optimized_mcm();
     // Plan the whole grid up front, in the reporting order.
     let mut planned = Vec::new();
     for spec in representatives() {
-        let scaled = spec.scaled(scale);
+        let scaled = spec.scaled(env.scale);
         let category = spec.category.label();
-        planned.push(PlannedRun {
-            spec: scaled.clone(),
-            category,
-            scenario: "healthy",
-            fault_rate: 0.0,
-            scenario_tag: "healthy".to_string(),
-        });
-        for rate in RATES.into_iter().filter(|&r| r > 0.0) {
+        // RATES leads with 0: the healthy run, then the transient ladder.
+        let ladder = RATES.map(|rate| (if rate > 0.0 { "transient" } else { "healthy" }, rate));
+        for (scenario, fault_rate) in ladder.into_iter().chain([("gpm-loss", 0.0)]) {
             planned.push(PlannedRun {
                 spec: scaled.clone(),
                 category,
-                scenario: "transient",
-                fault_rate: rate,
-                scenario_tag: format!("transient-{rate:e}"),
+                scenario,
+                fault_rate,
             });
         }
-        planned.push(PlannedRun {
-            spec: scaled,
-            category,
-            scenario: "gpm-loss",
-            fault_rate: 0.0,
-            scenario_tag: "gpm-loss".to_string(),
-        });
     }
-    let reports = mcm_exec::pool::run_grid(&planned, jobs, |_, run| run.execute(&cfg, seed));
+    let reports = mcm_exec::pool::run_grid(&planned, env.jobs, |_, run| run.execute(env, &cfg));
     // Slowdowns are relative to each workload's healthy run, which
     // leads its block of the grid.
     let runs_per_spec = RATES.len() + 1;
@@ -227,32 +203,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sweep_is_deterministic_and_complete() {
-        let a = sweep(0.01, 7);
-        let b = sweep(0.01, 7);
-        assert_eq!(to_csv(&a), to_csv(&b));
+    fn sweep_is_deterministic_complete_and_job_count_invariant() {
+        let env = |jobs| RunEnv {
+            jobs,
+            fault_seed: 7,
+            ..RunEnv::at_scale(0.01)
+        };
+        let serial = sweep(&env(1));
+        let parallel = sweep(&env(4));
+        assert_eq!(to_csv(&serial), to_csv(&parallel));
+        assert_eq!(render(&serial), render(&parallel));
         // 1 healthy + 3 transient + 1 gpm-loss per representative.
-        assert_eq!(a.len(), 3 * (RATES.len() + 1));
-        for p in &a {
+        assert_eq!(serial.len(), 3 * (RATES.len() + 1));
+        for p in &serial {
             assert!(p.slowdown >= 1.0 || p.scenario != "healthy");
             assert!(p.report.cycles.as_u64() > 0);
         }
-    }
-
-    #[test]
-    fn sweep_is_job_count_invariant() {
-        let serial = sweep_with_jobs(1, 0.01, 7);
-        let parallel = sweep_with_jobs(4, 0.01, 7);
-        assert_eq!(to_csv(&serial), to_csv(&parallel));
-        assert_eq!(render(&serial), render(&parallel));
-    }
-
-    #[test]
-    fn rendered_outputs_agree_on_row_count() {
-        let points = sweep(0.01, 7);
-        let table_rows = render(&points).lines().count();
-        let csv_rows = to_csv(&points).lines().count();
-        // Table has header + rule; CSV has header.
-        assert_eq!(table_rows - 2, csv_rows - 1);
+        // The table has a header and a rule; the CSV has a header.
+        let table_rows = render(&serial).lines().count();
+        assert_eq!(table_rows - 2, to_csv(&serial).lines().count() - 1);
     }
 }

@@ -18,7 +18,8 @@ use mcm_serve::{Backend, PairKey};
 use mcm_store::Store;
 use mcm_workloads::{suite, WorkloadSpec};
 
-use crate::harness::{pair_fingerprint, run_instrumented, scale, store_from_env};
+use crate::env::RunEnv;
+use crate::harness::{open_store, run_instrumented, store_key};
 
 /// The configurations a sweep request can name, keyed by short name.
 /// Sorted (BTreeMap) so error messages and listings are deterministic.
@@ -38,9 +39,9 @@ pub fn preset_table() -> BTreeMap<&'static str, SystemConfig> {
 
 /// [`Backend`] over the bench harness: resolves preset and Table 4
 /// workload names, memoizes through the persistent [`Store`], and
-/// simulates misses with [`run_instrumented`].
+/// simulates misses with [`run_instrumented`] under its [`RunEnv`].
 pub struct MemoBackend {
-    scale: f64,
+    env: RunEnv,
     presets: BTreeMap<&'static str, SystemConfig>,
     workloads: Vec<WorkloadSpec>,
     store: Option<Store>,
@@ -51,7 +52,7 @@ pub struct MemoBackend {
 impl std::fmt::Debug for MemoBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MemoBackend")
-            .field("scale", &self.scale)
+            .field("scale", &self.env.scale)
             .field("presets", &self.presets.len())
             .field("workloads", &self.workloads.len())
             .field("store", &self.store.is_some())
@@ -60,27 +61,31 @@ impl std::fmt::Debug for MemoBackend {
 }
 
 impl MemoBackend {
-    /// A backend at `scale`, optionally over a persistent store.
+    /// An unfaulted backend at `scale` (see [`RunEnv::at_scale`]),
+    /// optionally over an already open store.
     pub fn new(scale: f64, store: Option<Store>) -> Self {
         MemoBackend {
-            scale,
-            presets: preset_table(),
-            workloads: suite::suite(),
             store,
-            rendered: Mutex::new(HashMap::new()),
+            ..MemoBackend::open(RunEnv::at_scale(scale))
         }
     }
 
-    /// Environment-configured backend: scale from `MCM_SCALE`, store
-    /// from `MCM_STORE` — the same knobs, with the same semantics, as
-    /// [`Memo::from_env`](crate::harness::Memo::from_env).
+    /// The backend for `env`, over the store at `env.store` when one is
+    /// set — the same knobs, with the same semantics, as
+    /// [`Memo::new`](crate::harness::Memo::new).
     ///
     /// # Panics
     ///
-    /// Panics when `MCM_STORE` is set but the directory cannot be
-    /// opened (mistyped knobs abort; see `Memo::from_env`).
-    pub fn from_env() -> Self {
-        MemoBackend::new(scale(), store_from_env())
+    /// Panics when `env.store` is set but the directory cannot be
+    /// opened (mistyped knobs abort; see `Memo::new`).
+    pub fn open(env: RunEnv) -> Self {
+        MemoBackend {
+            store: open_store(&env),
+            env,
+            presets: preset_table(),
+            workloads: suite::suite(),
+            rendered: Mutex::new(HashMap::new()),
+        }
     }
 
     /// The preset names this backend resolves, sorted.
@@ -122,7 +127,7 @@ impl Backend for MemoBackend {
             ));
         };
         Ok(PairKey {
-            fingerprint: pair_fingerprint(self.scale, cfg, spec),
+            fingerprint: store_key(&self.env, cfg, spec),
             config: config.to_string(),
             workload: workload.to_string(),
         })
@@ -147,7 +152,7 @@ impl Backend for MemoBackend {
         let spec = self
             .spec(&key.workload)
             .expect("resolve() vetted the workload name");
-        let report = run_instrumented(cfg, &spec.scaled(self.scale));
+        let report = run_instrumented(&self.env, cfg, &spec.scaled(self.env.scale));
         if let Some(store) = &self.store {
             store.put(key.fingerprint, spec.name, &report);
         }
@@ -162,7 +167,7 @@ impl Backend for MemoBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::Memo;
+    use crate::harness::{pair_fingerprint, Memo};
 
     #[test]
     fn resolve_rejects_unknown_names_with_suggestions() {
@@ -190,7 +195,7 @@ mod tests {
         let backend = MemoBackend::new(scale, None);
         let key = backend.resolve("baseline", "Stream").unwrap();
         let served = backend.run(&key);
-        let direct = Memo::new(scale).run(
+        let direct = Memo::new(RunEnv::at_scale(scale)).run(
             &SystemConfig::baseline_mcm(),
             &suite::by_name("Stream").unwrap(),
         );

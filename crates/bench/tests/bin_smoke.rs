@@ -168,9 +168,11 @@ fn a_quarantined_pair_panics_the_render_naming_it() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Every `mcm-exec` knob set to non-Unicode bytes aborts the sweep and
+/// Every executor knob set to non-Unicode bytes aborts the sweep and
 /// names the knob. `std::env::var` reports such a value as an error,
 /// and the knobs used to read that as unset and run on their defaults.
+/// Start-up parses every run knob, so a knob whose feature is off (the
+/// last four rows) aborts too, before any thread starts.
 #[test]
 #[cfg(unix)]
 fn non_unicode_exec_knobs_fail_loudly() {
@@ -180,8 +182,11 @@ fn non_unicode_exec_knobs_fail_loudly() {
     for (knob, supervised) in [
         ("MCM_JOBS", "0"),
         ("MCM_SUPERVISED", "0"),
-        // Only a supervised sweep reads its retry budget.
         ("MCM_RETRIES", "1"),
+        ("MCM_RETRIES", "0"),
+        ("MCM_METRICS_BUCKET", "0"),
+        ("MCM_FAULT_TASK_PANIC_ATTEMPTS", "0"),
+        ("MCM_STORE_CRASH_AFTER", "0"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_fig09_distributed_sched"))
             .current_dir(&dir)

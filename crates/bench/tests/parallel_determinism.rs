@@ -3,16 +3,17 @@
 //! any `MCM_JOBS` value, and bit-exact against the pre-executor serial
 //! path ([`Simulator::run`] and the golden cycle counts).
 //!
-//! In-process tests pass explicit job counts (`*_with_jobs`) instead of
-//! setting `MCM_JOBS`, which would race across test threads; the
-//! subprocess tests exercise the environment plumbing end to end.
+//! In-process tests pass explicit job counts (`Memo::warm_with_jobs`,
+//! a [`RunEnv`]'s `jobs`) instead of setting `MCM_JOBS`, which would
+//! race across test threads; the subprocess tests exercise the
+//! environment plumbing end to end.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use mcm_bench::env::RunEnv;
 use mcm_bench::harness::Memo;
-use mcm_bench::resilience;
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_workloads::{suite, WorkloadSpec};
 
@@ -37,7 +38,7 @@ fn parallel_grid_reproduces_the_golden_serial_counts() {
         .iter()
         .flat_map(|w| [(&baseline, w), (&optimized, w)])
         .collect();
-    let mut memo = Memo::new(0.02);
+    let mut memo = Memo::new(RunEnv::at_scale(0.02));
     memo.warm_with_jobs(8, &pairs);
     let reports: Vec<&RunReport> = pairs.iter().map(|(c, w)| memo.get(c, w)).collect();
     for (&(name, want_base, want_opt), chunk) in GOLDEN.iter().zip(reports.chunks(2)) {
@@ -73,20 +74,12 @@ fn reports_are_job_count_invariant() {
         .collect();
     let mut results: Vec<Vec<RunReport>> = Vec::new();
     for jobs in [1, 2, 8] {
-        let mut memo = Memo::new(0.01);
+        let mut memo = Memo::new(RunEnv::at_scale(0.01));
         memo.warm_with_jobs(jobs, &pairs);
         results.push(pairs.iter().map(|(c, w)| memo.get(c, w).clone()).collect());
     }
     assert_eq!(results[0], results[1], "jobs=1 vs jobs=2 diverged");
     assert_eq!(results[0], results[2], "jobs=1 vs jobs=8 diverged");
-}
-
-#[test]
-fn resilience_sweep_is_job_count_invariant_including_renders() {
-    let serial = resilience::sweep_with_jobs(1, 0.01, 42);
-    let parallel = resilience::sweep_with_jobs(8, 0.01, 42);
-    assert_eq!(resilience::to_csv(&serial), resilience::to_csv(&parallel));
-    assert_eq!(resilience::render(&serial), resilience::render(&parallel));
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {

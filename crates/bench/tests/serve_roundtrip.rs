@@ -19,6 +19,7 @@ use std::path::Path;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
+use mcm_bench::env::RunEnv;
 use mcm_bench::harness::Memo;
 use mcm_gpu::SystemConfig;
 use mcm_serve::protocol::report_slice;
@@ -220,7 +221,7 @@ fn served_sweeps_run_once_match_direct_runs_and_survive_kill_minus_nine() {
 
     // --- Byte identity against a direct in-process run. ---
     let scale: f64 = SCALE.parse().unwrap();
-    let mut memo = Memo::new(scale);
+    let mut memo = Memo::new(RunEnv::at_scale(scale));
     let direct0 = memo.run(&SystemConfig::baseline_mcm(), &all[0]);
     let direct1 = memo.run(&SystemConfig::baseline_mcm(), &all[1]);
     assert_eq!(

@@ -9,12 +9,11 @@
 //!   truncation, single-bit flips) driven by the simulator's own
 //!   [`Xoshiro256`], so a corruption matrix replays byte-for-byte from
 //!   its seed.
-//! * [`scripted_task_panic`] — environment-scripted worker panics
-//!   (`MCM_FAULT_TASK_PANIC=<workload>`, with
-//!   `MCM_FAULT_TASK_PANIC_ATTEMPTS=<n>` bounding how many attempts per
-//!   pair fail before succeeding), the deterministic stand-in for a
-//!   crashing simulation that the supervised executor retries and
-//!   quarantines.
+//! * [`scripted_task_panic`] — scripted worker panics (a
+//!   [`TaskPanicScript`] names the target workload and how many
+//!   attempts per pair fail before succeeding), the deterministic
+//!   stand-in for a crashing simulation that the supervised executor
+//!   retries and quarantines.
 
 use std::collections::HashMap;
 use std::io;
@@ -104,52 +103,34 @@ fn attempt_counts() -> &'static Mutex<HashMap<(String, String), u64>> {
     COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// The value of environment knob `var`; `None` when unset.
-///
-/// # Panics
-///
-/// Panics, naming the knob, when the value is not valid Unicode rather
-/// than treating it as unset.
-fn knob(var: &str) -> Option<String> {
-    let raw = std::env::var_os(var)?;
-    Some(raw.into_string().unwrap_or_else(|raw| {
-        panic!("{var} is set to non-Unicode bytes ({raw:?}); refusing to guess a default")
-    }))
+/// A scripted worker fault: simulating `workload` panics on its first
+/// `attempts` attempts per `(config, workload)` pair, then succeeds.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TaskPanicScript {
+    /// The workload whose simulations panic (exact name match).
+    pub workload: String,
+    /// Panicking attempts per pair; `u64::MAX` panics on every one.
+    pub attempts: u64,
 }
 
-/// The environment-scripted worker fault: panics when simulating
-/// workload `MCM_FAULT_TASK_PANIC` (exact name match), at most
-/// `MCM_FAULT_TASK_PANIC_ATTEMPTS` times per `(config, workload)` pair
-/// (default: every attempt). With an attempt bound of 1 and one
-/// supervised retry, a sweep completes with byte-identical output plus
-/// a retry notice — the tier-1 self-healing smoke. Harness runners
-/// call this at the top of every simulation; with the variable unset
-/// it is a no-op.
+/// Fires `script` for one simulation attempt of `(config, workload)`.
+/// With a budget of 1 and one supervised retry, a sweep completes with
+/// byte-identical output plus a retry notice — the tier-1 self-healing
+/// smoke. Harness runners call this at the top of every simulation.
 ///
 /// # Panics
 ///
 /// Panics (that is the point) for the scripted pair while its attempt
-/// budget lasts, naming the pair; also panics when either knob is set
-/// to non-Unicode bytes or `MCM_FAULT_TASK_PANIC_ATTEMPTS` is
-/// unparsable.
-pub fn scripted_task_panic(config: &str, workload: &str) {
-    let Some(target) = knob("MCM_FAULT_TASK_PANIC") else {
-        return;
-    };
-    if workload != target {
+/// budget lasts, naming the pair.
+pub fn scripted_task_panic(script: &TaskPanicScript, config: &str, workload: &str) {
+    if workload != script.workload {
         return;
     }
-    let budget: u64 = match knob("MCM_FAULT_TASK_PANIC_ATTEMPTS") {
-        Some(raw) => raw.trim().parse().unwrap_or_else(|_| {
-            panic!("MCM_FAULT_TASK_PANIC_ATTEMPTS must be a non-negative integer, got {raw:?}")
-        }),
-        None => u64::MAX,
-    };
     let mut counts = attempt_counts().lock().expect("attempt counter poisoned");
     let n = counts
         .entry((config.to_string(), workload.to_string()))
         .or_insert(0);
-    if *n < budget {
+    if *n < script.attempts {
         *n += 1;
         let attempt = *n;
         drop(counts);
@@ -222,9 +203,19 @@ mod tests {
     }
 
     #[test]
-    fn scripted_panic_is_inert_when_unset() {
-        // The test process does not set MCM_FAULT_TASK_PANIC, so this
-        // must be a no-op for any pair.
-        scripted_task_panic("any config", "any workload");
+    fn scripted_panic_fires_its_budget_per_pair_then_is_inert() {
+        // The attempt counter is process-wide: these names are unique.
+        let script = TaskPanicScript {
+            workload: "CFD".to_string(),
+            attempts: 2,
+        };
+        let fires = |config: &str, workload: &str| {
+            std::panic::catch_unwind(|| scripted_task_panic(&script, config, workload)).is_err()
+        };
+        for config in ["budget-test-a", "budget-test-b"] {
+            assert!(!fires(config, "Stream"), "other workloads never fire");
+            assert!(fires(config, "CFD") && fires(config, "CFD"));
+            assert!(!fires(config, "CFD"), "{config}: the budget is spent");
+        }
     }
 }

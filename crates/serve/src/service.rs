@@ -58,15 +58,6 @@ pub struct ServeOptions {
     pub queue_capacity: usize,
 }
 
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            workers: mcm_exec::jobs(),
-            queue_capacity: 1024,
-        }
-    }
-}
-
 /// A point-in-time copy of one service instance's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {

@@ -34,10 +34,10 @@
 //!   format, still written by external tooling) is honoured on PID
 //!   liveness alone.
 //!
-//! The scripted crash knob `MCM_STORE_CRASH_AFTER=<n>` (test-only,
-//! wired through the tier-1 crash-recovery smoke) makes the *n*+1-th
-//! commit write a deliberately torn record prefix and abort the
-//! process — a deterministic stand-in for power loss mid-append.
+//! The scripted crash drill ([`Store::with_crash_after`], wired
+//! through the tier-1 crash-recovery smoke) makes the *n*+1-th commit
+//! write a deliberately torn record prefix and abort the process — a
+//! deterministic stand-in for power loss mid-append.
 //!
 //! Hermetic per the workspace rule: `std` plus sibling crates only.
 
@@ -226,11 +226,6 @@ impl Store {
     /// Returns an error only for environmental failures that make the
     /// directory unusable at all: it cannot be created, listed, or the
     /// lock file cannot be written.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `MCM_STORE_CRASH_AFTER` is set but is not valid
-    /// Unicode or not a non-negative integer.
     pub fn open(dir: &Path) -> io::Result<Store> {
         std::fs::create_dir_all(dir)?;
         let lock = Store::acquire_lock(dir)?;
@@ -247,14 +242,7 @@ impl Store {
             dir: dir.to_path_buf(),
             lock,
             inner: Mutex::new(inner),
-            crash_after: std::env::var_os("MCM_STORE_CRASH_AFTER").map(|raw| {
-                let raw = raw.to_str().unwrap_or_else(|| {
-                    panic!("MCM_STORE_CRASH_AFTER is set to non-Unicode bytes ({raw:?})")
-                });
-                raw.trim().parse().unwrap_or_else(|_| {
-                    panic!("MCM_STORE_CRASH_AFTER must be a non-negative integer, got {raw:?}")
-                })
-            }),
+            crash_after: None,
         };
         store.recover()?;
         if store.lock == LockState::Owned {
@@ -264,6 +252,14 @@ impl Store {
             }
         }
         Ok(store)
+    }
+
+    /// Arms the scripted crash drill: commit number `n` (0-based) of
+    /// this instance writes a torn record prefix and aborts the process.
+    /// `None` disarms it. Test drills only.
+    pub fn with_crash_after(mut self, n: Option<u64>) -> Store {
+        self.crash_after = n;
+        self
     }
 
     /// Takes or breaks the `LOCK` file. See the crate docs.

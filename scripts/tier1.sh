@@ -9,6 +9,20 @@ cd "$(dirname "$0")/.."
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
+# Library code reads no environment: each binary's `main` parses every
+# MCM_* run knob once into `mcm_bench::env::RunEnv`, and testkit's runner
+# reads the two knobs that configure tests. Any other reader under
+# crates/*/src fails here.
+echo "== environment readers only in bench's env.rs and testkit's runner.rs =="
+ENV_READERS="$(grep -rlE 'env::var|var_os' --include='*.rs' crates/*/src \
+  | grep -vxE 'crates/bench/src/env\.rs|crates/testkit/src/runner\.rs' || true)"
+if [[ -n "$ENV_READERS" ]]; then
+  echo "tier-1: environment read outside the run-knob parser:" >&2
+  # shellcheck disable=SC2086
+  grep -nE 'env::var|var_os' $ENV_READERS >&2
+  exit 1
+fi
+
 echo "== cargo clippy --workspace --all-targets --offline -- -D warnings =="
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
