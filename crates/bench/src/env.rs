@@ -106,8 +106,8 @@ impl RunEnv {
     }
 
     /// The run context of an environment with only `MCM_JOBS=1` set, at
-    /// `scale`: no faults, store, sinks, script or crash drill, and no
-    /// host probe to build.
+    /// `scale`: no faults, store, sinks, script or crash drill. Building
+    /// one probes nothing on the host.
     pub fn at_scale(scale: f64) -> RunEnv {
         let one_job = |var: &str| (var == "MCM_JOBS").then(|| OsString::from("1"));
         RunEnv {
