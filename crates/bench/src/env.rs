@@ -46,18 +46,18 @@ pub struct RunEnv {
 impl RunEnv {
     /// Parses every run knob from the process environment. Each
     /// binary's `main` calls this once.
-    pub fn from_env() -> RunEnv {
-        RunEnv::from_lookup(|var| std::env::var_os(var))
-    }
-
-    /// Parses every run knob from `lookup`, which maps a knob's name to
-    /// its raw value (`None`: unset).
     ///
     /// # Panics
     ///
     /// Panics, naming the knob, on the first value that is non-Unicode
     /// (path knobs excepted), unparsable or out of range.
-    pub fn from_lookup(lookup: impl Fn(&str) -> Option<OsString>) -> RunEnv {
+    pub fn from_env() -> RunEnv {
+        RunEnv::from_lookup(|var| std::env::var_os(var))
+    }
+
+    /// [`RunEnv::from_env`] over `lookup`, which maps a knob's name to
+    /// its raw value (`None`: unset).
+    fn from_lookup(lookup: impl Fn(&str) -> Option<OsString>) -> RunEnv {
         let path = |var| lookup(var).map(PathBuf::from);
         let scale: f64 = parsed(&lookup, "MCM_SCALE").unwrap_or(0.5);
         assert!(
@@ -68,11 +68,14 @@ impl RunEnv {
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
         });
         assert!(jobs >= 1, "MCM_JOBS must be >= 1, got {jobs}");
-        let supervised = parsed::<u8>(&lookup, "MCM_SUPERVISED").unwrap_or(0);
-        assert!(
-            supervised <= 1,
-            "MCM_SUPERVISED must be 0 or 1, got {supervised}"
-        );
+        let supervised = lookup("MCM_SUPERVISED").is_some_and(|raw| {
+            let raw = unicode("MCM_SUPERVISED", &raw);
+            match raw.trim() {
+                "1" => true,
+                "0" => false,
+                _ => panic!("MCM_SUPERVISED must be 0 or 1, got {raw:?}"),
+            }
+        });
         let fault_rate: f64 = parsed(&lookup, "MCM_FAULT_RATE").unwrap_or(0.0);
         assert!(
             (0.0..=1.0).contains(&fault_rate),
@@ -91,7 +94,7 @@ impl RunEnv {
         RunEnv {
             scale,
             jobs,
-            supervised: supervised == 1,
+            supervised,
             retries: parsed(&lookup, "MCM_RETRIES").unwrap_or(1),
             fault_rate,
             fault_seed: parsed(&lookup, "MCM_FAULT_SEED").unwrap_or(FaultConfig::default().seed),
@@ -248,7 +251,7 @@ mod tests {
         for (knob, bad) in [
             ("MCM_SCALE", &["fast", "0", "-1", "inf", "NaN"][..]),
             ("MCM_JOBS", &["many", "0", "-2"]),
-            ("MCM_SUPERVISED", &["yes", "2"]),
+            ("MCM_SUPERVISED", &["yes", "2", "+1", "01", "00"]),
             ("MCM_RETRIES", &["-1", "once"]),
             ("MCM_FAULT_RATE", &["high", "1.5", "-0.1", "NaN"]),
             ("MCM_FAULT_SEED", &["-1", "0x2a"]),

@@ -191,11 +191,6 @@ impl Memo {
         (cfg.fingerprint(), scaled.fingerprint())
     }
 
-    /// The persistent-store key for one pair; see [`store_key`].
-    fn store_fingerprint(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
-        store_key(&self.env, cfg, spec)
-    }
-
     /// Runs `spec` (scaled) on `cfg`, memoized — in-process first, then
     /// the persistent store (when attached), then a fresh simulation
     /// (which is durably committed to the store as it completes).
@@ -211,7 +206,7 @@ impl Memo {
             return r.clone();
         }
         if self.store.is_some() {
-            let fp = self.store_fingerprint(cfg, spec);
+            let fp = store_key(&self.env, cfg, spec);
             if let Some(r) = self.store.as_ref().and_then(|s| s.get(fp, spec.name)) {
                 self.stats.store_hits += 1;
                 memo_tele().store_hits.inc();
@@ -223,7 +218,7 @@ impl Memo {
         memo_tele().misses.inc();
         let report = run_instrumented(&self.env, cfg, &scaled);
         if let Some(store) = &self.store {
-            store.put(self.store_fingerprint(cfg, spec), spec.name, &report);
+            store.put(store_key(&self.env, cfg, spec), spec.name, &report);
         }
         self.cache.insert(key, report.clone());
         report
@@ -309,7 +304,7 @@ impl Memo {
                 deduped += 1;
                 continue;
             }
-            let store_fp = self.store_fingerprint(cfg, spec);
+            let store_fp = store_key(&self.env, cfg, spec);
             if let Some(r) = self.store.as_ref().and_then(|s| s.get(store_fp, spec.name)) {
                 store_hits += 1;
                 self.cache.insert(key, r);
@@ -426,7 +421,7 @@ impl Memo {
 /// the underlying executor-level [`TaskFailure`] (grid index, attempt
 /// count, last panic message).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PairFailure {
+pub(crate) struct PairFailure {
     /// The configuration's display name.
     pub config: String,
     /// The workload name.
@@ -1087,6 +1082,26 @@ mod tests {
     }
 
     #[test]
+    fn store_backed_memo_warm_starts_across_instances() {
+        let dir = mcm_testkit::tempdir::TempDir::new("memo-store");
+        let cfg = SystemConfig::baseline_mcm();
+        let spec = suite::by_name("CFD").unwrap();
+        // First process: simulates and persists.
+        let mut cold = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
+        let r1 = cold.run(&cfg, &spec);
+        assert_eq!(cold.stats().misses, 1);
+        assert_eq!(cold.store().unwrap().stats().puts, 1);
+        drop(cold);
+        // Second "process": same knobs, fresh Memo — served from disk,
+        // bit-exact, zero simulations.
+        let mut warm = Memo::with_store(0.01, Store::open(dir.path()).unwrap());
+        let r2 = warm.run(&cfg, &spec);
+        assert_eq!(r1, r2);
+        assert_eq!(warm.stats().misses, 0, "no simulation on the warm path");
+        assert_eq!(warm.stats().store_hits, 1);
+    }
+
+    #[test]
     fn store_key_separates_scales() {
         // The same pair at a different MCM_SCALE must be a different
         // store key: a warm start must never serve a result computed
@@ -1155,35 +1170,28 @@ mod tests {
         assert_eq!(got, expect, "warm-started reports must be bit-exact");
     }
 
-    /// One pair at two fault rates against one store: two records, two
-    /// reports, and each rate warm-starts from its own record.
+    /// One pair at fault rates 0 and 0.01 against one store: two
+    /// records and two reports, and a fresh memo at 0.01 is served the
+    /// faulted one.
     #[test]
     fn one_store_keeps_a_pair_at_two_fault_rates_apart() {
         let dir = mcm_testkit::tempdir::TempDir::new("memo-fault-rates");
         let cfg = SystemConfig::baseline_mcm();
         let spec = suite::by_name("CFD").unwrap();
-        let at = |fault_rate| RunEnv {
-            fault_rate,
-            store: Some(dir.path().to_path_buf()),
-            ..RunEnv::at_scale(0.01)
+        let at = |fault_rate| {
+            Memo::new(RunEnv {
+                fault_rate,
+                store: Some(dir.path().to_path_buf()),
+                ..RunEnv::at_scale(0.01)
+            })
         };
-        let healthy = Memo::new(at(0.0)).run(&cfg, &spec);
-        let mut faulted = Memo::new(at(0.01));
-        let degraded = faulted.run(&cfg, &spec);
-        assert_eq!(faulted.stats().store_hits, 0, "another rate, another key");
-        assert_eq!(faulted.stats().misses, 1);
-        assert_eq!(faulted.store().unwrap().stats().puts, 1);
+        let healthy = at(0.0).run(&cfg, &spec);
+        let degraded = at(0.01).run(&cfg, &spec);
         assert_ne!(healthy, degraded);
-        drop(faulted);
-        // Fresh memos, same knobs: served from disk, bit-exact, zero
-        // simulations.
-        for (rate, want) in [(0.01, &degraded), (0.0, &healthy)] {
-            let mut warm = Memo::new(at(rate));
-            assert_eq!(warm.store().unwrap().stats().recovered, 2);
-            assert_eq!(&warm.run(&cfg, &spec), want);
-            assert_eq!(warm.stats().misses, 0, "no simulation on the warm path");
-            assert_eq!(warm.stats().store_hits, 1);
-        }
+        let mut warm = at(0.01);
+        assert_eq!(warm.store().unwrap().stats().recovered, 2);
+        assert_eq!(warm.run(&cfg, &spec), degraded);
+        assert_eq!(warm.stats().store_hits, 1);
     }
 
     #[test]

@@ -202,25 +202,43 @@ pub fn to_csv(points: &[CurvePoint]) -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sweep_is_deterministic_complete_and_job_count_invariant() {
-        let env = |jobs| RunEnv {
+    /// The sweep's run context at scale 0.01, fault seed 7 and `jobs`
+    /// workers.
+    fn seed_7(jobs: usize) -> RunEnv {
+        RunEnv {
             jobs,
             fault_seed: 7,
             ..RunEnv::at_scale(0.01)
-        };
-        let serial = sweep(&env(1));
-        let parallel = sweep(&env(4));
-        assert_eq!(to_csv(&serial), to_csv(&parallel));
-        assert_eq!(render(&serial), render(&parallel));
+        }
+    }
+
+    #[test]
+    fn sweep_is_deterministic_and_complete() {
+        let a = sweep(&seed_7(2));
+        let b = sweep(&seed_7(2));
+        assert_eq!(to_csv(&a), to_csv(&b));
         // 1 healthy + 3 transient + 1 gpm-loss per representative.
-        assert_eq!(serial.len(), 3 * (RATES.len() + 1));
-        for p in &serial {
+        assert_eq!(a.len(), 3 * (RATES.len() + 1));
+        for p in &a {
             assert!(p.slowdown >= 1.0 || p.scenario != "healthy");
             assert!(p.report.cycles.as_u64() > 0);
         }
-        // The table has a header and a rule; the CSV has a header.
-        let table_rows = render(&serial).lines().count();
-        assert_eq!(table_rows - 2, to_csv(&serial).lines().count() - 1);
+    }
+
+    #[test]
+    fn sweep_is_job_count_invariant() {
+        let serial = sweep(&seed_7(1));
+        let parallel = sweep(&seed_7(4));
+        assert_eq!(to_csv(&serial), to_csv(&parallel));
+        assert_eq!(render(&serial), render(&parallel));
+    }
+
+    #[test]
+    fn rendered_outputs_agree_on_row_count() {
+        let points = sweep(&seed_7(2));
+        let table_rows = render(&points).lines().count();
+        let csv_rows = to_csv(&points).lines().count();
+        // Table has header + rule; CSV has header.
+        assert_eq!(table_rows - 2, csv_rows - 1);
     }
 }

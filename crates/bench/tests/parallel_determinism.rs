@@ -14,6 +14,7 @@ use std::process::Command;
 
 use mcm_bench::env::RunEnv;
 use mcm_bench::harness::Memo;
+use mcm_bench::resilience;
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_workloads::{suite, WorkloadSpec};
 
@@ -80,6 +81,19 @@ fn reports_are_job_count_invariant() {
     }
     assert_eq!(results[0], results[1], "jobs=1 vs jobs=2 diverged");
     assert_eq!(results[0], results[2], "jobs=1 vs jobs=8 diverged");
+}
+
+#[test]
+fn resilience_sweep_is_job_count_invariant_including_renders() {
+    let [serial, parallel] = [1, 8].map(|jobs| {
+        resilience::sweep(&RunEnv {
+            jobs,
+            fault_seed: 42,
+            ..RunEnv::at_scale(0.01)
+        })
+    });
+    assert_eq!(resilience::to_csv(&serial), resilience::to_csv(&parallel));
+    assert_eq!(resilience::render(&serial), resilience::render(&parallel));
 }
 
 fn scratch_dir(tag: &str) -> PathBuf {
