@@ -9,18 +9,21 @@
 //!   (ephemeral; the chosen port is printed on the first line).
 //! * `MCM_SERVE_WORKERS` — simulation workers, default `MCM_JOBS`
 //!   ([`RunEnv::jobs`]).
-//! * `MCM_SERVE_QUEUE` — admission bound on queued jobs, default 1024.
+//! * `MCM_SERVE_QUEUE` — admission bound on queued pairs, default 1024.
 //! * The run knobs of [`RunEnv`] (`MCM_STORE`, `MCM_SCALE`, ...) — as
-//!   in the harness.
+//!   in the harness. With `MCM_TELEMETRY` set, the snapshot (its
+//!   `serve.*` counters included) is written when the daemon exits.
 
 use std::sync::Arc;
 
 use mcm_bench::env::{env_parsed, RunEnv};
+use mcm_bench::harness::telemetry_guard;
 use mcm_bench::serve_backend::MemoBackend;
 use mcm_serve::service::{ServeOptions, SweepService};
 
 fn main() {
     let env = RunEnv::from_env();
+    let _telemetry = telemetry_guard(&env);
     let addr: String = env_parsed("MCM_SERVE_ADDR").unwrap_or_else(|| "127.0.0.1:0".to_string());
     let opts = ServeOptions {
         workers: env_parsed("MCM_SERVE_WORKERS").unwrap_or(env.jobs),

@@ -38,6 +38,7 @@ pub struct RunEnv {
     /// `MCM_METRICS_BUCKET`: the metrics CSV's bucket width in cycles.
     pub metrics_bucket: u64,
     /// `MCM_FAULT_TASK_PANIC` and `MCM_FAULT_TASK_PANIC_ATTEMPTS`.
+    /// Clones of this context share the script's attempt budget.
     pub task_panic: Option<TaskPanicScript>,
     /// `MCM_TELEMETRY`: where the telemetry snapshot goes at exit.
     pub telemetry: Option<PathBuf>,
@@ -103,7 +104,7 @@ impl RunEnv {
             trace: path("MCM_TRACE"),
             metrics: path("MCM_METRICS"),
             metrics_bucket,
-            task_panic: target.map(|workload| TaskPanicScript { workload, attempts }),
+            task_panic: target.map(|workload| TaskPanicScript::new(workload, attempts)),
             telemetry: path("MCM_TELEMETRY"),
         }
     }
@@ -225,10 +226,7 @@ mod tests {
             ("MCM_FAULT_TASK_PANIC_ATTEMPTS", "1"),
         ];
         let env = env_of(&set.map(|(k, v)| (k, OsStr::new(v))));
-        let script = TaskPanicScript {
-            workload: "CFD".to_string(),
-            attempts: 1,
-        };
+        let script = TaskPanicScript::new("CFD", 1);
         assert_eq!(
             (env.scale, env.jobs, env.supervised, env.retries),
             (0.01, 3, true, 0)

@@ -1202,48 +1202,77 @@ mod tests {
         let w2 = suite::by_name("Stream").unwrap();
         let pairs = [(&cfg, &w1), (&opt, &w1), (&cfg, &w2), (&opt, &w2)];
         let check = |jobs: usize| -> Vec<PairFailure> {
-            let mut memo = Memo::new(RunEnv::at_scale(0.01));
-            memo.warm_runner(jobs, 1, &pairs, |env, cfg, scaled| {
-                assert!(
-                    !(cfg.name == opt.name && scaled.name == "CFD"),
-                    "injected fault"
-                );
-                run_instrumented(env, cfg, scaled)
-            })
+            let mut memo = Memo::new(RunEnv {
+                task_panic: Some(TaskPanicScript::new("CFD", u64::MAX)),
+                ..RunEnv::at_scale(0.01)
+            });
+            memo.warm_runner(jobs, 1, &pairs, run_instrumented)
         };
         let serial = check(1);
         let parallel = check(4);
         assert_eq!(serial, parallel, "report must not depend on job count");
-        assert_eq!(serial.len(), 1);
-        assert_eq!(serial[0].config, opt.name);
-        assert_eq!(serial[0].workload, "CFD");
-        assert_eq!(serial[0].failure.attempts, 2);
-        assert!(serial[0].failure.message.contains("injected fault"));
-        assert!(serial[0]
+        let named: Vec<(&str, &str)> = serial
+            .iter()
+            .map(|f| (f.config.as_str(), f.workload.as_str()))
+            .collect();
+        assert_eq!(
+            named,
+            [(cfg.name.as_str(), "CFD"), (opt.name.as_str(), "CFD")]
+        );
+        for quarantined in &serial {
+            assert_eq!(quarantined.failure.attempts, 2);
+            assert!(
+                quarantined.failure.message.contains("attempt 2"),
+                "{quarantined}"
+            );
+        }
+        assert!(serial[1]
             .to_string()
             .starts_with(&format!("QUARANTINED ({:?}, \"CFD\")", opt.name)));
+    }
+
+    /// Each run context's script spends its own budget: a second memo
+    /// with an equal script fails its first attempt again.
+    #[test]
+    fn each_run_context_spends_its_own_panic_budget() {
+        let cfg = SystemConfig::baseline_mcm();
+        let cfd = suite::by_name("CFD").unwrap();
+        let env = || RunEnv {
+            supervised: true,
+            retries: 0,
+            task_panic: Some(TaskPanicScript::new("CFD", 1)),
+            ..RunEnv::at_scale(0.01)
+        };
+        assert_eq!(env(), env(), "the two run contexts hold equal scripts");
+        for env in [env(), env()] {
+            let mut memo = Memo::new(env);
+            let failures = memo.warm_runner(
+                memo.env.jobs,
+                memo.env.retries,
+                &[(&cfg, &cfd)],
+                run_instrumented,
+            );
+            assert_eq!(failures.len(), 1, "the pair is quarantined");
+            assert!(
+                failures[0].failure.message.contains("attempt 1"),
+                "{}",
+                failures[0]
+            );
+        }
     }
 
     /// `warm` takes its job count, supervision, retry budget and
     /// scripted panic from the memo's run context.
     #[test]
     fn supervised_warm_completes_and_caches_healthy_pairs() {
-        // The script's attempt counter is process-wide: this config
-        // name is this test's own.
-        let cfg = SystemConfig {
-            name: "supervised-warm-heals".to_string(),
-            ..SystemConfig::baseline_mcm()
-        };
+        let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let w2 = suite::by_name("Stream").unwrap();
         let mut memo = Memo::new(RunEnv {
             jobs: 2,
             supervised: true,
             retries: 0,
-            task_panic: Some(TaskPanicScript {
-                workload: "Stream".to_string(),
-                attempts: 1,
-            }),
+            task_panic: Some(TaskPanicScript::new("Stream", 1)),
             ..RunEnv::at_scale(0.01)
         });
         memo.warm(&[(&cfg, &w1), (&cfg, &w2)]);

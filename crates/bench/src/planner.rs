@@ -18,6 +18,7 @@
 
 use std::sync::OnceLock;
 
+use mcm_engine::stats::geomean;
 use mcm_gpu::analytic::{AnalyticModel, Calibration, Observation};
 use mcm_gpu::{SystemConfig, MIB};
 use mcm_mem::cache::AllocFilter;
@@ -192,16 +193,6 @@ pub struct ExploreOutcome {
     pub envelope_violations: usize,
 }
 
-fn geomean(values: impl Iterator<Item = f64>) -> f64 {
-    let (mut sum, mut n) = (0.0f64, 0u32);
-    for v in values {
-        sum += v.max(1e-12).ln();
-        n += 1;
-    }
-    assert!(n > 0, "geomean of an empty selection");
-    (sum / f64::from(n)).exp()
-}
-
 /// Runs the full plan: calibrate → score → prune → confirm → verify
 /// envelope. Simulation happens only for calibration anchors and the
 /// kept frontier/band points, all through `memo` (and so through
@@ -239,9 +230,10 @@ pub fn explore(memo: &mut Memo, plan: &Plan) -> ExploreOutcome {
         .iter()
         .map(|cfg| {
             let predicted_ipc = geomean(
-                descriptors
+                &descriptors
                     .iter()
-                    .map(|d| model.predict_descriptor(cfg, d).ipc),
+                    .map(|d| model.predict_descriptor(cfg, d).ipc)
+                    .collect::<Vec<_>>(),
             );
             ScoredPoint {
                 config: cfg.clone(),
@@ -308,7 +300,7 @@ pub fn explore(memo: &mut Memo, plan: &Plan) -> ExploreOutcome {
             worst_rel_err = worst_rel_err.max((pred - sim).abs() / sim);
             tele().confirmed.inc();
         }
-        let simulated_ipc = geomean(sim_ipcs.into_iter());
+        let simulated_ipc = geomean(&sim_ipcs);
         let rel_err = (point.predicted_ipc - simulated_ipc).abs() / simulated_ipc;
         let violation = rel_err > plan.envelope;
         if violation {

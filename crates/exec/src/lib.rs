@@ -19,16 +19,15 @@
 //!   that want every result or none. Once the grid has finished it
 //!   panics if any item failed, naming the lowest failing grid index
 //!   and carrying that item's original message.
-//! * [`service::ServicePool`] — the long-running counterpart of
-//!   [`pool::run_grid`] for server processes: persistent workers, a
-//!   bounded queue with all-or-nothing batch admission, fair
-//!   round-robin scheduling across caller-chosen lanes, and per-job
-//!   panic isolation.
 //!
 //! Callers pass the worker count and the retry budget; the executor
 //! reads no environment. One worker runs the same loop in the caller's
 //! thread, with no pool, so it is observably identical to never having
 //! used the executor.
+//!
+//! The executor is scoped: a grid borrows its items for one call. The
+//! sweep daemon's work outlives any one request, so `mcm-serve` runs it
+//! on its own workers and takes only [`pool::panic_message`] from here.
 //!
 //! Hermetic per the workspace rule: `std` plus `mcm-telemetry` only.
 //!
@@ -42,4 +41,3 @@
 #![warn(missing_docs)]
 
 pub mod pool;
-pub mod service;

@@ -19,7 +19,7 @@ use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use mcm_engine::rng::Xoshiro256;
 
@@ -94,24 +94,45 @@ impl DiskFaultInjector {
     }
 }
 
-/// How many scripted panics each `(config, workload)` pair has thrown
-/// so far, process-wide. Keyed by name pair; the supervised executor
-/// retries on the same worker, so the counter sequences identically at
-/// any job count.
-fn attempt_counts() -> &'static Mutex<HashMap<(String, String), u64>> {
-    static COUNTS: OnceLock<Mutex<HashMap<(String, String), u64>>> = OnceLock::new();
-    COUNTS.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// A scripted worker fault: simulating `workload` panics on its first
 /// `attempts` attempts per `(config, workload)` pair, then succeeds.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The script carries its own attempt counts. Clones share them, so the
+/// workers of one run spend one budget; a script built with
+/// [`TaskPanicScript::new`] starts with its full budget, whatever other
+/// scripts in the process have fired. Equality compares the target and
+/// the budget, not the counts.
+#[derive(Debug, Clone)]
 pub struct TaskPanicScript {
     /// The workload whose simulations panic (exact name match).
     pub workload: String,
     /// Panicking attempts per pair; `u64::MAX` panics on every one.
     pub attempts: u64,
+    /// Scripted panics thrown so far per `(config, workload)` pair. The
+    /// supervised executor retries on the same worker, so the counts
+    /// sequence identically at any job count.
+    fired: Arc<Mutex<HashMap<(String, String), u64>>>,
 }
+
+impl TaskPanicScript {
+    /// A script that panics on the first `attempts` attempts of every
+    /// pair running `workload`.
+    pub fn new(workload: impl Into<String>, attempts: u64) -> TaskPanicScript {
+        TaskPanicScript {
+            workload: workload.into(),
+            attempts,
+            fired: Arc::default(),
+        }
+    }
+}
+
+impl PartialEq for TaskPanicScript {
+    fn eq(&self, other: &Self) -> bool {
+        (&self.workload, self.attempts) == (&other.workload, other.attempts)
+    }
+}
+
+impl Eq for TaskPanicScript {}
 
 /// Fires `script` for one simulation attempt of `(config, workload)`.
 /// With a budget of 1 and one supervised retry, a sweep completes with
@@ -126,7 +147,7 @@ pub fn scripted_task_panic(script: &TaskPanicScript, config: &str, workload: &st
     if workload != script.workload {
         return;
     }
-    let mut counts = attempt_counts().lock().expect("attempt counter poisoned");
+    let mut counts = script.fired.lock().expect("attempt counter poisoned");
     let n = counts
         .entry((config.to_string(), workload.to_string()))
         .or_insert(0);
@@ -204,18 +225,25 @@ mod tests {
 
     #[test]
     fn scripted_panic_fires_its_budget_per_pair_then_is_inert() {
-        // The attempt counter is process-wide: these names are unique.
-        let script = TaskPanicScript {
-            workload: "CFD".to_string(),
-            attempts: 2,
+        let script = TaskPanicScript::new("CFD", 2);
+        let fires = |script: &TaskPanicScript, config: &str, workload: &str| {
+            std::panic::catch_unwind(|| scripted_task_panic(script, config, workload)).is_err()
         };
-        let fires = |config: &str, workload: &str| {
-            std::panic::catch_unwind(|| scripted_task_panic(&script, config, workload)).is_err()
-        };
-        for config in ["budget-test-a", "budget-test-b"] {
-            assert!(!fires(config, "Stream"), "other workloads never fire");
-            assert!(fires(config, "CFD") && fires(config, "CFD"));
-            assert!(!fires(config, "CFD"), "{config}: the budget is spent");
+        for config in ["a", "b"] {
+            assert!(
+                !fires(&script, config, "Stream"),
+                "other workloads never fire"
+            );
+            assert!(fires(&script, config, "CFD") && fires(&script, config, "CFD"));
+            assert!(
+                !fires(&script, config, "CFD"),
+                "{config}: the budget is spent"
+            );
         }
+        // A clone shares the spent budget; a script built anew has its own.
+        assert!(!fires(&script.clone(), "a", "CFD"));
+        let fresh = TaskPanicScript::new("CFD", 2);
+        assert_eq!(fresh, script, "equality ignores the counts");
+        assert!(fires(&fresh, "a", "CFD"));
     }
 }

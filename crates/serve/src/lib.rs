@@ -17,9 +17,10 @@
 //!   service resolves every pair through the same fingerprinting the
 //!   bench harness's `Memo` uses, answers cache/store **hits**
 //!   immediately, **subscribes** duplicate in-flight pairs to the
-//!   first requester's run (never resubmitting), and schedules true
-//!   misses on an [`mcm_exec::service::ServicePool`].
-//! * The pool is bounded (admission control: an oversized request is
+//!   first requester's run (never resubmitting), and queues true
+//!   misses for the service's own worker threads — one lock covers the
+//!   registry and the queue.
+//! * The queue is bounded (admission control: an oversized request is
 //!   rejected whole, loudly) and fair (round-robin across client
 //!   connections: a giant grid cannot starve a one-pair query).
 //! * Results stream back per-pair as they finish and persist to the
@@ -59,8 +60,8 @@ pub struct PairKey {
 /// What the service needs from a simulator: resolve names to keys,
 /// look results up, and produce them. Implementations must be safe to
 /// call from many threads at once — `lookup` runs under the service's
-/// dedupe registry lock and must be cheap; `run` executes on pool
-/// workers and may take arbitrarily long.
+/// lock and must be cheap; `run` executes on the service's workers
+/// without the lock and may take arbitrarily long.
 pub trait Backend: Send + Sync {
     /// Resolves `(config, workload)` names to a [`PairKey`], or an
     /// error message naming what was unknown.

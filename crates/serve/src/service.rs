@@ -1,45 +1,51 @@
 //! The service: accept loop, per-connection protocol handling, the
-//! in-flight dedupe registry, and the shutdown drill.
+//! in-flight dedupe registry, the workers, and the shutdown drill.
+//!
+//! ## One lock
+//!
+//! One mutex guards the service's `State`: the in-flight registry (a
+//! map from [`PairKey`] to the subscribers waiting on that pair's run)
+//! and the `LaneQueue` of misses waiting for a worker. One condvar
+//! wakes the [`ServeOptions::workers`] persistent threads, which each
+//! pop a pair and run it.
 //!
 //! ## Exactly-once, structurally
 //!
-//! The dedupe registry is a map from [`PairKey`] to the subscribers
-//! waiting on that pair's in-flight run. Every sweep request is
-//! classified **entirely under the registry lock**:
+//! Every sweep request is classified **entirely under the lock**:
 //!
 //! * backend lookup succeeds → **hit**, answered immediately;
 //! * key already in the registry → **shared**, a subscriber is added
 //!   to the existing entry;
-//! * otherwise → **miss**: a job is submitted and the entry inserted,
-//!   *while still holding the lock*.
+//! * otherwise → **miss**: the pair is queued and its entry inserted
+//!   in the same critical section.
 //!
-//! A completing job must take the same lock to remove its entry and
-//! notify subscribers, so no request can observe the gap between "run
-//! finished and persisted" and "entry removed": either the entry is
-//! still there (→ shared) or the result is in the store (→ hit). Each
-//! unique pair therefore runs at most once per process lifetime — and
-//! with a persistent store underneath, once ever.
+//! A worker pops a pair under the lock, runs it without the lock, and
+//! takes the lock again to remove the entry and notify subscribers,
+//! after [`Backend::run`] has persisted the result. So no request can
+//! observe the gap between "run finished and persisted" and "entry
+//! removed": either the entry is still there (→ shared) or the result
+//! is in the store (→ hit). Each unique pair therefore runs at most
+//! once per process lifetime — and with a persistent store underneath,
+//! once ever.
 //!
 //! ## Admission and fairness
 //!
-//! Misses are submitted as one all-or-nothing batch on the
-//! connection's own lane of the bounded
-//! [`mcm_exec::service::ServicePool`]: a request that
-//! does not fit is answered with a single error line — no ack, no
-//! partial grid — and lanes are drained round-robin so a giant sweep
+//! A request's misses join the connection's own lane of the
+//! `LaneQueue` as one all-or-nothing batch: a request that does not
+//! fit `queue_capacity` is answered with a single error line — no ack,
+//! no partial grid — and lanes are served round-robin, so a giant sweep
 //! cannot starve a one-pair query from another connection.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mcm_exec::pool::panic_message;
-use mcm_exec::service::{Job, ServicePool};
 use mcm_telemetry::{global, Class, Counter, Gauge};
 
 use crate::protocol::{
@@ -51,9 +57,9 @@ use crate::{Backend, PairKey};
 /// Tuning knobs for [`SweepService::start`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServeOptions {
-    /// Simulation worker threads (the pool size).
+    /// Simulation worker threads.
     pub workers: usize,
-    /// Bound on queued (accepted but not started) jobs; an arriving
+    /// Bound on queued (accepted but not started) pairs; an arriving
     /// batch that would exceed it is rejected whole.
     pub queue_capacity: usize,
 }
@@ -172,31 +178,127 @@ impl Subscriber {
     }
 }
 
-/// What jobs and connection threads share. Deliberately does **not**
-/// contain the pool, so queued job closures hold no reference cycle
-/// through it.
+/// The misses waiting for a worker: one FIFO lane per client
+/// connection, served round-robin one item per turn, so a connection
+/// that queues a 10,000-pair grid cannot starve one that asks for a
+/// single pair — the small request is at most one rotation from the
+/// head. Plain data: the service lock guards it.
+struct LaneQueue<T> {
+    /// Lanes holding items, in service order: the front lane gives up
+    /// its oldest item next. A lane leaves the rotation when it runs
+    /// dry and rejoins at the back with its next batch.
+    lanes: VecDeque<(u64, VecDeque<T>)>,
+    capacity: usize,
+}
+
+impl<T> LaneQueue<T> {
+    fn new(capacity: usize) -> Self {
+        LaneQueue {
+            lanes: VecDeque::new(),
+            capacity,
+        }
+    }
+
+    /// Queues `batch` behind `lane`'s items, all or nothing: a batch
+    /// that would take the queue past its capacity is refused whole,
+    /// with a message naming the pressure. An empty batch is always
+    /// admitted and leaves the queue untouched.
+    fn try_push(&mut self, lane: u64, batch: Vec<T>) -> Result<(), String> {
+        if batch.is_empty() {
+            return Ok(());
+        }
+        let queued = self.len();
+        if queued + batch.len() > self.capacity {
+            return Err(format!(
+                "queue full: {queued} queued of {} capacity, batch of {} rejected",
+                self.capacity,
+                batch.len()
+            ));
+        }
+        match self.lanes.iter_mut().find(|(l, _)| *l == lane) {
+            Some((_, items)) => items.extend(batch),
+            None => self.lanes.push_back((lane, batch.into())),
+        }
+        Ok(())
+    }
+
+    /// The next item round-robin: the front lane gives up one item and
+    /// rotates to the back if it has more.
+    fn pop(&mut self) -> Option<T> {
+        let (lane, mut items) = self.lanes.pop_front()?;
+        let item = items
+            .pop_front()
+            .expect("a lane in the rotation holds items");
+        if !items.is_empty() {
+            self.lanes.push_back((lane, items));
+        }
+        Some(item)
+    }
+
+    /// Items queued, across every lane.
+    fn len(&self) -> usize {
+        self.lanes.iter().map(|(_, items)| items.len()).sum()
+    }
+
+    fn clear(&mut self) {
+        self.lanes.clear();
+    }
+}
+
+/// Everything the service lock guards.
+struct State {
+    /// The in-flight registry: every queued or running pair, with the
+    /// subscribers waiting on its run.
+    inflight: HashMap<PairKey, Vec<Subscriber>>,
+    queue: LaneQueue<PairKey>,
+    /// Set by the shutdown drill; workers exit instead of parking.
+    shutdown: bool,
+}
+
+/// What workers and connection threads share.
 struct Core {
     backend: Arc<dyn Backend>,
-    registry: Mutex<HashMap<PairKey, Vec<Subscriber>>>,
+    state: Mutex<State>,
+    /// Wakes parked workers when pairs are queued or shutdown begins.
+    work: Condvar,
     stats: StatsCells,
 }
 
 impl Core {
-    fn lock_registry(&self) -> std::sync::MutexGuard<'_, HashMap<PairKey, Vec<Subscriber>>> {
-        self.registry
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, State> {
+        // `Backend::run` never runs under the lock. A panic in `lookup`
+        // strikes before a sweep mutates the state, so a poisoned lock
+        // still guards a consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-/// Runs one pair on a pool worker and notifies every subscriber.
+/// A worker's life: pop the next pair round-robin, run it without the
+/// lock, repeat; park while the queue is dry; exit at shutdown.
+fn worker_loop(core: &Core) {
+    let mut st = core.lock();
+    while !st.shutdown {
+        if let Some(key) = st.queue.pop() {
+            drop(st);
+            run_and_notify(core, &key);
+            st = core.lock();
+        } else {
+            st = core.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// Runs one pair on a worker and notifies every subscriber. The
+/// `catch_unwind` is the worker's only guard: a panicking simulation
+/// answers its subscribers with the message, and the worker goes on to
+/// the next pair.
 fn run_and_notify(core: &Core, key: &PairKey) {
     let outcome = catch_unwind(AssertUnwindSafe(|| core.backend.run(key)))
         .map_err(|p| format!("simulation panicked: {}", panic_message(p.as_ref())));
     // The lock is the synchronization point of the exactly-once
     // contract: the entry leaves the registry only after the result is
     // in the store (backend.run persisted it above).
-    let subs = core.lock_registry().remove(key).unwrap_or_default();
+    let subs = core.lock().inflight.remove(key).unwrap_or_default();
     for sub in subs {
         sub.deliver(&outcome);
     }
@@ -227,8 +329,7 @@ impl Seed {
 
 #[allow(clippy::too_many_lines)]
 fn handle_sweep(
-    core: &Arc<Core>,
-    pool: &ServicePool,
+    core: &Core,
     lane: u64,
     id: u64,
     configs: &[String],
@@ -263,9 +364,9 @@ fn handle_sweep(
     }
     let pairs = grid.len();
 
-    // Classify under the registry lock — see the module docs for why
-    // the lock must span lookup, submission, and registration.
-    let mut reg = core.lock_registry();
+    // Classify under the lock — see the module docs for why the lock
+    // must span lookup, admission, and registration.
+    let mut st = core.lock();
     let mut hit_lines: Vec<String> = Vec::new();
     let mut existing: Vec<(PairKey, Seed)> = Vec::new();
     let mut owned: Vec<(PairKey, Vec<Seed>)> = Vec::new();
@@ -282,7 +383,7 @@ fn handle_sweep(
                 Source::Hit,
                 &report,
             ));
-        } else if reg.contains_key(&key) {
+        } else if st.inflight.contains_key(&key) {
             // Another connection's run is in flight: subscribe.
             dedups += 1;
             let seed = Seed {
@@ -314,17 +415,10 @@ fn handle_sweep(
     }
 
     // All-or-nothing admission for the misses, still under the lock so
-    // a submitted job cannot complete before its registry entry exists.
-    let jobs: Vec<Job> = owned
-        .iter()
-        .map(|(key, _)| {
-            let core = Arc::clone(core);
-            let key = key.clone();
-            Box::new(move || run_and_notify(&core, &key)) as Job
-        })
-        .collect();
-    if let Err(e) = pool.try_submit_batch(lane, jobs) {
-        drop(reg);
+    // no worker can pop a pair before its registry entry exists.
+    let batch = owned.iter().map(|(key, _)| key.clone()).collect();
+    if let Err(e) = st.queue.try_push(lane, batch) {
+        drop(st);
         core.stats.rejections.fetch_add(1, Ordering::Relaxed);
         tele().rejections.inc();
         let _ = tx.send(error_line(
@@ -333,7 +427,7 @@ fn handle_sweep(
         ));
         return;
     }
-    tele().queue_depth_hw.record_max(pool.queued() as u64);
+    tele().queue_depth_hw.record_max(st.queue.len() as u64);
 
     let misses = owned.len() as u64;
     let pending = existing.len() + owned.iter().map(|(_, s)| s.len()).sum::<usize>();
@@ -350,7 +444,8 @@ fn handle_sweep(
         let _ = tx.send(line);
     }
     for (key, seed) in existing {
-        reg.get_mut(&key)
+        st.inflight
+            .get_mut(&key)
             .expect("contains_key checked under the same lock")
             .push(seed.materialize(tx, &tracker, id));
     }
@@ -359,9 +454,12 @@ fn handle_sweep(
             .into_iter()
             .map(|s| s.materialize(tx, &tracker, id))
             .collect();
-        reg.insert(key, subs);
+        st.inflight.insert(key, subs);
     }
-    drop(reg);
+    drop(st);
+    if misses > 0 {
+        core.work.notify_all();
+    }
 
     core.stats.hits.fetch_add(hits, Ordering::Relaxed);
     core.stats.misses.fetch_add(misses, Ordering::Relaxed);
@@ -395,8 +493,7 @@ fn stats_line(stats: &ServeStats) -> String {
 /// Handles one request line. Returns `false` when the connection must
 /// stop serving (shutdown requested).
 fn handle_request(
-    core: &Arc<Core>,
-    pool: &ServicePool,
+    core: &Core,
     lane: u64,
     line: &str,
     tx: &mpsc::Sender<String>,
@@ -428,7 +525,7 @@ fn handle_request(
             configs,
             workloads,
         }) => {
-            handle_sweep(core, pool, lane, id, &configs, &workloads, tx);
+            handle_sweep(core, lane, id, &configs, &workloads, tx);
             true
         }
     }
@@ -440,8 +537,7 @@ fn handle_request(
 /// registry is cleared — joining it here would deadlock on pending
 /// subscribers during shutdown.
 fn connection_loop(
-    core: &Arc<Core>,
-    pool: &ServicePool,
+    core: &Core,
     lane: u64,
     stream: TcpStream,
     shutdown: &AtomicBool,
@@ -458,7 +554,7 @@ fn connection_loop(
             let mut w = io::BufWriter::new(write_half);
             for line in rx {
                 // A vanished client is not an error; keep draining so
-                // job-side sends never see a closed channel mid-batch.
+                // worker-side sends never see a closed channel mid-batch.
                 let _ = w.write_all(line.as_bytes());
                 let _ = w.write_all(b"\n");
                 let _ = w.flush();
@@ -493,8 +589,7 @@ fn connection_loop(
             Ok(_) => {
                 let request = line.trim().to_string();
                 line.clear();
-                if !request.is_empty()
-                    && !handle_request(core, pool, lane, &request, &tx, shutdown, addr)
+                if !request.is_empty() && !handle_request(core, lane, &request, &tx, shutdown, addr)
                 {
                     break;
                 }
@@ -520,9 +615,18 @@ fn accept_loop(
     listener: TcpListener,
     addr: SocketAddr,
     core: Arc<Core>,
-    pool: Arc<ServicePool>,
+    workers: usize,
     shutdown: Arc<AtomicBool>,
 ) {
+    let workers: Vec<JoinHandle<()>> = (0..workers)
+        .map(|w| {
+            let core = Arc::clone(&core);
+            std::thread::Builder::new()
+                .name(format!("mcm-serve-worker-{w}"))
+                .spawn(move || worker_loop(&core))
+                .expect("spawn service worker")
+        })
+        .collect();
     let writer_handles = Arc::new(Mutex::new(Vec::new()));
     let mut connections: Vec<JoinHandle<()>> = Vec::new();
     let mut lane = 0u64;
@@ -533,26 +637,35 @@ fn accept_loop(
         let Ok(stream) = stream else { continue };
         lane += 1;
         let core = Arc::clone(&core);
-        let pool = Arc::clone(&pool);
         let shutdown = Arc::clone(&shutdown);
         let writer_handles = Arc::clone(&writer_handles);
         let handle = std::thread::Builder::new()
             .name(format!("mcm-serve-conn-{lane}"))
             .spawn(move || {
-                connection_loop(&core, &pool, lane, stream, &shutdown, addr, &writer_handles);
+                connection_loop(&core, lane, stream, &shutdown, addr, &writer_handles);
             })
             .expect("spawn connection thread");
         connections.push(handle);
     }
     // The shutdown drill, in dependency order: readers first (no new
-    // work), then the pool (running jobs finish and notify; queued
-    // jobs drop), then the registry (subscribers of dropped jobs get a
-    // loud error), then the writers (all senders are gone by now).
+    // work), then the workers (running pairs finish and notify; queued
+    // pairs drop), then the registry (subscribers of dropped pairs get
+    // a loud error), then the writers (all senders are gone by now).
+    // With every reader joined, no sweep can reach the queue after it
+    // is cleared here.
     for h in connections {
         let _ = h.join();
     }
-    pool.shutdown();
-    let leftovers: Vec<(PairKey, Vec<Subscriber>)> = core.lock_registry().drain().collect();
+    {
+        let mut st = core.lock();
+        st.shutdown = true;
+        st.queue.clear();
+    }
+    core.work.notify_all();
+    for w in workers {
+        let _ = w.join();
+    }
+    let leftovers: Vec<(PairKey, Vec<Subscriber>)> = core.lock().inflight.drain().collect();
     for (key, subs) in leftovers {
         let outcome = Err(format!(
             "server shut down before ({}, {}) ran",
@@ -579,7 +692,6 @@ pub struct SweepService {
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     core: Arc<Core>,
-    pool: Arc<ServicePool>,
 }
 
 impl std::fmt::Debug for SweepService {
@@ -592,39 +704,54 @@ impl std::fmt::Debug for SweepService {
 
 impl SweepService {
     /// Binds `bind` (e.g. `"127.0.0.1:0"` for an ephemeral port) and
-    /// starts serving `backend`.
+    /// starts serving `backend`. The accept thread spawns the workers
+    /// and joins them at shutdown, so an error here leaves none behind.
     ///
     /// # Errors
     ///
     /// Returns the bind error when the address is unusable.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `opts.workers` or `opts.queue_capacity` is zero.
     pub fn start(
         bind: &str,
         backend: Arc<dyn Backend>,
         opts: ServeOptions,
     ) -> io::Result<SweepService> {
+        assert!(
+            opts.workers >= 1,
+            "a sweep service needs at least one worker"
+        );
+        assert!(
+            opts.queue_capacity >= 1,
+            "a zero-capacity queue rejects everything"
+        );
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let core = Arc::new(Core {
             backend,
-            registry: Mutex::new(HashMap::new()),
+            state: Mutex::new(State {
+                inflight: HashMap::new(),
+                queue: LaneQueue::new(opts.queue_capacity),
+                shutdown: false,
+            }),
+            work: Condvar::new(),
             stats: StatsCells::default(),
         });
-        let pool = Arc::new(ServicePool::new(opts.workers, opts.queue_capacity));
-        let pool_handle = Arc::clone(&pool);
         let shutdown = Arc::new(AtomicBool::new(false));
         let accept = {
             let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
             std::thread::Builder::new()
                 .name("mcm-serve-accept".to_string())
-                .spawn(move || accept_loop(listener, addr, core, pool, shutdown))?
+                .spawn(move || accept_loop(listener, addr, core, opts.workers, shutdown))?
         };
         Ok(SweepService {
             addr,
             shutdown,
             accept: Some(accept),
             core,
-            pool: pool_handle,
         })
     }
 
@@ -638,10 +765,10 @@ impl SweepService {
         self.core.stats.snapshot()
     }
 
-    /// Jobs accepted but not yet started — the pool's live queue
-    /// depth, for operators (and tests) watching backlog drain.
+    /// Pairs accepted but not yet started — the live queue depth, for
+    /// operators (and tests) watching backlog drain.
     pub fn queued(&self) -> usize {
-        self.pool.queued()
+        self.core.lock().queue.len()
     }
 
     /// Requests shutdown without waiting (idempotent; also triggered
@@ -652,7 +779,7 @@ impl SweepService {
     }
 
     /// Blocks until the service has fully shut down — every connection
-    /// answered or torn down, the pool drained and joined — and
+    /// answered or torn down, the workers stopped and joined — and
     /// returns the final counters. Returns only after a `shutdown` op
     /// or a [`SweepService::shutdown`] call.
     pub fn wait(mut self) -> ServeStats {
@@ -669,5 +796,52 @@ impl Drop for SweepService {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::LaneQueue;
+
+    #[test]
+    fn lanes_are_served_round_robin() {
+        let mut queue = LaneQueue::new(64);
+        // Lane 1 floods first; lanes 2 and 3 arrive after with one item
+        // each. Fairness: the singletons must not wait behind the flood.
+        for (lane, tag) in [(1, "a1"), (1, "a2"), (1, "a3"), (2, "b1"), (3, "c1")] {
+            queue.try_push(lane, vec![tag]).unwrap();
+        }
+        let order: Vec<&str> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(order, ["a1", "b1", "c1", "a2", "a3"]);
+        assert_eq!(queue.len(), 0);
+    }
+
+    #[test]
+    fn admission_refuses_a_batch_whole() {
+        let mut queue = LaneQueue::new(3);
+        queue.try_push(7, vec![1, 2]).unwrap();
+        // A 2-item batch into a 3-slot queue holding 2: refused whole.
+        let err = queue
+            .try_push(8, vec![3, 4])
+            .expect_err("batch must not fit");
+        assert_eq!(
+            err,
+            "queue full: 2 queued of 3 capacity, batch of 2 rejected"
+        );
+        // Nothing of the refused batch was queued: one slot remains.
+        assert_eq!(queue.len(), 2);
+        queue.try_push(8, vec![5]).unwrap();
+        assert_eq!(queue.len(), 3);
+        let order: Vec<u32> = std::iter::from_fn(|| queue.pop()).collect();
+        assert_eq!(order, [1, 5, 2]);
+    }
+
+    #[test]
+    fn empty_batch_always_admits() {
+        let mut queue = LaneQueue::new(1);
+        queue.try_push(0, vec![9]).unwrap();
+        queue.try_push(1, Vec::new()).unwrap();
+        assert_eq!(queue.len(), 1);
+        assert_eq!((queue.pop(), queue.pop()), (Some(9), None));
     }
 }

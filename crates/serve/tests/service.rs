@@ -1,7 +1,7 @@
 //! Integration tests for [`SweepService`] over scripted backends: the
 //! exactly-once contract (hits never run, in-flight duplicates share
-//! one run), admission control, and the shutdown drill — all over real
-//! localhost sockets.
+//! one run), admission control, round-robin fairness, panic isolation,
+//! and the shutdown drill — all over real localhost sockets.
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -53,6 +53,10 @@ struct ScriptedBackend {
     workloads: Vec<String>,
     cache: Mutex<HashMap<u64, String>>,
     runs: AtomicU64,
+    /// The configs of every `run` call, in call order.
+    order: Mutex<Vec<String>>,
+    /// `run` panics on this config instead of rendering.
+    panics_on: Option<&'static str>,
     gate: Option<Arc<Gate>>,
 }
 
@@ -63,6 +67,8 @@ impl ScriptedBackend {
             workloads: workloads.iter().map(|s| (*s).to_string()).collect(),
             cache: Mutex::new(HashMap::new()),
             runs: AtomicU64::new(0),
+            order: Mutex::new(Vec::new()),
+            panics_on: None,
             gate,
         }
     }
@@ -109,9 +115,16 @@ impl Backend for ScriptedBackend {
 
     fn run(&self, key: &PairKey) -> String {
         self.runs.fetch_add(1, Ordering::SeqCst);
+        self.order.lock().unwrap().push(key.config.clone());
         if let Some(gate) = &self.gate {
             gate.pass();
         }
+        assert!(
+            self.panics_on != Some(key.config.as_str()),
+            "scripted backend panic on ({}, {})",
+            key.config,
+            key.workload
+        );
         let report = Self::render(&key.config, &key.workload);
         self.cache
             .lock()
@@ -383,6 +396,77 @@ fn oversized_requests_are_rejected_whole() {
 }
 
 #[test]
+fn lanes_take_turns_across_connections() {
+    let gate = Arc::new(Gate::default());
+    let backend = Arc::new(ScriptedBackend::new(
+        &["a", "b", "c", "d"],
+        &["w"],
+        Some(Arc::clone(&gate)),
+    ));
+    let service = start(Arc::clone(&backend) as Arc<dyn Backend>, 1, 16);
+    // One worker: (a, w) starts running; (b, w) and (c, w) queue on the
+    // first connection's lane.
+    let mut first = Client::connect(&service);
+    first.send(&sweep_request(1, &["a", "b", "c"], &["w"]));
+    assert_eq!(first.recv(), "{\"ack\":1,\"pairs\":3}");
+    gate.wait_entered(1);
+    // A one-pair sweep from a second connection queues on its own lane.
+    let mut second = Client::connect(&service);
+    second.send(&sweep_request(2, &["d"], &["w"]));
+    assert_eq!(second.recv(), "{\"ack\":2,\"pairs\":1}");
+
+    gate.open();
+    first.recv_until_done(1);
+    second.recv_until_done(2);
+    // The lanes alternate: (d, w) runs before the first connection's
+    // second queued pair.
+    assert_eq!(*backend.order.lock().unwrap(), ["a", "b", "d", "c"]);
+}
+
+#[test]
+fn a_panicking_run_answers_its_pair_and_the_worker_goes_on() {
+    let mut backend = ScriptedBackend::new(&["a", "b", "c"], &["w"], None);
+    backend.panics_on = Some("b");
+    let backend = Arc::new(backend);
+    let service = start(Arc::clone(&backend) as Arc<dyn Backend>, 1, 16);
+    let mut client = Client::connect(&service);
+    client.send(&sweep_request(1, &["a", "b"], &["w"]));
+    let lines = client.recv_until_done(1);
+    let failed = lines
+        .iter()
+        .find(|l| l.contains("(b, w)"))
+        .expect("the panicking pair is answered");
+    assert!(
+        failed.contains("\"error\"") && failed.contains("simulation panicked"),
+        "got: {failed}"
+    );
+    assert!(lines.iter().any(|l| l.contains("\"config\":\"a\"")));
+
+    // The only worker survived: a later miss still runs.
+    client.send(&sweep_request(2, &["c"], &["w"]));
+    let lines = client.recv_until_done(2);
+    assert!(lines.iter().any(|l| l.contains("\"source\":\"run\"")));
+    assert_eq!(backend.runs.load(Ordering::SeqCst), 3);
+}
+
+#[test]
+fn deeply_nested_request_lines_are_answered_not_fatal() {
+    let backend = Arc::new(ScriptedBackend::new(&["a"], &["w"], None));
+    let service = start(backend, 1, 16);
+    let mut client = Client::connect(&service);
+    // Well under the line cap, but deep enough to overflow the
+    // connection thread's stack in an unbounded recursive parser.
+    client.send(&"[".repeat(10_000));
+    let line = client.recv();
+    assert!(
+        line.contains("\"error\"") && line.contains("nest"),
+        "got: {line}"
+    );
+    client.send("{\"op\":\"ping\"}");
+    assert_eq!(client.recv(), "{\"pong\":true}");
+}
+
+#[test]
 fn over_long_request_lines_are_refused_and_the_connection_closed() {
     let backend = Arc::new(ScriptedBackend::new(&["a"], &["w"], None));
     let service = start(backend, 1, 16);
@@ -445,8 +529,8 @@ fn shutdown_drill_answers_pending_pairs_loudly() {
     let mut controller = Client::connect(&service);
     controller.send("{\"op\":\"shutdown\"}");
     assert_eq!(controller.recv(), "{\"bye\":true}");
-    // Hold the gate until the pool's shutdown has cleared the queued
-    // (b, w) job; opening earlier would let the worker take it through
+    // Hold the gate until the shutdown drill has cleared the queued
+    // (b, w) pair; opening earlier would let the worker take it through
     // the open gate and turn the drill into a normal completion.
     let deadline = Instant::now() + Duration::from_secs(10);
     while service.queued() > 0 {

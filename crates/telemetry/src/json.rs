@@ -7,7 +7,10 @@
 //!   and bench sinks compose into documents, and
 //! * [`Json`], a full (if small) recursive-descent value parser — the
 //!   in-repo JSON reader that the bench comparator and the
-//!   well-formedness tests load snapshots back through.
+//!   well-formedness tests load snapshots back through, and that the
+//!   sweep daemon parses every request line with. Nesting is bounded
+//!   at [`MAX_DEPTH`], so a hostile line is an error, not a stack
+//!   overflow.
 //!
 //! Numbers parse as `f64`; that is exact for every integer the sinks
 //! emit (counters stay far below 2^53) and sufficient for wall-clock
@@ -52,6 +55,13 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// Every document the workspace writes or reads (telemetry snapshots,
+/// `BENCH_*.json`, protocol lines, `BENCHMARK.json`) nests a handful of
+/// levels; one recursion frame per level keeps 128 far inside a
+/// thread's default stack.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -76,11 +86,12 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message naming the byte offset of the first syntax
-    /// error, or trailing garbage after the value.
+    /// error, of trailing garbage after the value, or of the array or
+    /// object that nests deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing garbage at byte {pos}"));
@@ -154,12 +165,17 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        )),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Json::Bool(false)),
@@ -247,7 +263,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -256,7 +272,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -269,7 +285,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut map = BTreeMap::new();
     skip_ws(bytes, pos);
@@ -282,7 +298,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         map.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -336,6 +352,28 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("nope").is_err());
         assert!(Json::parse("1e999").is_err(), "infinite literal rejected");
+    }
+
+    #[test]
+    fn nesting_is_bounded_without_recursing_past_the_bound() {
+        let arrays = |depth| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects = |depth| format!("{}0{}", "{\"k\":".repeat(depth), "}".repeat(depth));
+        assert!(Json::parse(&arrays(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&objects(MAX_DEPTH)).is_ok());
+        // One frame per level would overflow any thread's stack at
+        // 100,000 levels; the parser stops at the first level past the
+        // bound and names its byte.
+        assert_eq!(
+            Json::parse(&arrays(100_000)).unwrap_err(),
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        assert_eq!(
+            Json::parse(&objects(100_000)).unwrap_err(),
+            format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                5 * MAX_DEPTH
+            )
+        );
     }
 
     #[test]

@@ -166,14 +166,16 @@ diff "$TELEMETRY_TMP/failfast-1.line" "$TELEMETRY_TMP/failfast-4.line" \
 # reports; the cold server simulates each unique pair exactly once
 # (runs=2: NN-Conv misses in the first sweep, Stream in sweep2 —
 # NN-Conv is already in flight or stored by then), the warm server
-# simulates nothing (runs=0). Afterwards: no LOCK left behind and the
-# port closed.
+# simulates nothing (runs=0). Each round's MCM_TELEMETRY snapshot must
+# agree (serve.misses 2, then 0). Afterwards: no LOCK left behind and
+# the port closed.
 echo "== sweep service smoke (serve + scripted client, cold vs warm) =="
 SERVE_STORE="$TELEMETRY_TMP/serve-store"
 SERVE_SCRIPT='ping; sweep baseline:NN-Conv; sweep2 baseline:NN-Conv,Stream; stats; shutdown'
 serve_round() { # $1: output tag
   MCM_SCALE=0.01 MCM_JOBS=1 \
     MCM_STORE="$SERVE_STORE" MCM_SERVE_ADDR=127.0.0.1:0 MCM_SERVE_WORKERS=2 \
+    MCM_TELEMETRY="$TELEMETRY_TMP/serve-$1.json" \
     target/release/serve >"$TELEMETRY_TMP/serve-$1.log" &
   SERVE_PID=$!
   for _ in $(seq 1 100); do
@@ -188,13 +190,23 @@ serve_round() { # $1: output tag
   wait "$SERVE_PID" \
     || { echo "tier-1: serve ($1) exited non-zero" >&2; exit 1; }
   SERVE_PORT="${SERVE_ADDR##*:}"
+  test -s "$TELEMETRY_TMP/serve-$1.json" \
+    || { echo "tier-1: serve ($1) wrote no MCM_TELEMETRY snapshot" >&2; exit 1; }
+  if grep -q 'exec\.service_' "$TELEMETRY_TMP/serve-$1.json"; then
+    echo "tier-1: serve ($1) snapshot has exec.service_* metrics" >&2
+    exit 1
+  fi
 }
 serve_round cold
 grep -q '^runs=2$' "$TELEMETRY_TMP/serve-client-cold.txt" \
   || { echo "tier-1: cold serve did not run each unique pair exactly once" >&2; exit 1; }
+grep -q '"serve.misses":2[,}]' "$TELEMETRY_TMP/serve-cold.json" \
+  || { echo "tier-1: cold serve snapshot does not read serve.misses 2" >&2; exit 1; }
 serve_round warm
 grep -q '^runs=0$' "$TELEMETRY_TMP/serve-client-warm.txt" \
   || { echo "tier-1: warm serve re-simulated stored pairs" >&2; exit 1; }
+grep -q '"serve.misses":0[,}]' "$TELEMETRY_TMP/serve-warm.json" \
+  || { echo "tier-1: warm serve snapshot does not read serve.misses 0" >&2; exit 1; }
 # Pair report bytes must not depend on cold vs warm (only the runs=
 # stats line may differ).
 diff <(grep -v '^runs=' "$TELEMETRY_TMP/serve-client-cold.txt") \
