@@ -563,7 +563,7 @@ fn connection_loop(
         .expect("spawn connection writer");
     writer_handles
         .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+        .unwrap_or_else(PoisonError::into_inner)
         .push(writer);
 
     // Timed reads keep the loop responsive to the shutdown flag.
@@ -678,7 +678,7 @@ fn accept_loop(
     let writers = std::mem::take(
         &mut *writer_handles
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner),
+            .unwrap_or_else(PoisonError::into_inner),
     );
     for h in writers {
         let _ = h.join();
