@@ -193,7 +193,7 @@ serve_round() { # $1: output tag
   test -s "$TELEMETRY_TMP/serve-$1.json" \
     || { echo "tier-1: serve ($1) wrote no MCM_TELEMETRY snapshot" >&2; exit 1; }
   if grep -q 'exec\.service_' "$TELEMETRY_TMP/serve-$1.json"; then
-    echo "tier-1: serve ($1) snapshot has exec.service_* metrics" >&2
+    echo "tier-1: serve ($1) snapshot still carries the deleted service-pool metrics" >&2
     exit 1
   fi
 }
