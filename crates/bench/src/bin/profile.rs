@@ -12,7 +12,7 @@
 //! warp-cycles go.
 
 use mcm_bench::env::RunEnv;
-use mcm_bench::harness::{self, TextTable};
+use mcm_bench::harness::{self, Pair, TextTable};
 use mcm_bench::serve_backend::preset_table;
 use mcm_probe::StallProfile;
 use mcm_workloads::suite;
@@ -34,11 +34,11 @@ fn main() {
         std::process::exit(2);
     };
     let _telemetry = harness::telemetry_guard(&env);
-    let spec = spec.scaled(env.scale);
+    let pair = Pair::new(&env, &cfg, &spec);
 
     let mut profile = StallProfile::new();
-    let stem = harness::artifact_stem(&cfg, &spec);
-    let (report, written) = harness::run_with_env(&env, &cfg, &spec, &mut profile, &stem);
+    let (report, written) =
+        harness::run_with_env(&env, &cfg, pair.spec(), &mut profile, pair.stem());
     if let Some(path) = written.trace {
         println!("trace:   {}", path.display());
     }

@@ -37,11 +37,9 @@ pub(crate) fn open_store(env: &RunEnv) -> Option<Store> {
 /// simulated once per process, so figures that share configurations
 /// (e.g. every figure needs the baseline) don't re-run it.
 ///
-/// The cache keys on the configuration's full
-/// [`fingerprint`](SystemConfig::fingerprint) and the scaled spec's
-/// [`fingerprint`](WorkloadSpec::fingerprint) — not their display
-/// names — so two configurations or specs that share a name but differ
-/// in any parameter are simulated (and cached) separately.
+/// The cache keys on each [`Pair`]'s key — content fingerprints, not
+/// display names — so two configurations or specs that share a name but
+/// differ in any parameter are simulated (and cached) separately.
 ///
 /// A harness process warms everything it will read in one
 /// [`Memo::warm`] call, which plans the unique uncached pairs up front
@@ -54,14 +52,13 @@ pub(crate) fn open_store(env: &RunEnv) -> Option<Store> {
 /// [`Memo::new`]), the cache additionally survives the process:
 /// every fresh simulation is durably committed as it completes, and
 /// later processes (or a restart after a crash) serve those pairs from
-/// disk. The store key folds in everything that determines a result —
-/// the configuration fingerprint, every field of the *scaled* spec,
-/// and the fault-injection knobs — so a knob change or an edited spec
-/// is a different key, never a stale hit.
+/// disk under the same key, which folds in everything that determines
+/// a result, so a knob change or an edited spec is a different key,
+/// never a stale hit.
 #[derive(Debug)]
 pub struct Memo {
     env: RunEnv,
-    cache: HashMap<(u64, u64), RunReport>,
+    cache: HashMap<u64, RunReport>,
     store: Option<Store>,
     stats: MemoStats,
 }
@@ -124,26 +121,95 @@ fn memo_tele() -> &'static MemoTele {
     })
 }
 
-/// The persistent-store key for one `(configuration, workload)` pair
-/// run under `env`. Unlike [`Memo`]'s in-process cache key, this must
-/// survive the process — so it folds in everything the run context
-/// contributes to a result: every field of the *scaled* spec (its
-/// [`fingerprint`](WorkloadSpec::fingerprint), which captures
-/// `env.scale` and any edit to a suite entry) and the fault rate and
-/// seed (the seed even at rate 0). The sweep daemon keys with it too.
-pub fn store_key(env: &RunEnv, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(cfg.fingerprint());
-    h.write_u64(spec.scaled(env.scale).fingerprint());
-    h.write_u64(env.fault_rate.to_bits());
-    h.write_u64(env.fault_seed);
-    h.finish()
+/// One `(configuration, workload)` pair under a run context, with every
+/// name the pair goes by. [`Pair::new`] is the one place a pair is
+/// hashed, into two names:
+///
+/// - the *key*, which every cache names the pair's result by: the
+///   memo's in-process cache and its warm dedupe, `MCM_STORE`, and the
+///   sweep daemon's rendered cache and in-flight registry. It must
+///   survive the process, so it folds in everything the run context
+///   contributes to a result: the configuration's
+///   [`fingerprint`](SystemConfig::fingerprint), the scaled spec's
+///   [`fingerprint`](WorkloadSpec::fingerprint) (which captures the
+///   scale and any edit to a suite entry) and the fault rate and seed
+///   (the seed even at rate 0);
+/// - the artifact-file [`stem`](Pair::stem): the collapsed display
+///   names plus a 32-bit hash of both fingerprints. Two runs share a
+///   stem only if they would simulate identically, so parallel workers
+///   never race on an artifact file, even for configs or specs that
+///   share a display name but differ in a parameter.
+///
+/// The fields are private because the names are derived from the rest.
+#[derive(Debug, Clone)]
+pub struct Pair<'c> {
+    pub(crate) cfg: &'c SystemConfig,
+    /// The workload spec scaled to the run context: what the pair
+    /// simulates.
+    pub(crate) spec: WorkloadSpec,
+    pub(crate) key: u64,
+    pub(crate) stem: String,
 }
 
-/// The [`store_key`] of an unfaulted run at `scale`: rate 0 and the
+impl<'c> Pair<'c> {
+    /// `spec` (unscaled) on `cfg` under `env`.
+    pub fn new(env: &RunEnv, cfg: &'c SystemConfig, spec: &WorkloadSpec) -> Self {
+        let spec = spec.scaled(env.scale);
+        let mut h = StableHasher::new();
+        h.write_u64(cfg.fingerprint());
+        h.write_u64(spec.fingerprint());
+        // The stem hashes the two fingerprints; the key goes on to fold
+        // in the fault settings.
+        let stem = format!(
+            "{}__{}-{:08x}",
+            collapse(&cfg.name),
+            collapse(spec.name),
+            h.finish() as u32
+        );
+        h.write_f64(env.fault_rate);
+        h.write_u64(env.fault_seed);
+        Pair {
+            cfg,
+            spec,
+            key: h.finish(),
+            stem,
+        }
+    }
+
+    /// The scaled workload spec the pair simulates.
+    pub fn spec(&self) -> &WorkloadSpec {
+        &self.spec
+    }
+
+    /// The stem the pair's trace and metrics files are named by.
+    pub fn stem(&self) -> &str {
+        &self.stem
+    }
+
+    /// The report `store` holds for this pair, if any.
+    pub(crate) fn stored(&self, store: Option<&Store>) -> Option<RunReport> {
+        store?.get(self.key, self.spec.name)
+    }
+
+    /// Simulates this pair with `sim` ([`run_instrumented`], or a
+    /// test's own fault) and commits the report to `store` before
+    /// returning it, so a crash mid-sweep keeps every finished result.
+    pub(crate) fn simulate<G>(&self, env: &RunEnv, store: Option<&Store>, sim: G) -> RunReport
+    where
+        G: Fn(&RunEnv, &Pair) -> RunReport,
+    {
+        let report = sim(env, self);
+        if let Some(store) = store {
+            store.put(self.key, self.spec.name, &report);
+        }
+        report
+    }
+}
+
+/// The [`Pair`] key of an unfaulted run at `scale`: rate 0 and the
 /// default fault seed.
 pub fn pair_fingerprint(scale: f64, cfg: &SystemConfig, spec: &WorkloadSpec) -> u64 {
-    store_key(&RunEnv::at_scale(scale), cfg, spec)
+    Pair::new(&RunEnv::at_scale(scale), cfg, spec).key
 }
 
 impl Memo {
@@ -184,13 +250,6 @@ impl Memo {
         self.env.scale
     }
 
-    /// The in-process cache key of `cfg` running the already *scaled*
-    /// spec: both fingerprints, so an edited spec never hits another
-    /// spec's entry.
-    fn key(cfg: &SystemConfig, scaled: &WorkloadSpec) -> (u64, u64) {
-        (cfg.fingerprint(), scaled.fingerprint())
-    }
-
     /// Runs `spec` (scaled) on `cfg`, memoized — in-process first, then
     /// the persistent store (when attached), then a fresh simulation
     /// (which is durably committed to the store as it completes).
@@ -198,29 +257,22 @@ impl Memo {
     /// Fresh (non-memoized) runs honour the memo's fault, sink and
     /// script settings: see [`run_instrumented`].
     pub fn run(&mut self, cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
-        let scaled = spec.scaled(self.env.scale);
-        let key = Memo::key(cfg, &scaled);
-        if let Some(r) = self.cache.get(&key) {
+        let pair = Pair::new(&self.env, cfg, spec);
+        if let Some(r) = self.cache.get(&pair.key) {
             self.stats.hits += 1;
             memo_tele().hits.inc();
             return r.clone();
         }
-        if self.store.is_some() {
-            let fp = store_key(&self.env, cfg, spec);
-            if let Some(r) = self.store.as_ref().and_then(|s| s.get(fp, spec.name)) {
-                self.stats.store_hits += 1;
-                memo_tele().store_hits.inc();
-                self.cache.insert(key, r.clone());
-                return r;
-            }
-        }
-        self.stats.misses += 1;
-        memo_tele().misses.inc();
-        let report = run_instrumented(&self.env, cfg, &scaled);
-        if let Some(store) = &self.store {
-            store.put(store_key(&self.env, cfg, spec), spec.name, &report);
-        }
-        self.cache.insert(key, report.clone());
+        let report = if let Some(r) = pair.stored(self.store.as_ref()) {
+            self.stats.store_hits += 1;
+            memo_tele().store_hits.inc();
+            r
+        } else {
+            self.stats.misses += 1;
+            memo_tele().misses.inc();
+            pair.simulate(&self.env, self.store.as_ref(), run_instrumented)
+        };
+        self.cache.insert(pair.key, report.clone());
         report
     }
 
@@ -233,7 +285,7 @@ impl Memo {
     /// missing from the grid that was warmed, or a supervised warm
     /// quarantined it.
     pub fn get(&self, cfg: &SystemConfig, spec: &WorkloadSpec) -> &RunReport {
-        let key = Memo::key(cfg, &spec.scaled(self.env.scale));
+        let key = Pair::new(&self.env, cfg, spec).key;
         self.cache.get(&key).unwrap_or_else(|| {
             panic!(
                 "no warmed report for ({:?}, {:?}): warm every pair before rendering",
@@ -249,7 +301,7 @@ impl Memo {
     ///
     /// Planning happens up front in grid order: duplicates and
     /// already-cached pairs are dropped, artifact stems are checked for
-    /// collisions (see [`artifact_stem`]), and results are merged back
+    /// collisions (see [`Pair::stem`]), and results are merged back
     /// in plan order — output never depends on thread scheduling.
     ///
     /// Under `supervised`, a panicking pair is retried `retries` times
@@ -275,55 +327,44 @@ impl Memo {
     }
 
     /// Plans one warm call: drops pairs already in the in-process
-    /// cache, dedupes *exact* `(fingerprint, workload)` duplicates
-    /// (counted in `memo.warm_deduped`), serves pairs present in the
-    /// persistent store straight into the cache, checks the survivors'
-    /// artifact stems for collisions, and books the `memo.*`
-    /// accounting. Returns the pairs that genuinely need simulating,
-    /// in grid order, each with its precomputed store fingerprint.
-    fn plan<'p>(
-        &mut self,
-        pairs: &[(&'p SystemConfig, &'p WorkloadSpec)],
-    ) -> Vec<(&'p SystemConfig, WorkloadSpec, u64)> {
-        let mut planned: Vec<(&SystemConfig, WorkloadSpec, u64)> = Vec::new();
-        let mut seen: HashSet<(u64, u64)> = HashSet::new();
-        let mut stems: HashMap<String, (String, &str)> = HashMap::new();
+    /// cache, dedupes *exact* duplicates by key (counted in
+    /// `memo.warm_deduped`), serves pairs present in the persistent
+    /// store straight into the cache, checks the survivors' artifact
+    /// stems for collisions, and books the `memo.*` accounting. Returns
+    /// the pairs that genuinely need simulating, in grid order.
+    fn plan<'p>(&mut self, pairs: &[(&'p SystemConfig, &'p WorkloadSpec)]) -> Vec<Pair<'p>> {
+        let mut planned: Vec<Pair> = Vec::new();
+        let mut seen: HashSet<u64> = HashSet::new();
+        let mut stems: HashMap<String, usize> = HashMap::new();
         let mut deduped = 0u64;
         let mut store_hits = 0u64;
         for &(cfg, spec) in pairs {
-            let scaled = spec.scaled(self.env.scale);
-            let key = Memo::key(cfg, &scaled);
-            if self.cache.contains_key(&key) {
+            let pair = Pair::new(&self.env, cfg, spec);
+            if self.cache.contains_key(&pair.key) {
                 continue;
             }
-            // Exact-pair dedupe: the same (config, spec) fingerprints
-            // appearing twice in one grid plan once. This is decided
-            // on the full content key, never on a name or a truncated
-            // stem hash.
-            if !seen.insert(key) {
+            // Exact-pair dedupe, decided on the full content key, never
+            // on a name or a truncated stem hash.
+            if !seen.insert(pair.key) {
                 deduped += 1;
                 continue;
             }
-            let store_fp = store_key(&self.env, cfg, spec);
-            if let Some(r) = self.store.as_ref().and_then(|s| s.get(store_fp, spec.name)) {
+            if let Some(r) = pair.stored(self.store.as_ref()) {
                 store_hits += 1;
-                self.cache.insert(key, r);
+                self.cache.insert(pair.key, r);
                 continue;
             }
-            // The stem the worker writes under: it runs the scaled spec.
-            let stem = artifact_stem(cfg, &scaled);
-            match stems.get(&stem) {
-                // A *different* pair mapping to the same stem would
-                // silently overwrite artifacts; fail loud instead.
-                Some((c, w)) => panic!(
-                    "artifact stem {stem:?} collides: ({c:?}, {w:?}) vs ({:?}, {:?})",
-                    cfg.name, spec.name
-                ),
-                None => {
-                    stems.insert(stem, (cfg.name.clone(), spec.name));
-                }
+            // A *different* pair mapping to the same stem would silently
+            // overwrite artifacts; fail loud instead.
+            if let Some(&first) = stems.get(&pair.stem) {
+                let first = &planned[first];
+                panic!(
+                    "artifact stem {:?} collides: ({:?}, {:?}) vs ({:?}, {:?})",
+                    pair.stem, first.cfg.name, first.spec.name, cfg.name, spec.name
+                );
             }
-            planned.push((cfg, scaled, store_fp));
+            stems.insert(pair.stem.clone(), planned.len());
+            planned.push(pair);
         }
         let tele = memo_tele();
         self.stats.warm_requested += pairs.len() as u64;
@@ -363,36 +404,27 @@ impl Memo {
         sim: G,
     ) -> Vec<PairFailure>
     where
-        G: Fn(&RunEnv, &SystemConfig, &WorkloadSpec) -> RunReport + Sync,
+        G: Fn(&RunEnv, &Pair) -> RunReport + Sync,
     {
         let planned = self.plan(pairs);
         let (env, store) = (&self.env, self.store.as_ref());
-        let grid = mcm_exec::pool::run_grid_supervised(
-            &planned,
-            jobs,
-            retries,
-            |_, (cfg, scaled, store_fp)| {
-                let report = sim(env, cfg, scaled);
-                // Committed from the worker, not after the merge: a
-                // crash mid-sweep keeps every already-finished result.
-                if let Some(store) = store {
-                    store.put(*store_fp, scaled.name, &report);
-                }
-                report
-            },
-        );
-        for ((cfg, scaled, _), report) in planned.iter().zip(grid.results) {
+        // Each worker commits its own result, not the merge after it: a
+        // crash mid-sweep keeps every already-finished pair.
+        let grid = mcm_exec::pool::run_grid_supervised(&planned, jobs, retries, |_, pair| {
+            pair.simulate(env, store, &sim)
+        });
+        for (pair, report) in planned.iter().zip(grid.results) {
             if let Some(report) = report {
-                self.cache.insert(Memo::key(cfg, scaled), report);
+                self.cache.insert(pair.key, report);
             }
         }
         grid.failures
             .into_iter()
             .map(|failure| {
-                let (cfg, scaled, _) = &planned[failure.index];
+                let pair = &planned[failure.index];
                 PairFailure {
-                    config: cfg.name.clone(),
-                    workload: scaled.name.to_string(),
+                    config: pair.cfg.name.clone(),
+                    workload: pair.spec.name.to_string(),
                     failure,
                 }
             })
@@ -408,7 +440,7 @@ impl Memo {
     /// for deterministic output. Two configurations that share a name
     /// are ordered by their cache key, not by the hash map's seed.
     pub fn reports(&self) -> Vec<&RunReport> {
-        let mut all: Vec<(&(u64, u64), &RunReport)> = self.cache.iter().collect();
+        let mut all: Vec<(&u64, &RunReport)> = self.cache.iter().collect();
         all.sort_by(|(ka, a), (kb, b)| {
             (&a.config, &a.workload, ka).cmp(&(&b.config, &b.workload, kb))
         });
@@ -473,36 +505,11 @@ fn collapse(name: &str) -> String {
     out
 }
 
-/// The low 32 bits of the stable FNV-1a hash of `name`, as 8 hex
-/// digits.
-fn short_hash(h: StableHasher) -> String {
-    format!("{:08x}", h.finish() as u32)
-}
-
-/// The artifact-file stem for one `(configuration, workload)` run:
-/// human-readable collapsed names plus a stable hash over the
-/// configuration's and the workload's full fingerprints
-/// ([`SystemConfig::fingerprint`], [`WorkloadSpec::fingerprint`]). Two
-/// runs share a stem only if they would simulate identically, so
-/// parallel workers never race on an artifact file — even for configs
-/// or specs that share a display name but differ in a parameter.
-pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
-    let mut h = StableHasher::new();
-    h.write_u64(cfg.fingerprint());
-    h.write_u64(spec.fingerprint());
-    format!(
-        "{}__{}-{}",
-        collapse(&cfg.name),
-        collapse(spec.name),
-        short_hash(h)
-    )
-}
-
-/// Runs one (already scaled) workload on `cfg` the way every harness
-/// sweep does: `env`'s scripted worker fault fires first (when one is
-/// set; the deterministic crash the supervised executor is exercised
-/// against), then [`run_with_env`] picks the fault plan and the sinks,
-/// naming artifacts by [`artifact_stem`].
+/// Runs one pair the way every harness sweep does: `env`'s scripted
+/// worker fault fires first (when one is set; the deterministic crash
+/// the supervised executor is exercised against), then [`run_with_env`]
+/// picks the fault plan and the sinks, naming artifacts by
+/// [`Pair::stem`].
 ///
 /// With no fault, sink or script set this is exactly
 /// [`Simulator::run`]: the null hooks monomorphize to no
@@ -512,11 +519,11 @@ pub fn artifact_stem(cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
 ///
 /// Panics if an artifact directory cannot be created or written, or
 /// when the scripted fault fires.
-pub fn run_instrumented(env: &RunEnv, cfg: &SystemConfig, spec: &WorkloadSpec) -> RunReport {
+pub fn run_instrumented(env: &RunEnv, pair: &Pair) -> RunReport {
     if let Some(script) = &env.task_panic {
-        scripted_task_panic(script, &cfg.name, spec.name);
+        scripted_task_panic(script, &pair.cfg.name, pair.spec.name);
     }
-    run_with_env(env, cfg, spec, &mut NullProbe, &artifact_stem(cfg, spec)).0
+    run_with_env(env, pair.cfg, &pair.spec, &mut NullProbe, &pair.stem).0
 }
 
 /// The artifact files one [`run_with_sinks`] call wrote.
@@ -848,9 +855,10 @@ mod tests {
         let fresh = memo.run(&cfg, &edited);
         assert_eq!(memo.stats().misses, 2, "the edited spec must miss");
         assert_eq!(memo.cache.len(), 2);
+        let env = RunEnv::at_scale(0.01);
         assert_eq!(
             fresh,
-            run_instrumented(&RunEnv::at_scale(0.01), &cfg, &edited.scaled(0.01))
+            run_instrumented(&env, &Pair::new(&env, &cfg, &edited))
         );
         assert_ne!(original, fresh);
         // The warm planner keys the same way.
@@ -860,23 +868,28 @@ mod tests {
         assert_eq!(warm.stats().warm_deduped, 0);
     }
 
+    /// The artifact stem of `spec` on `cfg` at `scale`.
+    fn stem(scale: f64, cfg: &SystemConfig, spec: &WorkloadSpec) -> String {
+        Pair::new(&RunEnv::at_scale(scale), cfg, spec).stem
+    }
+
     #[test]
     fn artifact_stems_separate_same_name_configs() {
         let a = SystemConfig::baseline_mcm();
         let mut b = SystemConfig::baseline_mcm();
         b.sm.mlp_per_warp += 1;
         let spec = suite::by_name("CFD").unwrap();
-        assert_ne!(artifact_stem(&a, &spec), artifact_stem(&b, &spec));
-        assert_eq!(artifact_stem(&a, &spec), artifact_stem(&a, &spec));
+        assert_ne!(stem(1.0, &a, &spec), stem(1.0, &b, &spec));
+        assert_eq!(stem(1.0, &a, &spec), stem(1.0, &a, &spec));
         let (spec, edited) = edited_cfd();
-        assert_ne!(artifact_stem(&a, &spec), artifact_stem(&a, &edited));
+        assert_ne!(stem(1.0, &a, &spec), stem(1.0, &a, &edited));
     }
 
     /// Store keys and artifact stems name records and files that outlive
     /// the process: a change that moves one strands every store and
     /// artifact directory written before it.
     #[test]
-    fn store_keys_and_artifact_stems_do_not_move() {
+    fn pair_keys_and_artifact_stems_do_not_move() {
         let cfd = suite::by_name("CFD").unwrap();
         let stream = suite::by_name("Stream").unwrap();
         let baseline = SystemConfig::baseline_mcm();
@@ -889,7 +902,7 @@ mod tests {
             0x6f41_61c8_e5c2_79f8
         );
         assert_eq!(
-            artifact_stem(&baseline, &cfd.scaled(0.01)),
+            stem(0.01, &baseline, &cfd),
             "MCM-GPU-baseline-768-GB-s__CFD-a14e323d"
         );
     }
@@ -912,14 +925,14 @@ mod tests {
         let mut seen: HashMap<String, u64> = HashMap::new();
         let (a, b) = (0u64..)
             .find_map(|seed| {
-                let stem = artifact_stem(&cfg, &with_seed(seed).scaled(scale));
+                let stem = stem(scale, &cfg, &with_seed(seed));
                 seen.insert(stem, seed).map(|first| (first, seed))
             })
             .unwrap();
         let (a, b) = (with_seed(a), with_seed(b));
         assert_ne!(
-            artifact_stem(&cfg, &a),
-            artifact_stem(&cfg, &b),
+            stem(1.0, &cfg, &a),
+            stem(1.0, &cfg, &b),
             "the unscaled stems differ, so only the written stems clash"
         );
         Memo::new(RunEnv::at_scale(scale)).plan(&[(&cfg, &a), (&cfg, &b)]);
@@ -995,7 +1008,7 @@ mod tests {
         let spec = suite::by_name("CFD").unwrap();
         let mut warm = Memo::new(RunEnv::at_scale(0.01));
         warm.warm_with_jobs(1, &[(&a, &spec), (&b, &spec)]);
-        let mut want: Vec<(&(u64, u64), &RunReport)> = warm.cache.iter().collect();
+        let mut want: Vec<(&u64, &RunReport)> = warm.cache.iter().collect();
         want.sort_by_key(|(key, _)| **key);
         // Each map below draws its own hash seed.
         for _ in 0..16 {
@@ -1102,7 +1115,7 @@ mod tests {
     }
 
     #[test]
-    fn store_key_separates_scales() {
+    fn pair_keys_separate_scales() {
         // The same pair at a different MCM_SCALE must be a different
         // store key: a warm start must never serve a result computed
         // at another scale.
@@ -1120,7 +1133,7 @@ mod tests {
     }
 
     #[test]
-    fn store_key_separates_same_name_edited_specs() {
+    fn pair_keys_separate_same_name_edited_specs() {
         // Regression: the store key hashed the spec's name and scaled
         // instruction count only, so a process with an edited suite
         // spec was served the original spec's stored report.
@@ -1138,9 +1151,10 @@ mod tests {
         let fresh = b.run(&cfg, &edited);
         assert_eq!(b.stats().store_hits, 0, "an edited spec must miss");
         assert_eq!(b.stats().misses, 1);
+        let env = RunEnv::at_scale(0.01);
         assert_eq!(
             fresh,
-            run_instrumented(&RunEnv::at_scale(0.01), &cfg, &edited.scaled(0.01))
+            run_instrumented(&env, &Pair::new(&env, &cfg, &edited))
         );
         assert_ne!(original, fresh);
         // The original is still served from disk.
@@ -1291,7 +1305,7 @@ mod tests {
         let cfg = SystemConfig::baseline_mcm();
         let w1 = suite::by_name("CFD").unwrap();
         let mut memo = Memo::new(RunEnv::at_scale(0.01));
-        let failures = memo.warm_runner(1, 0, &[(&cfg, &w1)], |_, _, _| -> RunReport {
+        let failures = memo.warm_runner(1, 0, &[(&cfg, &w1)], |_, _| -> RunReport {
             panic!("sim exploded")
         });
         let caught = std::panic::catch_unwind(|| fail_fast(&failures))

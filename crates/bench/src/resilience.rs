@@ -16,7 +16,7 @@ use mcm_probe::NullProbe;
 use mcm_workloads::{suite, WorkloadSpec};
 
 use crate::env::RunEnv;
-use crate::harness::{self, TextTable};
+use crate::harness::{self, Pair, TextTable};
 
 /// The transient fault rates swept, from fault-free to aggressively
 /// noisy. Per-site probabilities: each link transfer, DRAM throttle
@@ -61,29 +61,32 @@ pub struct CurvePoint {
 /// merging executor results in grid order reproduces the serial output
 /// exactly.
 #[derive(Debug, Clone)]
-struct PlannedRun {
-    spec: WorkloadSpec,
+struct PlannedRun<'c> {
+    pair: Pair<'c>,
     category: &'static str,
     scenario: &'static str,
     fault_rate: f64,
 }
 
-impl PlannedRun {
+impl PlannedRun<'_> {
     /// Executes this planned run with `env`'s sinks and fault seed at
     /// the run's own fault rate. Each scenario writes artifacts under its
     /// own stem, so parallel workers never overwrite each other.
-    fn execute(&self, env: &RunEnv, cfg: &SystemConfig) -> RunReport {
+    fn execute(&self, env: &RunEnv) -> RunReport {
         let tag = match self.scenario {
             "transient" => format!("transient-{:e}", self.fault_rate),
             scenario => scenario.to_string(),
         };
-        let stem = format!("{}__{tag}", harness::artifact_stem(cfg, &self.spec));
+        let Pair {
+            cfg, spec, stem, ..
+        } = &self.pair;
+        let stem = format!("{stem}__{tag}");
         if self.scenario != "gpm-loss" {
             let env = RunEnv {
                 fault_rate: self.fault_rate,
                 ..env.clone()
             };
-            return harness::run_with_env(&env, cfg, &self.spec, &mut NullProbe, &stem).0;
+            return harness::run_with_env(&env, cfg, spec, &mut NullProbe, &stem).0;
         }
         let mut plan = SeededFaultPlan::new(FaultConfig {
             seed: env.fault_seed,
@@ -93,7 +96,7 @@ impl PlannedRun {
             }),
             ..FaultConfig::default()
         });
-        harness::run_with_sinks(env, cfg, &self.spec, &mut NullProbe, &mut plan, &stem).0
+        harness::run_with_sinks(env, cfg, spec, &mut NullProbe, &mut plan, &stem).0
     }
 }
 
@@ -107,20 +110,20 @@ pub fn sweep(env: &RunEnv) -> Vec<CurvePoint> {
     // Plan the whole grid up front, in the reporting order.
     let mut planned = Vec::new();
     for spec in representatives() {
-        let scaled = spec.scaled(env.scale);
+        let pair = Pair::new(env, &cfg, &spec);
         let category = spec.category.label();
         // RATES leads with 0: the healthy run, then the transient ladder.
         let ladder = RATES.map(|rate| (if rate > 0.0 { "transient" } else { "healthy" }, rate));
         for (scenario, fault_rate) in ladder.into_iter().chain([("gpm-loss", 0.0)]) {
             planned.push(PlannedRun {
-                spec: scaled.clone(),
+                pair: pair.clone(),
                 category,
                 scenario,
                 fault_rate,
             });
         }
     }
-    let reports = mcm_exec::pool::run_grid(&planned, env.jobs, |_, run| run.execute(env, &cfg));
+    let reports = mcm_exec::pool::run_grid(&planned, env.jobs, |_, run| run.execute(env));
     // Slowdowns are relative to each workload's healthy run, which
     // leads its block of the grid.
     let runs_per_spec = RATES.len() + 1;
@@ -135,7 +138,7 @@ pub fn sweep(env: &RunEnv) -> Vec<CurvePoint> {
         for (report, run) in chunk.iter().zip(run_chunk) {
             points.push(CurvePoint {
                 category: run.category,
-                workload: run.spec.name,
+                workload: run.pair.spec.name,
                 scenario: run.scenario,
                 fault_rate: run.fault_rate,
                 report: report.clone(),

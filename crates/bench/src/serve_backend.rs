@@ -1,8 +1,8 @@
 //! The production [`Backend`] for `mcm-serve`: paper configurations by
-//! short name, the full 48-workload suite, and store keying that is
-//! bit-for-bit the keying [`Memo`](crate::harness::Memo) uses — so a
-//! served result, a warm restart, and a direct harness run all read and
-//! write the same record.
+//! short name, the full 48-workload suite, and keys, store reads and
+//! commits that go through the same [`Pair`] as
+//! [`Memo`](crate::harness::Memo)'s — so a served result, a warm
+//! restart, and a direct harness run all read and write the same record.
 //!
 //! Reports are rendered to canonical JSON
 //! ([`mcm_serve::protocol::render_report`]) exactly once per pair and
@@ -19,7 +19,7 @@ use mcm_store::Store;
 use mcm_workloads::{suite, WorkloadSpec};
 
 use crate::env::RunEnv;
-use crate::harness::{open_store, run_instrumented, store_key};
+use crate::harness::{open_store, run_instrumented, Pair};
 
 /// The configurations a sweep request can name, keyed by short name.
 /// Sorted (BTreeMap) so error messages and listings are deterministic.
@@ -97,6 +97,13 @@ impl MemoBackend {
         self.workloads.iter().find(|w| w.name == workload)
     }
 
+    /// The pair `key` names.
+    fn pair(&self, key: &PairKey) -> Pair<'_> {
+        let vetted = "resolve() vetted both names";
+        let cfg = self.presets.get(key.config.as_str()).expect(vetted);
+        Pair::new(&self.env, cfg, self.spec(&key.workload).expect(vetted))
+    }
+
     fn rendered_get(&self, fingerprint: u64) -> Option<String> {
         self.rendered
             .lock()
@@ -127,7 +134,7 @@ impl Backend for MemoBackend {
             ));
         };
         Ok(PairKey {
-            fingerprint: store_key(&self.env, cfg, spec),
+            fingerprint: Pair::new(&self.env, cfg, spec).key,
             config: config.to_string(),
             workload: workload.to_string(),
         })
@@ -137,25 +144,14 @@ impl Backend for MemoBackend {
         if let Some(r) = self.rendered_get(key.fingerprint) {
             return Some(r);
         }
-        let report = self
-            .store
-            .as_ref()
-            .and_then(|s| s.get(key.fingerprint, &key.workload))?;
+        let report = self.pair(key).stored(self.store.as_ref())?;
         Some(self.rendered_put(key.fingerprint, render_report(&report)))
     }
 
     fn run(&self, key: &PairKey) -> String {
-        let cfg = self
-            .presets
-            .get(key.config.as_str())
-            .expect("resolve() vetted the config name");
-        let spec = self
-            .spec(&key.workload)
-            .expect("resolve() vetted the workload name");
-        let report = run_instrumented(&self.env, cfg, &spec.scaled(self.env.scale));
-        if let Some(store) = &self.store {
-            store.put(key.fingerprint, spec.name, &report);
-        }
+        let report = self
+            .pair(key)
+            .simulate(&self.env, self.store.as_ref(), run_instrumented);
         self.rendered_put(key.fingerprint, render_report(&report))
     }
 

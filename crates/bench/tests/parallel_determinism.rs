@@ -1,7 +1,7 @@
 //! The determinism contract of the parallel sweep executor: reports,
 //! printed tables, and observability artifacts are byte-identical at
 //! any `MCM_JOBS` value, and bit-exact against the pre-executor serial
-//! path ([`Simulator::run`] and the golden cycle counts).
+//! path ([`Simulator::run`], whose cycle counts the golden test pins).
 //!
 //! In-process tests pass explicit job counts (`Memo::warm_with_jobs`,
 //! a [`RunEnv`]'s `jobs`) instead of setting `MCM_JOBS`, which would
@@ -18,22 +18,16 @@ use mcm_bench::resilience;
 use mcm_gpu::{RunReport, Simulator, SystemConfig};
 use mcm_workloads::{suite, WorkloadSpec};
 
-/// The golden trio at 2 % scale, as pinned in
-/// `tests/golden_determinism.rs`: (workload, baseline cycles, optimized
-/// cycles). The parallel path must reproduce these exactly.
-const GOLDEN: &[(&str, u64, u64)] = &[
-    ("Stream", 5049, 1794),
-    ("Hotspot", 1303, 1225),
-    ("DWT", 2799, 1898),
-];
-
+/// The parallel path reproduces the serial one bit for bit on the
+/// golden trio at 2 % scale, whose cycle counts
+/// `tests/golden_determinism.rs` pins for [`Simulator::run`].
 #[test]
 fn parallel_grid_reproduces_the_golden_serial_counts() {
     let baseline = SystemConfig::baseline_mcm();
     let optimized = SystemConfig::optimized_mcm();
-    let specs: Vec<WorkloadSpec> = GOLDEN
+    let specs: Vec<WorkloadSpec> = ["Stream", "Hotspot", "DWT"]
         .iter()
-        .map(|(n, _, _)| suite::by_name(n).expect("suite workload"))
+        .map(|n| suite::by_name(n).expect("suite workload"))
         .collect();
     let pairs: Vec<(&SystemConfig, &WorkloadSpec)> = specs
         .iter()
@@ -41,23 +35,14 @@ fn parallel_grid_reproduces_the_golden_serial_counts() {
         .collect();
     let mut memo = Memo::new(RunEnv::at_scale(0.02));
     memo.warm_with_jobs(8, &pairs);
-    let reports: Vec<&RunReport> = pairs.iter().map(|(c, w)| memo.get(c, w)).collect();
-    for (&(name, want_base, want_opt), chunk) in GOLDEN.iter().zip(reports.chunks(2)) {
+    for (cfg, spec) in pairs {
         assert_eq!(
-            chunk[0].cycles.as_u64(),
-            want_base,
-            "{name} on baseline_mcm diverged from the serial golden"
+            *memo.get(cfg, spec),
+            Simulator::run(cfg, &spec.scaled(0.02)),
+            "{} on {} diverged from the serial run",
+            spec.name,
+            cfg.name
         );
-        assert_eq!(
-            chunk[1].cycles.as_u64(),
-            want_opt,
-            "{name} on optimized_mcm diverged from the serial golden"
-        );
-        // Bit-exact against a fresh pre-executor serial run, not just
-        // cycle-equal.
-        let spec = suite::by_name(name).expect("suite workload").scaled(0.02);
-        assert_eq!(*chunk[0], Simulator::run(&baseline, &spec));
-        assert_eq!(*chunk[1], Simulator::run(&optimized, &spec));
     }
 }
 

@@ -44,12 +44,13 @@ pub mod service;
 
 /// The resolved identity of one `(configuration, workload)` pair: the
 /// persistent-store fingerprint plus the human names the client used.
-/// The fingerprint is the dedupe and store key; the names ride along
-/// for responses and error messages.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The fingerprint alone is the dedupe and store key, so two names that
+/// resolve to one fingerprint share one run; the names ride along for
+/// [`Backend::run`], pair lines and error messages.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PairKey {
     /// The store fingerprint (folds config, workload, scale, and fault
-    /// knobs — see `mcm_bench::harness::pair_fingerprint`).
+    /// knobs — see `mcm_bench::harness::Pair`).
     pub fingerprint: u64,
     /// The configuration name as requested.
     pub config: String,

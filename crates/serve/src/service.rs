@@ -4,10 +4,10 @@
 //! ## One lock
 //!
 //! One mutex guards the service's `State`: the in-flight registry (a
-//! map from [`PairKey`] to the subscribers waiting on that pair's run)
-//! and the `LaneQueue` of misses waiting for a worker. One condvar
-//! wakes the [`ServeOptions::workers`] persistent threads, which each
-//! pop a pair and run it.
+//! map from a pair's [`PairKey::fingerprint`] to the subscribers waiting
+//! on that pair's run) and the `LaneQueue` of misses waiting for a
+//! worker. One condvar wakes the [`ServeOptions::workers`] persistent
+//! threads, which each pop a pair and run it.
 //!
 //! ## Exactly-once, structurally
 //!
@@ -146,32 +146,24 @@ impl Tracker {
     }
 }
 
-/// One waiter on an in-flight pair.
+/// One waiter on an in-flight pair, under the names it asked by.
 struct Subscriber {
     tx: mpsc::Sender<String>,
     tracker: Arc<Tracker>,
     id: u64,
     index: usize,
-    config: String,
-    workload: String,
+    key: PairKey,
     source: Source,
 }
 
 impl Subscriber {
     fn deliver(self, outcome: &Result<String, String>) {
+        let PairKey {
+            config, workload, ..
+        } = &self.key;
         let line = match outcome {
-            Ok(report) => pair_line(
-                self.id,
-                self.index,
-                &self.config,
-                &self.workload,
-                self.source,
-                report,
-            ),
-            Err(msg) => error_line(
-                &format!("({}, {}): {msg}", self.config, self.workload),
-                Some(self.id),
-            ),
+            Ok(report) => pair_line(self.id, self.index, config, workload, self.source, report),
+            Err(msg) => error_line(&format!("({config}, {workload}): {msg}"), Some(self.id)),
         };
         let _ = self.tx.send(line);
         self.tracker.complete_one();
@@ -247,9 +239,10 @@ impl<T> LaneQueue<T> {
 
 /// Everything the service lock guards.
 struct State {
-    /// The in-flight registry: every queued or running pair, with the
-    /// subscribers waiting on its run.
-    inflight: HashMap<PairKey, Vec<Subscriber>>,
+    /// The in-flight registry: every queued or running pair, by
+    /// fingerprint, with the subscribers waiting on its run. Two names
+    /// for one fingerprint share one run.
+    inflight: HashMap<u64, Vec<Subscriber>>,
     queue: LaneQueue<PairKey>,
     /// Set by the shutdown drill; workers exit instead of parking.
     shutdown: bool,
@@ -298,7 +291,11 @@ fn run_and_notify(core: &Core, key: &PairKey) {
     // The lock is the synchronization point of the exactly-once
     // contract: the entry leaves the registry only after the result is
     // in the store (backend.run persisted it above).
-    let subs = core.lock().inflight.remove(key).unwrap_or_default();
+    let subs = core
+        .lock()
+        .inflight
+        .remove(&key.fingerprint)
+        .unwrap_or_default();
     for sub in subs {
         sub.deliver(&outcome);
     }
@@ -308,8 +305,7 @@ fn run_and_notify(core: &Core, key: &PairKey) {
 /// before the pending count is known).
 struct Seed {
     index: usize,
-    config: String,
-    workload: String,
+    key: PairKey,
     source: Source,
 }
 
@@ -320,8 +316,7 @@ impl Seed {
             tracker: Arc::clone(tracker),
             id,
             index: self.index,
-            config: self.config,
-            workload: self.workload,
+            key: self.key,
             source: self.source,
         }
     }
@@ -350,11 +345,11 @@ fn handle_sweep(
             expanded.push(w.clone());
         }
     }
-    let mut grid: Vec<(String, String, PairKey)> = Vec::with_capacity(configs.len());
+    let mut grid: Vec<PairKey> = Vec::with_capacity(configs.len());
     for c in configs {
         for w in &expanded {
             match core.backend.resolve(c, w) {
-                Ok(key) => grid.push((c.clone(), w.clone(), key)),
+                Ok(key) => grid.push(key),
                 Err(msg) => {
                     let _ = tx.send(error_line(&format!("sweep {id}: {msg}"), Some(id)));
                     return;
@@ -368,46 +363,43 @@ fn handle_sweep(
     // must span lookup, admission, and registration.
     let mut st = core.lock();
     let mut hit_lines: Vec<String> = Vec::new();
-    let mut existing: Vec<(PairKey, Seed)> = Vec::new();
+    let mut existing: Vec<Seed> = Vec::new();
     let mut owned: Vec<(PairKey, Vec<Seed>)> = Vec::new();
     let mut owned_slots: HashMap<u64, usize> = HashMap::new();
     let (mut hits, mut dedups) = (0u64, 0u64);
-    for (index, (config, workload, key)) in grid.into_iter().enumerate() {
+    for (index, key) in grid.into_iter().enumerate() {
+        let fingerprint = key.fingerprint;
         if let Some(report) = core.backend.lookup(&key) {
             hits += 1;
             hit_lines.push(pair_line(
                 id,
                 index,
-                &config,
-                &workload,
+                &key.config,
+                &key.workload,
                 Source::Hit,
                 &report,
             ));
-        } else if st.inflight.contains_key(&key) {
+        } else if st.inflight.contains_key(&fingerprint) {
             // Another connection's run is in flight: subscribe.
             dedups += 1;
-            let seed = Seed {
+            existing.push(Seed {
                 index,
-                config,
-                workload,
+                key,
                 source: Source::Shared,
-            };
-            existing.push((key, seed));
-        } else if let Some(&slot) = owned_slots.get(&key.fingerprint) {
+            });
+        } else if let Some(&slot) = owned_slots.get(&fingerprint) {
             // The same pair twice within this request: one run.
             dedups += 1;
             owned[slot].1.push(Seed {
                 index,
-                config,
-                workload,
+                key,
                 source: Source::Shared,
             });
         } else {
-            owned_slots.insert(key.fingerprint, owned.len());
+            owned_slots.insert(fingerprint, owned.len());
             let seed = Seed {
                 index,
-                config,
-                workload,
+                key: key.clone(),
                 source: Source::Run,
             };
             owned.push((key, vec![seed]));
@@ -443,9 +435,9 @@ fn handle_sweep(
     for line in hit_lines {
         let _ = tx.send(line);
     }
-    for (key, seed) in existing {
+    for seed in existing {
         st.inflight
-            .get_mut(&key)
+            .get_mut(&seed.key.fingerprint)
             .expect("contains_key checked under the same lock")
             .push(seed.materialize(tx, &tracker, id));
     }
@@ -454,7 +446,7 @@ fn handle_sweep(
             .into_iter()
             .map(|s| s.materialize(tx, &tracker, id))
             .collect();
-        st.inflight.insert(key, subs);
+        st.inflight.insert(key.fingerprint, subs);
     }
     drop(st);
     if misses > 0 {
@@ -566,36 +558,18 @@ fn connection_loop(
         .unwrap_or_else(PoisonError::into_inner)
         .push(writer);
 
-    // Timed reads keep the loop responsive to the shutdown flag.
+    // Timed reads keep the loop responsive to the shutdown flag. Lines
+    // accumulate as bytes and are decoded only once complete, so a
+    // timeout inside a multi-byte character loses nothing.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    loop {
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
+    let mut line: Vec<u8> = Vec::new();
+    while !shutdown.load(Ordering::SeqCst) {
         // Read at most one byte past the cap. `line` keeps what earlier
         // timed-out reads accumulated, so the cap spans them.
         let budget = (MAX_REQUEST_LINE + 1 - line.len()) as u64;
-        match (&mut reader).take(budget).read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line.len() > MAX_REQUEST_LINE && !line.ends_with('\n') => {
-                let _ = tx.send(error_line(
-                    &format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
-                    None,
-                ));
-                break;
-            }
-            Ok(_) => {
-                let request = line.trim().to_string();
-                line.clear();
-                if !request.is_empty() && !handle_request(core, lane, &request, &tx, shutdown, addr)
-                {
-                    break;
-                }
-            }
-            // A timeout may leave a partial line accumulated in `line`;
-            // the next read_line appends the rest.
+        let eof = match (&mut reader).take(budget).read_until(b'\n', &mut line) {
+            Ok(n) => n == 0,
             Err(e)
                 if matches!(
                     e.kind(),
@@ -605,6 +579,29 @@ fn connection_loop(
                 continue;
             }
             Err(_) => break,
+        };
+        if line.len() > MAX_REQUEST_LINE && !line.ends_with(b"\n") {
+            let _ = tx.send(error_line(
+                &format!("request line exceeds {MAX_REQUEST_LINE} bytes; closing connection"),
+                None,
+            ));
+            break;
+        }
+        // A complete line, or the unterminated last line of a client
+        // that half-closed.
+        let request = std::mem::take(&mut line);
+        let serving = match std::str::from_utf8(&request) {
+            Ok(text) => {
+                let text = text.trim();
+                text.is_empty() || handle_request(core, lane, text, &tx, shutdown, addr)
+            }
+            Err(e) => {
+                let _ = tx.send(error_line(&format!("request line is not UTF-8: {e}"), None));
+                true
+            }
+        };
+        if eof || !serving {
+            break;
         }
     }
     // `tx` drops here; the writer exits once subscribers (if any) are
@@ -665,15 +662,15 @@ fn accept_loop(
     for w in workers {
         let _ = w.join();
     }
-    let leftovers: Vec<(PairKey, Vec<Subscriber>)> = core.lock().inflight.drain().collect();
-    for (key, subs) in leftovers {
+    let leftovers: Vec<Subscriber> = core.lock().inflight.drain().flat_map(|(_, s)| s).collect();
+    for sub in leftovers {
+        let PairKey {
+            config, workload, ..
+        } = &sub.key;
         let outcome = Err(format!(
-            "server shut down before ({}, {}) ran",
-            key.config, key.workload
+            "server shut down before ({config}, {workload}) ran"
         ));
-        for sub in subs {
-            sub.deliver(&outcome);
-        }
+        sub.deliver(&outcome);
     }
     let writers = std::mem::take(
         &mut *writer_handles

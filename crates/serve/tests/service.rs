@@ -5,7 +5,7 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -57,6 +57,9 @@ struct ScriptedBackend {
     order: Mutex<Vec<String>>,
     /// `run` panics on this config instead of rendering.
     panics_on: Option<&'static str>,
+    /// `(alias, config)`: the alias names the same pair as the config,
+    /// so it resolves to the config's fingerprint.
+    alias: Option<(&'static str, &'static str)>,
     gate: Option<Arc<Gate>>,
 }
 
@@ -69,6 +72,7 @@ impl ScriptedBackend {
             runs: AtomicU64::new(0),
             order: Mutex::new(Vec::new()),
             panics_on: None,
+            alias: None,
             gate,
         }
     }
@@ -102,8 +106,12 @@ impl Backend for ScriptedBackend {
         if !self.workloads.iter().any(|w| w == workload) {
             return Err(format!("unknown workload \"{workload}\""));
         }
+        let machine = match self.alias {
+            Some((alias, same)) if alias == config => same,
+            _ => config,
+        };
         Ok(PairKey {
-            fingerprint: Self::fingerprint(config, workload),
+            fingerprint: Self::fingerprint(machine, workload),
             config: config.to_string(),
             workload: workload.to_string(),
         })
@@ -336,6 +344,44 @@ fn concurrent_duplicate_pairs_share_one_run() {
 }
 
 #[test]
+fn two_names_for_one_fingerprint_share_one_run() {
+    let gate = Arc::new(Gate::default());
+    let mut backend = ScriptedBackend::new(&["a", "also-a"], &["w"], Some(Arc::clone(&gate)));
+    backend.alias = Some(("also-a", "a"));
+    let backend = Arc::new(backend);
+    let service = start(Arc::clone(&backend) as Arc<dyn Backend>, 2, 16);
+
+    let mut first = Client::connect(&service);
+    first.send(&sweep_request(1, &["a"], &["w"]));
+    assert_eq!(first.recv(), "{\"ack\":1,\"pairs\":1}");
+    gate.wait_entered(1);
+    // The same pair under its other name, while the first run is held.
+    let mut second = Client::connect(&service);
+    second.send(&sweep_request(2, &["also-a"], &["w"]));
+    assert_eq!(second.recv(), "{\"ack\":2,\"pairs\":1}");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.stats().misses + service.stats().inflight_dedups < 2 {
+        assert!(Instant::now() < deadline, "second sweep never classified");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    gate.open();
+    let owner = &first.recv_until_done(1)[0];
+    let shared = &second.recv_until_done(2)[0];
+    assert!(owner.contains("\"source\":\"run\""), "owner: {owner}");
+    assert!(
+        shared.contains("\"config\":\"also-a\"") && shared.contains("\"source\":\"shared\""),
+        "shared: {shared}"
+    );
+    assert_eq!(report_slice(owner), report_slice(shared));
+    assert_eq!(
+        backend.runs.load(Ordering::SeqCst),
+        1,
+        "one run for one fingerprint"
+    );
+}
+
+#[test]
 fn duplicate_pairs_within_one_request_run_once() {
     let backend = Arc::new(ScriptedBackend::new(&["a"], &["w"], None));
     let service = start(Arc::clone(&backend) as Arc<dyn Backend>, 1, 16);
@@ -509,6 +555,53 @@ fn over_long_request_lines_are_refused_and_the_connection_closed() {
     other.send("{\"op\":\"shutdown\"}");
     assert_eq!(other.recv(), "{\"bye\":true}");
     service.wait();
+}
+
+#[test]
+fn a_pause_inside_a_multi_byte_character_loses_nothing() {
+    let service = start(Arc::new(ScriptedBackend::new(&["a"], &["w"], None)), 1, 16);
+    let mut client = Client::connect(&service);
+    let line = "{\"op\":\"ping\",\"note\":\"é\"}\n".as_bytes();
+    // Split after the lead byte of `é`, for longer than the reader's
+    // 100 ms timeout.
+    let (head, tail) = line.split_at(line.iter().position(|&b| b == 0xC3).unwrap() + 1);
+    client.stream.write_all(head).unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    client.stream.write_all(tail).unwrap();
+    assert_eq!(client.recv(), "{\"pong\":true}");
+    client.send("{\"op\":\"ping\"}");
+    assert_eq!(client.recv(), "{\"pong\":true}");
+}
+
+#[test]
+fn a_line_that_is_not_utf8_gets_one_error_and_the_connection_serves_on() {
+    let service = start(Arc::new(ScriptedBackend::new(&["a"], &["w"], None)), 1, 16);
+    let mut client = Client::connect(&service);
+    client
+        .stream
+        .write_all(b"{\"op\":\"ping\",\"note\":\"\xff\"}\n")
+        .unwrap();
+    let line = client.recv();
+    assert!(
+        line.contains("\"error\"") && line.contains("UTF-8"),
+        "got: {line}"
+    );
+    client.send("{\"op\":\"ping\"}");
+    assert_eq!(client.recv(), "{\"pong\":true}");
+}
+
+#[test]
+fn an_unterminated_last_line_is_answered_after_a_late_half_close() {
+    let service = start(Arc::new(ScriptedBackend::new(&["a"], &["w"], None)), 1, 16);
+    let mut client = Client::connect(&service);
+    client.stream.write_all(b"{\"op\":\"ping\"}").unwrap();
+    std::thread::sleep(Duration::from_millis(300));
+    client.stream.shutdown(Shutdown::Write).unwrap();
+    assert_eq!(client.recv(), "{\"pong\":true}");
+    assert!(
+        client.drain().is_empty(),
+        "the server closes after the answer"
+    );
 }
 
 #[test]

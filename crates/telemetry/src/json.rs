@@ -252,12 +252,16 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar, not one byte.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty rest");
-                out.push(c);
-                *pos += c.len_utf8();
+                // One run of unescaped bytes, up to the next quote or
+                // backslash. Both are ASCII, so in a `str` the run ends
+                // on a character boundary and decodes in one pass.
+                let start = *pos;
+                while !matches!(bytes.get(*pos), None | Some(b'"' | b'\\')) {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(run);
             }
         }
     }
@@ -409,6 +413,54 @@ mod tests {
             Some(1.25)
         );
         assert_eq!(v.get("n").unwrap().as_u64(), Some(123456789));
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip_next_to_escapes() {
+        for s in [
+            "é",
+            "日本",
+            "\u{1d11e}",
+            "é\n日本\t\u{1d11e}",
+            "\"é\"",
+            "\\日本\\",
+            "\u{1}\u{1d11e}\u{1f}",
+        ] {
+            let mut doc = String::new();
+            push_escaped(&mut doc, s);
+            assert_eq!(Json::parse(&doc).unwrap(), Json::Str(s.into()), "{doc}");
+        }
+        // A \u escape, a quote, a backslash and a solidus, each next to
+        // a multi-byte character.
+        assert_eq!(
+            Json::parse("\"\\u00e9é\\\"日本\\\\\u{1d11e}\\/\"").unwrap(),
+            Json::Str("éé\"日本\\\u{1d11e}/".into())
+        );
+    }
+
+    /// Parse time is linear in string content. Decoding the rest of the
+    /// document for every character made both documents quadratic:
+    /// tens of seconds each.
+    #[test]
+    fn a_mebibyte_of_strings_parses_in_linear_time() {
+        let mib = 1 << 20;
+        let long = "é".repeat(mib / 2);
+        let one = format!("\"{long}\"");
+        let many = format!("[{}]", vec!["\"abcdef\""; mib / 9].join(","));
+        for (doc, want) in [
+            (one, Json::Str(long.clone())),
+            (many, Json::Arr(vec![Json::Str("abcdef".into()); mib / 9])),
+        ] {
+            let start = std::time::Instant::now();
+            let value = Json::parse(&doc).unwrap();
+            let took = start.elapsed();
+            assert!(
+                took.as_secs_f64() < 2.0,
+                "{} bytes took {took:?}",
+                doc.len()
+            );
+            assert!(value == want);
+        }
     }
 
     #[test]

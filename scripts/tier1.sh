@@ -31,6 +31,22 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== RUSTDOCFLAGS=-D warnings cargo doc --workspace --no-deps --offline =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
+# perfbench builds the workspace crates through path dependencies from
+# a workspace of its own, so an API change that breaks it passes every
+# step above and fails only when the benchmark runs. Check it against
+# this tree in a copy: cargo rewrites the copy's lock file, never the
+# checkout's. The root manifest comes along because the crates inherit
+# their package fields from it.
+echo "== perfbench compiles against the working tree =="
+TELEMETRY_TMP="$(mktemp -d -t mcm-telemetry.XXXXXX)"
+trap 'rm -rf "$TELEMETRY_TMP"' EXIT
+PERFBENCH_COPY="$TELEMETRY_TMP/perfbench-check"
+mkdir "$PERFBENCH_COPY"
+tar -c --exclude=perfbench/target Cargo.toml crates perfbench | tar -x -C "$PERFBENCH_COPY"
+cargo check --offline --all-targets -q \
+  --manifest-path "$PERFBENCH_COPY/perfbench/Cargo.toml" \
+  --target-dir "$PERFBENCH_COPY/target"
+
 echo "== cargo build --workspace --release --offline =="
 cargo build --workspace --release --offline
 
@@ -64,8 +80,6 @@ cargo test -p mcm-gpu -q --offline --test hot_loop_alloc
 # release binary built above; fig09 exercises the memo cache and the
 # sweep executor.
 echo "== telemetry on/off byte-identity (release fig09, tiny scale) =="
-TELEMETRY_TMP="$(mktemp -d -t mcm-telemetry.XXXXXX)"
-trap 'rm -rf "$TELEMETRY_TMP"' EXIT
 MCM_SCALE=0.01 MCM_JOBS=1 \
   target/release/fig09_distributed_sched >"$TELEMETRY_TMP/off.txt"
 MCM_SCALE=0.01 MCM_JOBS=1 \
